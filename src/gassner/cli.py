@@ -30,19 +30,35 @@ USAGE_ERROR = 2
 MISMATCH = 1
 
 
+def _worker_count(text: str) -> int:
+    """Parse a ``--jobs``/``GASSNER_JOBS`` value, which must be a positive integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            "worker count (from --jobs or GASSNER_JOBS) must be a positive "
+            f"integer, got {text!r}"
+        )
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gassner",
         description="Exact workbench for the Gassner representation of pure braids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("GASSNER_JOBS", "1"))
+    # A string default is parsed by ``type`` like a command-line value, so a
+    # malformed GASSNER_JOBS is a usage error exactly as a bad --jobs is.
+    default_jobs = os.environ.get("GASSNER_JOBS", "1")
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "pretty"), default="pretty")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_worker_count,
             default=default_jobs,
             help="worker processes for class computations (default: GASSNER_JOBS or 1)",
         )

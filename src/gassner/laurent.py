@@ -313,6 +313,11 @@ def _pack(exps: tuple[int, ...], n_vars: int) -> int:
     return key | (deg << (8 * n_vars))
 
 
+def _check_max_deg(max_deg: int) -> None:
+    if not 0 <= max_deg <= _MAX_TRUNC_DEG:
+        raise UsageError(f"truncation degree must be in 0..{_MAX_TRUNC_DEG}")
+
+
 def _unpack(key: int, n_vars: int) -> tuple[int, ...]:
     return tuple((key >> (8 * i)) & 0xFF for i in range(n_vars))
 
@@ -335,8 +340,7 @@ class TruncatedSeries:
     ):
         if n_vars < 0:
             raise UsageError("variable count must be nonnegative")
-        if not 0 <= max_deg <= _MAX_TRUNC_DEG:
-            raise UsageError(f"truncation degree must be in 0..{_MAX_TRUNC_DEG}")
+        _check_max_deg(max_deg)
         packed: dict[int, int] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != n_vars:
@@ -391,6 +395,7 @@ class TruncatedSeries:
         expansion finite.  The map is a ring homomorphism onto the
         truncated ring.
         """
+        _check_max_deg(max_deg)
         n = p.n_vars
         shift = 8 * n
         cutoff = (max_deg + 1) << shift

@@ -6,12 +6,18 @@ combinations are the only candidates that can evaluate to the identity, so
 the harness enumerates bounded integer combinations of the kernel basis,
 builds a representative word for each, and tests it.
 
-A candidate's image is computed in the truncated ring first (a product of
-cached per-commutator matrices, so each candidate costs a couple of matrix
-multiplications).  A nonzero truncation certifies non-identity exactly,
-because truncation is a ring homomorphism; only candidates that are trivial
-to the probed degree escalate to integer specializations of the variables
-and finally to full exact evaluation.  Every reported conclusion is exact.
+A candidate's image is read degree by degree in the truncated ring.  Every
+weight-w basic commutator g_i is congruent to I modulo the w-th power of
+the ideal J = (t_1 - 1, ..., t_n - 1), so below degree 2w the image of
+prod g_i^{m_i} minus I equals the integer combination sum m_i (g_i - I):
+every cross term of the product has degree at least 2w.  Below that degree
+a candidate therefore costs one integer combination of cached
+per-commutator coefficient maps; truncated matrix products run only when
+the probe reaches degree 2w and the combination vanishes below it.  A
+nonzero truncation certifies non-identity exactly, because truncation is a
+ring homomorphism; only candidates that are trivial to the probed degree
+escalate to integer specializations of the variables and finally to full
+exact evaluation.  Every reported conclusion is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ from typing import Iterator
 from .braid import BraidWord, evaluate_exact, gassner_generator
 from .graded import GradedClass, _commutator_matrix, kernel_report, pi
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
-from .laurent import SquareMatrix, UsageError, series_matrix_inverse
+from .laurent import (
+    _MAX_TRUNC_DEG,
+    DomainError,
+    SquareMatrix,
+    UsageError,
+    series_matrix_inverse,
+)
 
 _SPECIALIZATION_PRIME = 2**61 - 1
 _SPECIALIZATION_COUNT = 3
@@ -45,6 +57,11 @@ class SearchConfig:
     def __post_init__(self):
         if min(self.coeff_bound, self.support_bound, self.degree_probe) < 1:
             raise UsageError("search bounds must be positive")
+        if self.degree_probe > _MAX_TRUNC_DEG:
+            raise UsageError(
+                f"degree probe must be at most {_MAX_TRUNC_DEG}, "
+                f"got {self.degree_probe}"
+            )
         if self.budget < 0:
             raise UsageError("budget must be nonnegative")
 
@@ -153,6 +170,64 @@ def _candidate_matrix(
         if m:
             acc = acc * _commutator_power(term, n, max_deg, m)
     return acc
+
+
+def _first_nonvanishing_degree(matrix: SquareMatrix) -> int | None:
+    """Smallest total degree carrying a nonzero coefficient of ``matrix - I``."""
+    diff = matrix - matrix.identity_like()
+    return min(
+        (e.min_degree() for row in diff.rows for e in row if not e.is_zero()),
+        default=None,
+    )
+
+
+class _LinearScreen:
+    """First nonvanishing degree of weight-w candidates through ``depth``.
+
+    Requires depth <= 2w - 1.  Each weight-w basic commutator g_i is
+    congruent to I modulo J^w, so in every degree d <= 2w - 1 the part of
+    prod g_i^{m_i} - I is sum m_i (g_i - I)_d: every other term of the
+    expanded product, including those of g_i^m beyond m (g_i - I), has
+    degree at least 2w.  Per commutator the screen keeps the integer
+    coefficients of g_i - I in degrees w..depth, built from its truncated
+    image the first time a candidate uses it.
+    """
+
+    def __init__(self, basis, n: int, w: int, depth: int):
+        self.basis, self.n, self.w, self.depth = basis, n, w, depth
+        self._columns: dict[int, list[dict[tuple, int]]] = {}
+
+    def _column(self, index: int) -> list[dict[tuple, int]]:
+        column = self._columns.get(index)
+        if column is None:
+            w = self.w
+            image = _commutator_matrix(self.basis[index], self.n, self.depth)
+            diff = image - image.identity_like()
+            column = [{} for _ in range(w, self.depth + 1)]
+            for i, row in enumerate(diff.rows):
+                for j, e in enumerate(row):
+                    for exps, c in e.terms().items():
+                        degree = sum(exps)
+                        if degree < w:
+                            raise DomainError(
+                                f"{self.basis[index]} is not congruent to I "
+                                f"modulo degree {w}"
+                            )
+                        column[degree - w][(i, j, exps)] = c
+            self._columns[index] = column
+        return column
+
+    def first_nonvanishing_degree(self, vector: tuple[int, ...]) -> int | None:
+        """Smallest degree <= depth where the candidate's image differs from I."""
+        support = [(self._column(k), m) for k, m in enumerate(vector) if m]
+        for offset in range(self.depth - self.w + 1):
+            acc: dict[tuple, int] = {}
+            for column, m in support:
+                for key, c in column[offset].items():
+                    acc[key] = acc.get(key, 0) + m * c
+            if any(acc.values()):
+                return self.w + offset
+        return None
 
 
 @lru_cache(maxsize=None)
@@ -283,13 +358,9 @@ def test_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
     from .braid import evaluate_truncated
 
     for depth in range(1, cfg.degree_probe + 1):
-        truncated = evaluate_truncated(word, depth)
-        diff = truncated - truncated.identity_like()
-        degrees = [
-            e.min_degree() for row in diff.rows for e in row if not e.is_zero()
-        ]
-        if degrees:
-            return CandidateResult((), len(word), False, min(degrees))
+        first = _first_nonvanishing_degree(evaluate_truncated(word, depth))
+        if first is not None:
+            return CandidateResult((), len(word), False, first)
     exact = evaluate_exact(word)
     return CandidateResult((), len(word), exact.is_identity(), None)
 
@@ -343,6 +414,14 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     nontrivial below the probe depth; candidates trivial to that depth are
     retested under integer specializations and, if still unresolved, by
     full exact evaluation, so ``is_identity`` is always an exact statement.
+
+    Through degree min(probe, 2w - 1) the truncated image is read off a
+    linear screen (``_LinearScreen``): each weight-w commutator is I plus
+    terms of degree at least w, so cross terms of the candidate product
+    start at degree 2w and the lower degrees of the product minus I are
+    exactly the integer combination of the commutators' own coefficients.
+    The truncated matrix product to the probe depth runs only when the
+    probe reaches 2w and the screen finds nothing below it.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -355,22 +434,20 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
         )
         return result
     word_lengths = [len(commutator_to_word(t, n)) for t in basis]
+    screen = _LinearScreen(basis, n, w, min(cfg.degree_probe, 2 * w - 1))
     for vector in kernel_candidates(cfg, report.kernel):
-        matrix = _candidate_matrix(vector, n, w, cfg.degree_probe)
-        diff = matrix - matrix.identity_like()
-        degrees = [
-            e.min_degree() for row in diff.rows for e in row if not e.is_zero()
-        ]
-        if degrees:
+        first = screen.first_nonvanishing_degree(vector)
+        if first is None and cfg.degree_probe > screen.depth:
+            first = _first_nonvanishing_degree(
+                _candidate_matrix(vector, n, w, cfg.degree_probe)
+            )
+        if first is not None:
             is_identity = False
-            first = min(degrees)
+        elif _specialized_candidate_is_identity(vector, n, w, cfg.seed):
+            word = vector_to_word(vector, n, w)
+            is_identity = evaluate_exact(word).is_identity()
         else:
-            first = None
-            if _specialized_candidate_is_identity(vector, n, w, cfg.seed):
-                word = vector_to_word(vector, n, w)
-                is_identity = evaluate_exact(word).is_identity()
-            else:
-                is_identity = False
+            is_identity = False
         length = sum(
             abs(m) * word_lengths[k] for k, m in enumerate(vector) if m
         )
@@ -454,11 +531,7 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     b1 = _commutator_matrix(c1, n, probe)
     b2 = _commutator_matrix(c2, n, probe)
     quotient = b1 * series_matrix_inverse(b2)
-    diff = quotient - quotient.identity_like()
-    degrees = [
-        e.min_degree() for row in diff.rows for e in row if not e.is_zero()
-    ]
-    first = min(degrees) if degrees else None
+    first = _first_nonvanishing_degree(quotient)
 
     if not truncations_equal:
         raise RegressionError("weight-5 truncations no longer agree")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gassner.cli import main
 
 
@@ -41,6 +43,14 @@ class TestGen:
         )
         assert code == 0
         assert json.loads(out)["ring"] == "series"
+
+    def test_negative_truncate_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--n", "2", "--r", "1", "--s", "2", "--truncate", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "truncation degree" in err
 
 
 class TestEval:
@@ -170,6 +180,22 @@ class TestJobsDefault:
         assert code == 0
         assert "rank 3, expected 3, injective" in out
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [("abc", []), (None, ["--jobs", "0"]), (None, ["--jobs", "-3"])],
+        ids=["env-abc", "jobs-0", "jobs-minus-3"],
+    )
+    def test_bad_worker_count_exit_two(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("GASSNER_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("GASSNER_JOBS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--n", "4", "--weight", "2", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "positive integer" in err
+
 
 class TestSearch:
     def test_small_search_pretty(self, capsys):
@@ -207,3 +233,11 @@ class TestSearch:
         )
         assert code == 0
         assert "tested 0 candidates" in out
+
+    def test_degree_probe_past_series_cap_exit_two(self, capsys):
+        # the linear screen stops below degree 2w, so the probe bound must
+        # be checked where the configuration enters
+        code, out, err = run(capsys, "search", "--degree-probe", "300")
+        assert code == 2
+        assert out == ""
+        assert "degree probe" in err

@@ -140,26 +140,35 @@ class TestCandidateTesting:
 
 
 class TestDriverConsistency:
-    def test_candidate_matrix_matches_word_evaluation(self, kernel5):
-        # the driver's cached-product route equals the flat evaluation of
-        # the representative word, and both agree with test_candidate
+    @pytest.mark.parametrize("probe", [5, 8, 10])
+    def test_candidate_matrix_matches_word_evaluation(self, kernel5, probe):
+        # run_search's verdicts equal test_candidate's on the representative
+        # word.  Probe 5 sends the driver through the specialization ladder,
+        # 8 through the linear screen, and 10 = 2w past it, where the
+        # product fallback is armed.  The oracle always probes to degree 10:
+        # its verdict at a probe p <= 10 is the same with a first degree
+        # above p read as None, while probing only to 5 would send these
+        # words to exact evaluation, which takes minutes.  The driver's
+        # cached-product route also equals the flat word evaluation.
         from gassner.search import _candidate_matrix
 
-        cfg = SearchConfig(coeff_bound=1, support_bound=2, budget=3)
+        cfg = SearchConfig(
+            coeff_bound=1, support_bound=2, budget=3, degree_probe=probe
+        )
+        report = run_search(cfg)
+        by_coeffs = {r.coefficients: r for r in report.candidates}
         for vec in kernel_candidates(cfg, kernel5.kernel):
             word = vector_to_word(vec, 4, 5)
             product = _candidate_matrix(vec, 4, 5, 6)
             assert product == evaluate_truncated(word, 6)
-            verdict = check_candidate(word, SearchConfig(degree_probe=6))
-            report = run_search(SearchConfig(coeff_bound=1, support_bound=2, budget=3))
-            by_coeffs = {r.coefficients: r for r in report.candidates}
+            verdict = check_candidate(word, SearchConfig(degree_probe=10))
+            first = verdict.first_nonvanishing_degree
             labeled = tuple(
                 (str(t), m) for t, m in zip(kernel5.row_labels, vec) if m
             )
             assert by_coeffs[labeled].is_identity == verdict.is_identity
-            assert (
-                by_coeffs[labeled].first_nonvanishing_degree
-                == verdict.first_nonvanishing_degree
+            assert by_coeffs[labeled].first_nonvanishing_degree == (
+                first if first is not None and first <= probe else None
             )
 
 
