@@ -209,7 +209,11 @@ def delete_strand_reduction(m: SquareMatrix, n: int) -> SquareMatrix:
 #   atom := "A(" int "," int ")" | "x" int | "[" word "," word "]"
 #
 # Exponents other than ±1 expand by repetition; brackets expand with the
-# convention [a, b] = a b a^-1 b^-1.
+# convention [a, b] = a b a^-1 b^-1.  An expansion longer than
+# MAX_WORD_LENGTH letters is rejected before it is built, so a large
+# exponent or deeply nested brackets cannot exhaust memory.
+
+MAX_WORD_LENGTH = 100_000
 
 
 class WordSyntaxError(UsageError):
@@ -270,15 +274,18 @@ class _WordParser:
     def parse_word(self) -> tuple[BraidLetter, ...]:
         letters: list[BraidLetter] = []
         while self.peek() in ("letter", "alias", "open"):
-            letters.extend(self.parse_term())
+            pos = self.pos()
+            term = self.parse_term()
+            _check_length(len(letters) + len(term), pos)
+            letters.extend(term)
         return tuple(letters)
 
     def parse_term(self) -> tuple[BraidLetter, ...]:
         atom = self.parse_atom()
         if self.peek() == "caret":
-            _, exp, _ = self.tokens[self.i]
+            _, exp, pos = self.tokens[self.i]
             self.i += 1
-            return _power(atom, exp)
+            return _power(atom, exp, pos)
         return atom
 
     def parse_atom(self) -> tuple[BraidLetter, ...]:
@@ -301,6 +308,7 @@ class _WordParser:
                 )
             return (BraidLetter(j, self.n, 1),)
         if kind == "open":
+            pos = self.pos()
             self.i += 1
             left = self.parse_word()
             if self.peek() != "comma":
@@ -310,6 +318,7 @@ class _WordParser:
             if self.peek() != "close":
                 raise WordSyntaxError("expected ']'", self.pos())
             self.i += 1
+            _check_length(2 * (len(left) + len(right)), pos)
             return left + right + _invert(left) + _invert(right)
         raise WordSyntaxError("expected a letter, alias, or bracket", self.pos())
 
@@ -318,7 +327,17 @@ def _invert(letters: tuple[BraidLetter, ...]) -> tuple[BraidLetter, ...]:
     return tuple(l.inverse() for l in reversed(letters))
 
 
-def _power(letters: tuple[BraidLetter, ...], k: int) -> tuple[BraidLetter, ...]:
+def _check_length(length: int, pos: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise WordSyntaxError(
+            f"word expands to {length} letters, more than {MAX_WORD_LENGTH}", pos
+        )
+
+
+def _power(
+    letters: tuple[BraidLetter, ...], k: int, pos: int
+) -> tuple[BraidLetter, ...]:
+    _check_length(len(letters) * abs(k), pos)
     if k < 0:
         return _invert(letters) * (-k)
     return letters * k

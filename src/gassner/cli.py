@@ -9,16 +9,13 @@ Subcommands expose the workbench operations with machine-readable output:
     verify   run the reference-table / left-normed / breakdown suites
     search   enumerate and test kernel candidates, streaming JSON lines
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The --jobs
-flag (default from GASSNER_JOBS) parallelizes class computations; output is
-deterministic regardless of worker count.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .braid import evaluate_exact, evaluate_truncated, gassner_generator, gassner_generator_inverse, parse_word
@@ -30,38 +27,15 @@ USAGE_ERROR = 2
 MISMATCH = 1
 
 
-def _worker_count(text: str) -> int:
-    """Parse a ``--jobs``/``GASSNER_JOBS`` value, which must be a positive integer."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            "worker count (from --jobs or GASSNER_JOBS) must be a positive "
-            f"integer, got {text!r}"
-        )
-    return count
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gassner",
         description="Exact workbench for the Gassner representation of pure braids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A string default is parsed by ``type`` like a command-line value, so a
-    # malformed GASSNER_JOBS is a usage error exactly as a bad --jobs is.
-    default_jobs = os.environ.get("GASSNER_JOBS", "1")
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-        p.add_argument(
-            "--jobs",
-            type=_worker_count,
-            default=default_jobs,
-            help="worker processes for class computations (default: GASSNER_JOBS or 1)",
-        )
 
     p_gen = sub.add_parser("gen", help="print a generator matrix")
     p_gen.add_argument("--n", type=int, required=True)
@@ -140,7 +114,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    report = kernel_report(args.n, args.weight, jobs=args.jobs)
+    report = kernel_report(args.n, args.weight)
     if args.format == "json":
         data = report.to_dict()
         del data["kernel"]
@@ -155,7 +129,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    report = kernel_report(args.n, args.weight, jobs=args.jobs)
+    report = kernel_report(args.n, args.weight)
     if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -186,7 +160,7 @@ def _cmd_verify(args) -> int:
             "report": report.to_dict(),
         }
     if args.suite in ("sfold", "all"):
-        report = sfold_property_check(args.n, args.weight, jobs=args.jobs)
+        report = sfold_property_check(args.n, args.weight)
         failed |= not report.ok
         results["sfold"] = report.to_dict()
     if args.suite in ("breakdown", "all"):

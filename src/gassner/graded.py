@@ -9,9 +9,11 @@ lower-central quotient of the free subgroup into the degree-i graded piece
 of the congruence filtration.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
-into one integer matrix; exact fraction-free elimination then answers the
-linear-independence questions (``integer_rank``) and produces primitive
-integer bases of the left kernel (``integer_kernel``).  ``verify_tables``
+into one integer matrix.  One exact fraction-free (Bareiss) elimination of
+that matrix augmented with the identity yields both its rank and a
+primitive integer basis of its left kernel (``integer_kernel``);
+``integer_rank`` runs the same elimination without the augmentation.
+``verify_tables``
 and ``sfold_property_check`` compare computed classes against the embedded
 reference tables and the left-normed contribution law.
 """
@@ -285,18 +287,22 @@ class IntMatrix:
         return len(self.col_labels)
 
 
-def assemble_phi_matrix(n: int, w: int, jobs: int = 1) -> IntMatrix:
+def assemble_phi_matrix(n: int, w: int) -> IntMatrix:
     """Stack the classes of all weight-w basic commutators on n strands.
 
     Rows follow the basis order; columns are the (monomial, row, col)
     coordinates that actually occur, sorted.
     """
     basis = basic_commutators(n - 1, w)
-    classes = _phi_classes(basis, n, jobs)
-    col_set: set[Coord] = set()
-    for cls in classes:
-        col_set.update(cls.coords)
-    col_labels = tuple(sorted(col_set))
+    return _stack(basis, [phi(term, n) for term in basis])
+
+
+def _stack(
+    labels: tuple[CommutatorTerm, ...] | list[CommutatorTerm],
+    classes: list[GradedClass],
+) -> IntMatrix:
+    """Dense rows of ``classes`` over the sorted coordinates that occur."""
+    col_labels = tuple(sorted({key for cls in classes for key in cls.coords}))
     index = {key: k for k, key in enumerate(col_labels)}
     rows = []
     for cls in classes:
@@ -304,77 +310,44 @@ def assemble_phi_matrix(n: int, w: int, jobs: int = 1) -> IntMatrix:
         for key, value in cls.coords.items():
             row[index[key]] = value
         rows.append(tuple(row))
-    return IntMatrix(tuple(basis), col_labels, tuple(rows))
-
-
-def _phi_worker(args: tuple[str, int]) -> dict:
-    from .hall import parse_commutator
-
-    text, n = args
-    return phi(parse_commutator(text), n).to_dict()
-
-
-def _phi_classes(
-    basis: tuple[CommutatorTerm, ...], n: int, jobs: int
-) -> list[GradedClass]:
-    if jobs <= 1 or len(basis) < 4:
-        return [phi(term, n) for term in basis]
-    from concurrent.futures import ProcessPoolExecutor
-
-    args = [(str(term), n) for term in basis]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        dicts = list(pool.map(_phi_worker, args))
-    return [GradedClass.from_dict(d) for d in dicts]
+    return IntMatrix(tuple(labels), col_labels, tuple(rows))
 
 
 def integer_rank(m: IntMatrix | list) -> int:
     """Rank over the rationals by exact fraction-free (Bareiss) elimination."""
     rows = [list(r) for r in (m.rows if isinstance(m, IntMatrix) else m)]
-    if not rows:
-        return 0
-    return _bareiss(rows)
-
-
-def _bareiss(rows: list[list[int]]) -> int:
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-    return r
+    return _bareiss(rows, len(rows[0]) if rows else 0)
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """Primitive integer basis of the left kernel (vectors v with v·M = 0).
 
     Fraction-free elimination runs on the matrix augmented with the
-    identity; rows whose matrix part vanishes yield integer kernel vectors,
-    normalized to content 1 with positive leading entry.
+    identity; the rows below the rank have a vanishing matrix part, and
+    their identity part, normalized to content 1 with positive leading
+    entry, is a kernel vector.
     """
     n_rows = m.row_count
     n_cols = m.col_count
     rows = [list(r) + [0] * n_rows for r in m.rows]
     for i in range(n_rows):
         rows[i][n_cols + i] = 1
+    rank = _bareiss(rows, n_cols)
+    return [_primitive(row[n_cols:]) for row in rows[rank:]]
+
+
+def _bareiss(rows: list[list[int]], pivot_cols: int) -> int:
+    """Fraction-free (Bareiss) elimination of ``rows`` in place.
+
+    Pivots are sought in the first ``pivot_cols`` columns only; every later
+    column is carried along by the same row operations.  Returns the rank
+    of the first ``pivot_cols`` columns.
+    """
+    n_rows = len(rows)
+    width = len(rows[0]) if rows else 0
     prev = 1
     r = 0
-    for c in range(n_cols):
+    for c in range(pivot_cols):
         if r == n_rows:
             break
         pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
@@ -382,21 +355,16 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r][c]
-        width = n_cols + n_rows
+        row_r = rows[r]
         for i in range(r + 1, n_rows):
             factor = rows[i][c]
             row_i = rows[i]
-            row_r = rows[r]
             for j in range(c + 1, width):
                 row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
         r += 1
-    kernel = []
-    for i in range(r, n_rows):
-        assert all(v == 0 for v in rows[i][:n_cols])
-        kernel.append(_primitive(rows[i][n_cols:]))
-    return kernel
+    return r
 
 
 def _primitive(vector: list[int]) -> tuple[int, ...]:
@@ -443,15 +411,13 @@ class KernelReport:
         }
 
 
-def kernel_report(n: int, w: int, jobs: int = 1) -> KernelReport:
-    matrix = assemble_phi_matrix(n, w, jobs=jobs)
-    rank = integer_rank(matrix)
-    kernel = integer_kernel(matrix) if rank < matrix.row_count else []
-    assert rank + len(kernel) == matrix.row_count
+def kernel_report(n: int, w: int) -> KernelReport:
+    matrix = assemble_phi_matrix(n, w)
+    kernel = integer_kernel(matrix)
     return KernelReport(
         n=n,
         weight=w,
-        rank=rank,
+        rank=matrix.row_count - len(kernel),
         expected=witt_rank(n - 1, w),
         row_labels=matrix.row_labels,
         kernel=kernel,
@@ -637,34 +603,28 @@ class SFoldReport:
         }
 
 
-def sfold_property_check(n: int, s: int, jobs: int = 1) -> SFoldReport:
+def sfold_property_check(n: int, s: int) -> SFoldReport:
     if s < 3:
         raise UsageError("the left-normed law is checked for weights >= 3")
     basis = basic_commutators(n - 1, s)
-    classes = _phi_classes(basis, n, jobs)
     failures_a: list[str] = []
     failures_b: list[str] = []
+    left_terms = []
     left_rows = []
-    for term, cls in zip(basis, classes):
+    for term in basis:
+        cls = phi(term, n)
         if is_left_normed(term):
             leaves = leaf_sequence(term)
             mono = tuple(sorted(leaves))
             expected = {(leaves[0], n): -1, (leaves[1], n): 1}
             if cls.matrix_at(mono) != expected:
                 failures_a.append(str(term))
+            left_terms.append(term)
             left_rows.append(cls)
         else:
             if any(n not in mono for mono in cls.monomials()):
                 failures_b.append(str(term))
-    col_labels = sorted({key for cls in left_rows for key in cls.coords})
-    index = {key: k for k, key in enumerate(col_labels)}
-    rows = []
-    for cls in left_rows:
-        row = [0] * len(col_labels)
-        for key, value in cls.coords.items():
-            row[index[key]] = value
-        rows.append(row)
-    rank = _bareiss(rows) if rows else 0
+    rank = integer_rank(_stack(left_terms, left_rows))
     return SFoldReport(
         n=n,
         s=s,

@@ -192,10 +192,8 @@ class LaurentPoly:
         """True when the polynomial is ±t^e for a single exponent vector."""
         return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 
-    def specialize(self, var: int, value: int = 1) -> "LaurentPoly":
-        """Substitute t_var = 1 (``var`` is 1-based; only 1 is supported)."""
-        if value != 1:
-            raise UsageError("only specialization at 1 is supported")
+    def specialize(self, var: int) -> "LaurentPoly":
+        """Substitute t_var = 1 (``var`` is 1-based)."""
         if not 1 <= var <= self.n_vars:
             raise UsageError(f"variable index {var} out of range 1..{self.n_vars}")
         i = var - 1
@@ -758,11 +756,11 @@ class SquareMatrix:
 # Matrix-level operations
 
 
-def specialize(m: SquareMatrix, var: int, value: int = 1) -> SquareMatrix:
+def specialize(m: SquareMatrix, var: int) -> SquareMatrix:
     """Substitute t_var = 1 in every entry of a Laurent matrix."""
     if not isinstance(m.rows[0][0], LaurentPoly):
         raise UsageError("specialization is defined for Laurent matrices")
-    return m.map_entries(lambda e: e.specialize(var, value))
+    return m.map_entries(lambda e: e.specialize(var))
 
 
 def laurent_determinant(m: SquareMatrix) -> LaurentPoly:
@@ -772,16 +770,20 @@ def laurent_determinant(m: SquareMatrix) -> LaurentPoly:
     O(2^n * n) polynomial multiplications; intended for the small sizes
     (n <= 8) this workbench uses.
     """
-    return _det_rows(m.rows, m.rows[0][0].n_vars)
+    n = m.size
+    return _bottom_minors(m.rows, n, m.rows[0][0].n_vars)[tuple(range(n))]
 
 
-def _det_rows(rows, n_vars: int) -> LaurentPoly:
-    n = len(rows)
-    one = LaurentPoly.one(n_vars)
+def _bottom_minors(rows, n: int, n_vars: int) -> dict[tuple[int, ...], LaurentPoly]:
+    """Minors of the k x n grid ``rows`` on every k-subset of its n columns.
+
+    Laplace expansion along each row from the bottom up: the minors of the
+    last k rows come from the minors of the last k-1.
+    """
     zero = LaurentPoly.zero(n_vars)
-    minors: dict[tuple[int, ...], LaurentPoly] = {(): one}
-    for k in range(1, n + 1):
-        row = rows[n - k]
+    minors: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(n_vars)}
+    for k in range(1, len(rows) + 1):
+        row = rows[-k]
         new: dict[tuple[int, ...], LaurentPoly] = {}
         for cols in combinations(range(n), k):
             acc = zero
@@ -796,7 +798,7 @@ def _det_rows(rows, n_vars: int) -> LaurentPoly:
                 acc = acc - prod if idx % 2 else acc + prod
             new[cols] = acc
         minors = new
-    return minors[tuple(range(n))]
+    return minors
 
 
 def laurent_matrix_inverse(
@@ -818,12 +820,13 @@ def laurent_matrix_inverse(
     ((det_exps, det_sign),) = det.terms.items()
 
     inverse_rows = [[None] * n for _ in range(n)]
+    all_cols = tuple(range(n))
     for i in range(n):
         reduced = [m.rows[r] for r in range(n) if r != i]
-        minors = _all_maximal_minors(reduced, n, n_vars)
+        minors = _bottom_minors(reduced, n, n_vars)
         for j in range(n):
             sign = -1 if (i + j) % 2 else 1
-            cof = minors[j]
+            cof = minors[all_cols[:j] + all_cols[j + 1 :]]
             # adjugate is the transposed cofactor matrix; dividing by the
             # monomial determinant shifts exponents and applies the sign
             entry = _raw_laurent(
@@ -837,35 +840,6 @@ def laurent_matrix_inverse(
             )
             inverse_rows[j][i] = entry
     return SquareMatrix(inverse_rows)
-
-
-def _all_maximal_minors(rows, n: int, n_vars: int) -> list[LaurentPoly]:
-    """Determinants of an (n-1) x n grid with each single column deleted."""
-    one = LaurentPoly.one(n_vars)
-    zero = LaurentPoly.zero(n_vars)
-    k_rows = len(rows)
-    minors: dict[tuple[int, ...], LaurentPoly] = {(): one}
-    for k in range(1, k_rows + 1):
-        row = rows[k_rows - k]
-        new: dict[tuple[int, ...], LaurentPoly] = {}
-        for cols in combinations(range(n), k):
-            acc = zero
-            for idx, c in enumerate(cols):
-                e = row[c]
-                if e.is_zero():
-                    continue
-                sub = minors[cols[:idx] + cols[idx + 1 :]]
-                if sub.is_zero():
-                    continue
-                prod = e * sub
-                acc = acc - prod if idx % 2 else acc + prod
-            new[cols] = acc
-        minors = new
-    out = []
-    all_cols = tuple(range(n))
-    for j in range(n):
-        out.append(minors[all_cols[:j] + all_cols[j + 1 :]])
-    return out
 
 
 def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:

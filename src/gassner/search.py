@@ -30,7 +30,7 @@ from math import gcd
 from typing import Iterator
 
 from .braid import BraidWord, evaluate_exact, gassner_generator
-from .graded import GradedClass, _commutator_matrix, kernel_report, pi
+from .graded import GradedClass, _commutator_matrix, _primitive, kernel_report, pi
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
 from .laurent import (
     _MAX_TRUNC_DEG,
@@ -111,22 +111,14 @@ def kernel_candidates(
             for coeffs in product(positive, *([nonzero] * (size - 1))):
                 if emitted >= cfg.budget:
                     return
-                g = 0
-                for c in coeffs:
-                    g = gcd(g, c)
-                if g != 1:
+                if gcd(*coeffs) != 1:
                     continue
                 vector = [0] * len(kernel_basis[0])
                 for index, c in zip(support, coeffs):
                     basis_vec = kernel_basis[index]
                     for k, v in enumerate(basis_vec):
                         vector[k] += c * v
-                content = 0
-                for v in vector:
-                    content = gcd(content, v)
-                leading = next(v for v in vector if v)
-                sign = 1 if leading > 0 else -1
-                yield tuple(sign * v // content for v in vector)
+                yield _primitive(vector)
                 emitted += 1
 
 

@@ -71,6 +71,26 @@ class TestEval:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x1^1000000000", "[" * 40 + "x1" + ",x2]" * 40],
+        ids=["giant-exponent", "nested-brackets"],
+    )
+    def test_giant_word_exit_two_without_allocating(self, capsys, text):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "eval", "--n", "4", text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "more than 100000" in err and "position" in err
+        # words up to the cap cost a few MB; the full expansions would
+        # need gigabytes (exponent) or terabytes (brackets)
+        assert peak < 32 << 20
+
     def test_truncated_eval(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--n", "4", "--truncate", "2", "[x2,x1]",
@@ -106,6 +126,12 @@ class TestRankKernel:
         assert code == 0
         data = json.loads(out)
         assert data["rank"] < 48 and data["injective"] is False
+
+    def test_jobs_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--n", "4", "--weight", "4", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_kernel_weight_three_empty(self, capsys):
         code, out, _ = run(
@@ -171,30 +197,6 @@ class TestVerifyMismatchPath:
             c for c in data["tables"]["report"]["checks"] if c["shape"] == "weight1"
         )
         assert weight1["mismatches"]["corrected"]
-
-
-class TestJobsDefault:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("GASSNER_JOBS", "2")
-        code, out, _ = run(capsys, "rank", "--n", "4", "--weight", "2")
-        assert code == 0
-        assert "rank 3, expected 3, injective" in out
-
-    @pytest.mark.parametrize(
-        "env, argv",
-        [("abc", []), (None, ["--jobs", "0"]), (None, ["--jobs", "-3"])],
-        ids=["env-abc", "jobs-0", "jobs-minus-3"],
-    )
-    def test_bad_worker_count_exit_two(self, capsys, monkeypatch, env, argv):
-        if env is None:
-            monkeypatch.delenv("GASSNER_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("GASSNER_JOBS", env)
-        with pytest.raises(SystemExit) as exc:
-            main(["rank", "--n", "4", "--weight", "2", *argv])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "positive integer" in err
 
 
 class TestSearch:

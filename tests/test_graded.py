@@ -7,6 +7,7 @@ import pytest
 from gassner.braid import evaluate_truncated, parse_word
 from gassner.graded import (
     GradedClass,
+    IntMatrix,
     assemble_phi_matrix,
     bracket,
     integer_kernel,
@@ -228,6 +229,7 @@ class TestIntMatrix:
 
     def test_rank_against_sympy(self):
         import sympy
+        from math import gcd
 
         rng = random.Random(3)
         for _ in range(25):
@@ -236,7 +238,28 @@ class TestIntMatrix:
             m = [
                 [rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)
             ]
-            assert integer_rank([r[:] for r in m]) == sympy.Matrix(m).rank()
+            rank = sympy.Matrix(m).rank()
+            assert integer_rank([r[:] for r in m]) == rank
+            kernel = integer_kernel(
+                IntMatrix(
+                    tuple(range(rows)),
+                    tuple(range(cols)),
+                    tuple(tuple(r) for r in m),
+                )
+            )
+            assert len(kernel) == rows - rank
+            for vec in kernel:
+                for c in range(cols):
+                    assert sum(vec[r] * m[r][c] for r in range(rows)) == 0
+                assert gcd(*vec) == 1
+                assert next(v for v in vec if v) > 0
+
+    def test_kernel_report_rank_matches_integer_rank(self):
+        assert (
+            kernel_report(4, 6).rank
+            == integer_rank(assemble_phi_matrix(4, 6))
+            == 69
+        )
 
     def test_kernel_empty_when_full_rank(self):
         assert integer_kernel(assemble_phi_matrix(4, 4)) == []
@@ -295,10 +318,3 @@ class TestLeftNormedLaw:
 
         with pytest.raises(UsageError):
             sfold_property_check(4, 2)
-
-
-class TestParallel:
-    def test_jobs_do_not_change_result(self):
-        serial = assemble_phi_matrix(4, 3, jobs=1)
-        parallel = assemble_phi_matrix(4, 3, jobs=2)
-        assert serial == parallel
