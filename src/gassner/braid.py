@@ -211,9 +211,14 @@ def delete_strand_reduction(m: SquareMatrix, n: int) -> SquareMatrix:
 # Exponents other than ±1 expand by repetition; brackets expand with the
 # convention [a, b] = a b a^-1 b^-1.  An expansion longer than
 # MAX_WORD_LENGTH letters is rejected before it is built, so a large
-# exponent or deeply nested brackets cannot exhaust memory.
+# exponent or deeply nested brackets cannot exhaust memory.  Brackets
+# nested deeper than MAX_BRACKET_DEPTH are rejected before the recursive
+# descent can exhaust the stack; a bracket around letters at least doubles
+# their count, so one letter inside 17 nested brackets already exceeds
+# MAX_WORD_LENGTH.
 
 MAX_WORD_LENGTH = 100_000
+MAX_BRACKET_DEPTH = 64
 
 
 class WordSyntaxError(UsageError):
@@ -264,6 +269,7 @@ class _WordParser:
         self.n = n
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -309,6 +315,11 @@ class _WordParser:
             return (BraidLetter(j, self.n, 1),)
         if kind == "open":
             pos = self.pos()
+            if self.depth == MAX_BRACKET_DEPTH:
+                raise WordSyntaxError(
+                    f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos
+                )
+            self.depth += 1
             self.i += 1
             left = self.parse_word()
             if self.peek() != "comma":
@@ -318,6 +329,7 @@ class _WordParser:
             if self.peek() != "close":
                 raise WordSyntaxError("expected ']'", self.pos())
             self.i += 1
+            self.depth -= 1
             _check_length(2 * (len(left) + len(right)), pos)
             return left + right + _invert(left) + _invert(right)
         raise WordSyntaxError("expected a letter, alias, or bracket", self.pos())

@@ -91,6 +91,13 @@ class TestEval:
         # need gigabytes (exponent) or terabytes (brackets)
         assert peak < 32 << 20
 
+    def test_deep_bracket_nesting_exit_two(self, capsys):
+        text = "[" * 2000 + "x1,x2" + "]" * 2000
+        code, out, err = run(capsys, "eval", "--n", "4", text)
+        assert code == 2
+        assert out == ""
+        assert "position" in err and "Traceback" not in err
+
     def test_truncated_eval(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--n", "4", "--truncate", "2", "[x2,x1]",

@@ -173,8 +173,10 @@ class TestDriverConsistency:
 
 
 class TestSpecialization:
-    def test_specialized_fold_matches_specialized_exact(self):
-        # folding specialized letters equals specializing the exact product
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_specialized_fold_matches_specialized_exact(self, sign):
+        # folding specialized letters equals specializing the exact product;
+        # sign -1 folds the inverse word
         from gassner.braid import evaluate_exact
         from gassner.search import (
             _SPECIALIZATION_PRIME,
@@ -185,30 +187,29 @@ class TestSpecialization:
 
         term = parse_commutator("[[x2,x1],x1]")
         point = _specialization_points(4, 20041101)[0]
-        exact = evaluate_exact(commutator_to_word(term, 4))
+        word = commutator_to_word(term, 4)
+        exact = evaluate_exact(word if sign == 1 else word.inverse())
         direct = _specialize_matrix(exact, point, _SPECIALIZATION_PRIME)
-        folded = _specialized_commutator(term, 4, 0, 20041101)
+        folded = _specialized_commutator(term, 4, 0, 20041101, sign)
         assert direct == folded
 
-    def test_modular_inverse(self):
+    def test_specialized_inverse_fold_inverts(self):
         from gassner.search import (
+            _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
             _mod_identity,
-            _mod_inverse_matrix,
             _mod_matmul,
+            _specialized_commutator,
         )
 
-        rng = random.Random(5)
         p = _SPECIALIZATION_PRIME
-        for _ in range(10):
-            m = tuple(
-                tuple(rng.randrange(p) for _ in range(4)) for _ in range(4)
-            )
-            try:
-                inv = _mod_inverse_matrix(m, p)
-            except ValueError:
-                continue  # singular draw
-            assert _mod_matmul(m, inv, p) == _mod_identity(4)
+        basis = basic_commutators(3, 5)
+        assert len(basis) == 48
+        for term in basis:
+            for index in range(_SPECIALIZATION_COUNT):
+                image = _specialized_commutator(term, 4, index, 20041101, 1)
+                inverse = _specialized_commutator(term, 4, index, 20041101, -1)
+                assert _mod_matmul(image, inverse, p) == _mod_identity(4)
 
     def test_specialized_identity_detector(self):
         from gassner.search import _specialized_candidate_is_identity
@@ -270,6 +271,15 @@ class TestBreakdownRegression:
         assert report.first_difference_degree == 6
         assert not report.difference_class.is_zero()
         assert report.difference_class.degree == 6
+
+    def test_certified_without_exact_evaluation(self, monkeypatch):
+        def refuse(word):
+            raise AssertionError("breakdown must not evaluate words exactly")
+
+        monkeypatch.setattr("gassner.search.evaluate_exact", refuse)
+        report = breakdown_regression()
+        assert report.exact_equal is False
+        assert report.first_difference_degree == 6
 
     def test_degree_six_difference_matches_exact_route(self):
         # independent oracle: convert the exact evaluations and compare the
