@@ -9,12 +9,14 @@ lower-central quotient of the free subgroup into the degree-i graded piece
 of the congruence filtration.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
-into one integer matrix.  One exact fraction-free (Bareiss) elimination of
-that matrix augmented with the identity yields both its rank and a
-primitive integer basis of its left kernel (``integer_kernel``);
-``integer_rank`` runs the same elimination without the augmentation.
-``verify_tables``
-and ``sfold_property_check`` compare computed classes against the embedded
+into one integer matrix.  One exact fraction-free elimination of that matrix
+augmented with the identity yields both its rank and a primitive integer
+basis of its left kernel (``integer_kernel``); ``integer_rank`` runs the same
+elimination without the augmentation.  The elimination works on sparse rows
+and divides each updated row by its content; it takes the same pivots as
+Bareiss elimination and returns the same rank and kernel basis, without the
+dense rescaling and growing minors.  ``verify_tables`` and
+``sfold_property_check`` compare computed classes against the embedded
 reference tables and the left-normed contribution law.
 """
 
@@ -314,9 +316,12 @@ def _stack(
 
 
 def integer_rank(m: IntMatrix | list) -> int:
-    """Rank over the rationals by exact fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in (m.rows if isinstance(m, IntMatrix) else m)]
-    return _bareiss(rows, len(rows[0]) if rows else 0)
+    """Rank over the rationals by exact fraction-free sparse elimination."""
+    rows = m.rows if isinstance(m, IntMatrix) else m
+    return _bareiss(
+        [{j: v for j, v in enumerate(row) if v} for row in rows],
+        len(rows[0]) if rows else 0,
+    )
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -325,44 +330,68 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     Fraction-free elimination runs on the matrix augmented with the
     identity; the rows below the rank have a vanishing matrix part, and
     their identity part, normalized to content 1 with positive leading
-    entry, is a kernel vector.
+    entry, is a kernel vector.  Each such row is a rational multiple of the
+    row dense Bareiss elimination leaves there, so the basis is the same.
     """
     n_rows = m.row_count
     n_cols = m.col_count
-    rows = [list(r) + [0] * n_rows for r in m.rows]
-    for i in range(n_rows):
-        rows[i][n_cols + i] = 1
+    rows = []
+    for i, row in enumerate(m.rows):
+        sparse = {j: v for j, v in enumerate(row) if v}
+        sparse[n_cols + i] = 1
+        rows.append(sparse)
     rank = _bareiss(rows, n_cols)
-    return [_primitive(row[n_cols:]) for row in rows[rank:]]
+    return [
+        _primitive([row.get(n_cols + i, 0) for i in range(n_rows)])
+        for row in rows[rank:]
+    ]
 
 
-def _bareiss(rows: list[list[int]], pivot_cols: int) -> int:
-    """Fraction-free (Bareiss) elimination of ``rows`` in place.
+def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
+    """Fraction-free elimination of sparse rows (column -> nonzero entry) in place.
 
-    Pivots are sought in the first ``pivot_cols`` columns only; every later
+    Pivots are sought in columns ``0..pivot_cols-1`` only; every later
     column is carried along by the same row operations.  Returns the rank
     of the first ``pivot_cols`` columns.
+
+    The pivot rule is Bareiss's: the first row at or below ``r`` with a
+    nonzero entry in column ``c`` is swapped into row ``r``.  Each later row
+    with a nonzero entry there becomes ``(pivot/g)·row_i - (factor/g)·row_r``
+    with ``g = gcd(pivot, factor)``, divided by its content.  By induction
+    every row stays a nonzero rational multiple of the row dense Bareiss
+    has at the same position, so the zero pattern, the pivots, the swaps
+    and the rank agree with it, while entries stay as small as the
+    content allows.
     """
     n_rows = len(rows)
-    width = len(rows[0]) if rows else 0
-    prev = 1
     r = 0
     for c in range(pivot_cols):
         if r == n_rows:
             break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, n_rows) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
         row_r = rows[r]
+        pivot = row_r[c]
         for i in range(r + 1, n_rows):
-            factor = rows[i][c]
             row_i = rows[i]
-            for j in range(c + 1, width):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
+            factor = row_i.get(c)
+            if factor is None:
+                continue
+            g = gcd(pivot, factor)
+            a, b = pivot // g, factor // g
+            new = {j: a * v for j, v in row_i.items()}
+            for j, v in row_r.items():
+                value = new.get(j, 0) - b * v
+                if value:
+                    new[j] = value
+                else:
+                    del new[j]
+            content = gcd(*new.values())
+            if content > 1:
+                new = {j: v // content for j, v in new.items()}
+            rows[i] = new
         r += 1
     return r
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braid import BraidLetter, BraidWord
+from .braid import MAX_BRACKET_DEPTH, BraidLetter, BraidWord
 from .laurent import UsageError
 
 MAX_GENERATORS = 6
@@ -235,6 +235,9 @@ def _expand(term: CommutatorTerm, n: int) -> tuple[BraidLetter, ...]:
 
 # ---------------------------------------------------------------------------
 # Commutator grammar:  c := "x" int | "[" c "," c "]"
+#
+# Brackets nested deeper than MAX_BRACKET_DEPTH (shared with the word
+# grammar) are rejected before the recursive descent can exhaust the stack.
 
 
 def parse_commutator(text: str) -> CommutatorTerm:
@@ -251,7 +254,9 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_commutator(text: str, pos: int) -> tuple[CommutatorTerm, int]:
+def _parse_commutator(
+    text: str, pos: int, depth: int = 0
+) -> tuple[CommutatorTerm, int]:
     if pos >= len(text):
         raise UsageError(f"unexpected end of commutator (at position {pos})")
     if text[pos] == "x":
@@ -260,11 +265,16 @@ def _parse_commutator(text: str, pos: int) -> tuple[CommutatorTerm, int]:
             raise UsageError(f"expected generator index (at position {pos})")
         return CommutatorTerm.leaf(int(m.group(1))), pos + m.end()
     if text[pos] == "[":
-        left, pos = _parse_commutator(text, _skip_ws(text, pos + 1))
+        if depth == MAX_BRACKET_DEPTH:
+            raise UsageError(
+                f"brackets nested deeper than {MAX_BRACKET_DEPTH} "
+                f"(at position {pos})"
+            )
+        left, pos = _parse_commutator(text, _skip_ws(text, pos + 1), depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ",":
             raise UsageError(f"expected ',' in commutator (at position {pos})")
-        right, pos = _parse_commutator(text, _skip_ws(text, pos + 1))
+        right, pos = _parse_commutator(text, _skip_ws(text, pos + 1), depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != "]":
             raise UsageError(f"expected ']' in commutator (at position {pos})")

@@ -1,8 +1,11 @@
 """Coefficient extraction, graded classes, and exact rank/kernel."""
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassner.braid import evaluate_truncated, parse_word
 from gassner.graded import (
@@ -23,6 +26,102 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
 )
+
+
+def _dense_bareiss(rows, pivot_cols):
+    """Dense fraction-free (Bareiss) elimination in place; the test oracle.
+
+    Same pivot rule as ``graded._bareiss``: the first row at or below ``r``
+    with a nonzero entry in column ``c`` is swapped into row ``r``; every
+    row below is rescaled and divided by the previous pivot.
+    """
+    n_rows = len(rows)
+    width = len(rows[0]) if rows else 0
+    prev = 1
+    r = 0
+    for c in range(pivot_cols):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        row_r = rows[r]
+        for i in range(r + 1, n_rows):
+            factor = rows[i][c]
+            row_i = rows[i]
+            for j in range(c + 1, width):
+                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+    return r
+
+
+def _oracle_rank(rows):
+    rows = [list(r) for r in rows]
+    return _dense_bareiss(rows, len(rows[0]) if rows else 0)
+
+
+def _oracle_kernel(rows):
+    """Identity parts below the rank of dense Bareiss on [M | I], made primitive."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    aug = [list(r) + [int(i == k) for k in range(n_rows)] for i, r in enumerate(rows)]
+    rank = _dense_bareiss(aug, n_cols)
+    kernel = []
+    for row in aug[rank:]:
+        vec = row[n_cols:]
+        content = gcd(*vec)
+        sign = 1 if next(v for v in vec if v) > 0 else -1
+        kernel.append(tuple(sign * v // content for v in vec))
+    return kernel
+
+
+@st.composite
+def degenerate_int_matrices(draw):
+    """Small integer matrices with zero rows, repeated rows and zero columns."""
+    n_cols = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=n_cols, max_size=n_cols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, [0] * n_cols)
+    for _ in range(draw(st.integers(0, 2))):
+        source = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from((1, -1, 2, -3)))
+        rows.insert(draw(st.integers(0, len(rows))), [scale * v for v in source])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, n_cols))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+        n_cols += 1
+    return rows
+
+
+def _int_matrix(rows):
+    return IntMatrix(
+        tuple(range(len(rows))),
+        tuple(range(len(rows[0]))),
+        tuple(tuple(r) for r in rows),
+    )
+
+
+def _rank_mod_2(vectors):
+    basis = []
+    for vec in vectors:
+        bits = sum((v & 1) << j for j, v in enumerate(vec))
+        for b in basis:
+            bits = min(bits, bits ^ b)
+        if bits:
+            basis.append(bits)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def series_matrix(entries, n, d):
@@ -229,7 +328,6 @@ class TestIntMatrix:
 
     def test_rank_against_sympy(self):
         import sympy
-        from math import gcd
 
         rng = random.Random(3)
         for _ in range(25):
@@ -240,19 +338,24 @@ class TestIntMatrix:
             ]
             rank = sympy.Matrix(m).rank()
             assert integer_rank([r[:] for r in m]) == rank
-            kernel = integer_kernel(
-                IntMatrix(
-                    tuple(range(rows)),
-                    tuple(range(cols)),
-                    tuple(tuple(r) for r in m),
-                )
-            )
+            kernel = integer_kernel(_int_matrix(m))
             assert len(kernel) == rows - rank
             for vec in kernel:
                 for c in range(cols):
                     assert sum(vec[r] * m[r][c] for r in range(rows)) == 0
                 assert gcd(*vec) == 1
                 assert next(v for v in vec if v) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_int_matrices())
+    def test_elimination_matches_dense_bareiss(self, rows):
+        assert integer_rank([r[:] for r in rows]) == _oracle_rank(rows)
+        assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
+
+    @pytest.mark.parametrize("n,w", [(4, 5), (4, 6)])
+    def test_class_matrix_kernel_matches_dense_bareiss(self, n, w):
+        m = assemble_phi_matrix(n, w)
+        assert integer_kernel(m) == _oracle_kernel(m.rows)
 
     def test_kernel_report_rank_matches_integer_rank(self):
         assert (
@@ -299,6 +402,45 @@ class TestIntMatrix:
     def test_kernel_report_sanity_weight_three(self):
         report = kernel_report(4, 3)
         assert report.injective and report.kernel == []
+
+
+class TestKernelSaturation:
+    """The kernel basis spans the whole integer kernel, not a sublattice.
+
+    Certificate: each vector has a coordinate equal to +-1 at which every
+    other vector is 0, so the maximal minor on those coordinates is +-1 and
+    any integer kernel vector has integer coordinates in the basis.  A
+    saturated basis also stays independent mod 2, which is checked first
+    because its failure proves a proper sublattice.
+    """
+
+    @pytest.mark.parametrize(
+        "n,w",
+        [
+            (4, 5),
+            (5, 5),
+            pytest.param(
+                4,
+                6,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the 47 primitive kernel vectors at (4,6) have rank "
+                    "39 mod 2, so they span a sublattice of index at least "
+                    "2^8; saturation (Hermite normal form) is not done",
+                ),
+            ),
+        ],
+    )
+    def test_basis_spans_integer_kernel(self, n, w):
+        kernel = integer_kernel(assemble_phi_matrix(n, w))
+        assert kernel
+        assert _rank_mod_2(kernel) == len(kernel)
+        for k, vec in enumerate(kernel):
+            assert any(
+                abs(v) == 1
+                and all(other[j] == 0 for i, other in enumerate(kernel) if i != k)
+                for j, v in enumerate(vec)
+            )
 
 
 class TestLeftNormedLaw:

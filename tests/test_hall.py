@@ -3,6 +3,7 @@
 import pytest
 
 from gassner.hall import (
+    MAX_BRACKET_DEPTH,
     CommutatorTerm,
     basic_commutators,
     commutator_to_word,
@@ -150,6 +151,18 @@ class TestParsing:
         for bad in ("", "[x1,x2", "x", "[x1 x2]", "x1]"):
             with pytest.raises(UsageError):
                 parse_commutator(bad)
+
+    def test_deep_nesting_rejected_with_position(self):
+        deep = "[" * 2000 + "x1,x2" + "]" * 2000
+        with pytest.raises(UsageError, match=r"nested deeper .*position 64"):
+            parse_commutator(deep)
+        # the cap counts open brackets, whichever side they nest on
+        text = "x1"
+        for _ in range(MAX_BRACKET_DEPTH):
+            text = f"[x2,{text}]"
+        assert parse_commutator(text).weight == MAX_BRACKET_DEPTH + 1
+        with pytest.raises(UsageError, match="nested deeper"):
+            parse_commutator(f"[x2,{text}]")
 
     def test_round_trip_through_str(self):
         for term in basic_commutators(3, 4):
