@@ -47,8 +47,6 @@ from .laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
-    laurent_determinant,
-    laurent_matrix_inverse,
     series_from_laurent,
     series_matrix_inverse,
     specialize,

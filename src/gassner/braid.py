@@ -9,8 +9,17 @@ Z[t_1^{±1}, ..., t_n^{±1}] with
     (k,r) = (1 - t_k)*(1 - t_s)      (k,s) = (1 - t_k)*(t_r - 1)
 
 for r < k < s, and identity elsewhere.  Every generator specializes to the
-identity at t = 1, and its determinant is the unit monomial t_r*t_s, so
-exact inverses come from the adjugate with an exponent shift.
+identity at t = 1, and its determinant is the unit monomial t_r*t_s.  A(r,s)
+differs from the identity only in columns r and s, so its inverse does too
+and has a closed form of the same shape; with u = t_r^-1 * t_s^-1,
+
+    (r,r) = t_s^-1                   (r,s) = (t_r - 1)*t_s^-1
+    (s,r) = (t_s - 1)*u              (s,s) = 1 - t_s^-1 + u
+    (k,r) = (t_k - 1)*(1 - t_s)*u    (k,s) = (t_k - 1)*(t_r - 1)*u
+
+for r < k < s.  Truncated letters are these exact matrices expanded in
+u_i = t_i - 1, inverse letters included.  Strand counts above MAX_STRANDS
+are rejected where they enter, before any n x n matrix is built.
 
 Words in the free subgroup generated by x_j = A(j,n) (the strands linking
 the last one) are the main objects of study; ``parse_word`` accepts both
@@ -30,10 +39,15 @@ from .laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
-    laurent_matrix_inverse,
-    series_matrix_inverse,
     specialize,
 )
+
+MAX_STRANDS = 64
+
+
+def _check_strands(n: int) -> None:
+    if n > MAX_STRANDS:
+        raise UsageError(f"strand count {n} exceeds the cap of {MAX_STRANDS}")
 
 
 class BraidLetter(NamedTuple):
@@ -83,11 +97,6 @@ class BraidWord:
             return self.inverse() ** (-k)
         return BraidWord(self.n, self.letters * k)
 
-    @property
-    def is_free_subgroup_word(self) -> bool:
-        """True when every letter is some x_j = A(j, n)."""
-        return all(l.s == self.n for l in self.letters)
-
     @classmethod
     def identity(cls, n: int) -> "BraidWord":
         return cls(n, ())
@@ -106,21 +115,25 @@ class BraidWord:
 # Generator matrices
 
 
+def _check_generator(n: int, r: int, s: int) -> None:
+    _check_strands(n)
+    if not (1 <= r < s <= n):
+        raise UsageError(f"generator indices must satisfy 1 <= r < s <= n, got ({r},{s})")
+
+
+def _identity_rows(n: int) -> list[list[LaurentPoly]]:
+    one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 @lru_cache(maxsize=None)
 def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
     """The Gassner matrix of A(r,s) on n strands."""
-    if not (1 <= r < s <= n):
-        raise UsageError(f"generator indices must satisfy 1 <= r < s <= n, got ({r},{s})")
+    _check_generator(n, r, s)
     one = LaurentPoly.one(n)
     tr = LaurentPoly.var(n, r)
     ts = LaurentPoly.var(n, s)
-    rows = [
-        [
-            one if i == j else LaurentPoly.zero(n)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
+    rows = _identity_rows(n)
     rows[r - 1][r - 1] = one - tr + tr * ts
     rows[r - 1][s - 1] = tr * (one - tr)
     rows[s - 1][r - 1] = one - ts
@@ -134,10 +147,23 @@ def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
 
 @lru_cache(maxsize=None)
 def gassner_generator_inverse(n: int, r: int, s: int) -> SquareMatrix:
-    """Exact inverse of the Gassner matrix of A(r,s)."""
-    gen = gassner_generator(n, r, s)
-    hint = LaurentPoly.var(n, r) * LaurentPoly.var(n, s)
-    return laurent_matrix_inverse(gen, det_hint=hint)
+    """Exact inverse of the Gassner matrix of A(r,s), in closed form."""
+    _check_generator(n, r, s)
+    one = LaurentPoly.one(n)
+    tr = LaurentPoly.var(n, r)
+    ts = LaurentPoly.var(n, s)
+    ts_inv = LaurentPoly.var(n, s, -1)
+    u = LaurentPoly.var(n, r, -1) * ts_inv
+    rows = _identity_rows(n)
+    rows[r - 1][r - 1] = ts_inv
+    rows[r - 1][s - 1] = (tr - one) * ts_inv
+    rows[s - 1][r - 1] = (ts - one) * u
+    rows[s - 1][s - 1] = one - ts_inv + u
+    for k in range(r + 1, s):
+        tk = LaurentPoly.var(n, k)
+        rows[k - 1][r - 1] = (tk - one) * (one - ts) * u
+        rows[k - 1][s - 1] = (tk - one) * (tr - one) * u
+    return SquareMatrix(rows)
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +177,9 @@ def _letter_matrix(n: int, r: int, s: int, exponent: int) -> SquareMatrix:
 def _letter_matrix_truncated(
     n: int, r: int, s: int, exponent: int, max_deg: int
 ) -> SquareMatrix:
-    gen = gassner_generator(n, r, s).map_entries(
+    return _letter_matrix(n, r, s, exponent).map_entries(
         lambda e: TruncatedSeries.from_laurent(e, max_deg)
     )
-    if exponent == 1:
-        return gen
-    return series_matrix_inverse(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +198,7 @@ def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
     """Product of the word's letters in the truncated ring.
 
     Equals ``series_from_laurent`` applied entrywise to the exact
-    evaluation, but never leaves the truncated ring: inverse letters use
-    the geometric-series matrix inverse.
+    evaluation, but multiplies only truncated letter matrices.
     """
     acc = SquareMatrix.identity_series(word.n, word.n, max_deg)
     for l in word.letters:
@@ -359,6 +381,7 @@ def parse_word(text: str, n: int) -> BraidWord:
     """Parse word text over n strands; see the module grammar."""
     if n < 2:
         raise UsageError("strand count must be at least 2")
+    _check_strands(n)
     parser = _WordParser(_tokenize(text), n, len(text))
     letters = parser.parse_word()
     if parser.i != len(parser.tokens):

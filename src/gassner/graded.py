@@ -132,17 +132,6 @@ class GradedClass:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GradedClass":
-        return cls(
-            data["n"],
-            data["degree"],
-            {
-                (tuple(c["mono"]), c["row"], c["col"]): int(c["c"])
-                for c in data["coords"]
-            },
-        )
-
     def __str__(self) -> str:
         if not self.coords:
             return "0"
@@ -165,6 +154,25 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(exps) for _ in range(e))
 
 
+Part = dict[tuple[int, int, tuple[int, ...]], int]
+
+
+def graded_parts(m: SquareMatrix) -> dict[int, Part]:
+    """Homogeneous parts of M - I for a series matrix M, keyed by degree.
+
+    Each part maps (row, col, exponents), with 0-based row and column, to a
+    nonzero coefficient.  Degrees without a nonzero coefficient are absent,
+    so ``min(graded_parts(m), default=None)`` is the first degree where M
+    differs from the identity.
+    """
+    parts: dict[int, Part] = {}
+    for row, entries in enumerate((m - m.identity_like()).rows):
+        for col, e in enumerate(entries):
+            for exps, coeff in e.terms().items():
+                parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
+    return parts
+
+
 def pi(m: SquareMatrix, i: int) -> GradedClass:
     """Degree-i coefficient data of M - I for M = I mod J^i.
 
@@ -181,27 +189,19 @@ def pi(m: SquareMatrix, i: int) -> GradedClass:
         raise UsageError(
             f"matrix truncation degree {sample.max_deg} is below {i}"
         )
-    n = m.size
-    diff = m - m.identity_like()
-    coords: dict[Coord, int] = {}
-    offender: tuple | None = None
-    for row in range(n):
-        for col in range(n):
-            for exps, coeff in diff.rows[row][col].sorted_terms():
-                d = sum(exps)
-                if d < i:
-                    cand = (d, row + 1, col + 1, exps)
-                    if offender is None or cand < offender:
-                        offender = cand
-                elif d == i:
-                    coords[(_monomial_of(exps), row + 1, col + 1)] = coeff
-    if offender is not None:
-        d, row, col, exps = offender
+    parts = graded_parts(m)
+    d = min(parts, default=i)
+    if d < i:
+        row, col, exps = min(parts[d])
         raise DomainError(
-            f"matrix is not congruent to I mod J^{i}: entry ({row},{col}) "
+            f"matrix is not congruent to I mod J^{i}: entry ({row + 1},{col + 1}) "
             f"has a degree-{d} term at monomial {_monomial_of(exps)}"
         )
-    return GradedClass(n, i, coords)
+    coords = {
+        (_monomial_of(exps), row + 1, col + 1): coeff
+        for (row, col, exps), coeff in parts.get(i, {}).items()
+    }
+    return GradedClass(m.size, i, coords)
 
 
 def bracket(x: GradedClass, y: GradedClass) -> GradedClass:

@@ -66,19 +66,6 @@ class CommutatorTerm:
     def __ge__(self, other: "CommutatorTerm") -> bool:
         return sort_key(self) >= sort_key(other)
 
-    def to_json(self):
-        """Nested-array form: a leaf is an int, a bracket a two-element list."""
-        if self.is_leaf:
-            return self.gen
-        return [self.left.to_json(), self.right.to_json()]
-
-    @classmethod
-    def from_json(cls, data) -> "CommutatorTerm":
-        if isinstance(data, int):
-            return cls.leaf(data)
-        left, right = data
-        return cls.bracket(cls.from_json(left), cls.from_json(right))
-
     def __str__(self) -> str:
         if self.is_leaf:
             return f"x{self.gen}"

@@ -9,9 +9,9 @@
   generated by all the u_i.
 
 ``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
-operations the representation needs: products, exact adjugate inverses for
-matrices whose determinant is a signed monomial, and geometric-series
-inverses for matrices congruent to the identity.
+operations the representation needs: products, sums, specialization, and
+geometric-series inverses for series matrices congruent to the identity.
+(Exact generator inverses have a closed form; see ``braid``.)
 
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes.
@@ -23,7 +23,6 @@ would silently corrupt downstream rank computations.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Callable, Iterable, Union
 
 
@@ -187,10 +186,6 @@ class LaurentPoly:
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.n_vars, 0)
-
-    def is_signed_monomial(self) -> bool:
-        """True when the polynomial is ±t^e for a single exponent vector."""
-        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 
     def specialize(self, var: int) -> "LaurentPoly":
         """Substitute t_var = 1 (``var`` is 1-based)."""
@@ -524,21 +519,6 @@ class TruncatedSeries:
     def constant_term(self) -> int:
         return self._terms.get(0, 0)
 
-    def min_degree(self) -> int | None:
-        """Smallest total degree carrying a nonzero term, or None if zero."""
-        if not self._terms:
-            return None
-        shift = 8 * self.n_vars
-        return min(k >> shift for k in self._terms)
-
-    def homogeneous_part(self, degree: int) -> dict[tuple[int, ...], int]:
-        shift = 8 * self.n_vars
-        return {
-            _unpack(k, self.n_vars): c
-            for k, c in self._terms.items()
-            if (k >> shift) == degree
-        }
-
     # -- serialization and display
 
     def to_dict(self) -> dict:
@@ -761,85 +741,6 @@ def specialize(m: SquareMatrix, var: int) -> SquareMatrix:
     if not isinstance(m.rows[0][0], LaurentPoly):
         raise UsageError("specialization is defined for Laurent matrices")
     return m.map_entries(lambda e: e.specialize(var))
-
-
-def laurent_determinant(m: SquareMatrix) -> LaurentPoly:
-    """Exact determinant by Laplace expansion with subset memoization.
-
-    Minors are computed bottom-up over column subsets, so the cost is
-    O(2^n * n) polynomial multiplications; intended for the small sizes
-    (n <= 8) this workbench uses.
-    """
-    n = m.size
-    return _bottom_minors(m.rows, n, m.rows[0][0].n_vars)[tuple(range(n))]
-
-
-def _bottom_minors(rows, n: int, n_vars: int) -> dict[tuple[int, ...], LaurentPoly]:
-    """Minors of the k x n grid ``rows`` on every k-subset of its n columns.
-
-    Laplace expansion along each row from the bottom up: the minors of the
-    last k rows come from the minors of the last k-1.
-    """
-    zero = LaurentPoly.zero(n_vars)
-    minors: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(n_vars)}
-    for k in range(1, len(rows) + 1):
-        row = rows[-k]
-        new: dict[tuple[int, ...], LaurentPoly] = {}
-        for cols in combinations(range(n), k):
-            acc = zero
-            for idx, c in enumerate(cols):
-                e = row[c]
-                if e.is_zero():
-                    continue
-                sub = minors[cols[:idx] + cols[idx + 1 :]]
-                if sub.is_zero():
-                    continue
-                prod = e * sub
-                acc = acc - prod if idx % 2 else acc + prod
-            new[cols] = acc
-        minors = new
-    return minors
-
-
-def laurent_matrix_inverse(
-    m: SquareMatrix, det_hint: LaurentPoly | None = None
-) -> SquareMatrix:
-    """Exact inverse of a Laurent matrix whose determinant is ±t^e.
-
-    The inverse is the adjugate divided by the determinant; because the
-    determinant is a signed monomial the division is an exponent shift and
-    a sign, so the result is again an exact Laurent matrix.
-    """
-    n = m.size
-    n_vars = m.rows[0][0].n_vars
-    det = laurent_determinant(m)
-    if det_hint is not None and det != det_hint:
-        raise UsageError(f"determinant hint {det_hint} does not match {det}")
-    if not det.is_signed_monomial():
-        raise DomainError(f"determinant {det} is not a signed monomial")
-    ((det_exps, det_sign),) = det.terms.items()
-
-    inverse_rows = [[None] * n for _ in range(n)]
-    all_cols = tuple(range(n))
-    for i in range(n):
-        reduced = [m.rows[r] for r in range(n) if r != i]
-        minors = _bottom_minors(reduced, n, n_vars)
-        for j in range(n):
-            sign = -1 if (i + j) % 2 else 1
-            cof = minors[all_cols[:j] + all_cols[j + 1 :]]
-            # adjugate is the transposed cofactor matrix; dividing by the
-            # monomial determinant shifts exponents and applies the sign
-            entry = _raw_laurent(
-                n_vars,
-                {
-                    tuple(x - y for x, y in zip(exps, det_exps)): sign
-                    * det_sign
-                    * c
-                    for exps, c in cof.terms.items()
-                },
-            )
-            inverse_rows[j][i] = entry
-    return SquareMatrix(inverse_rows)
 
 
 def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:

@@ -15,12 +15,14 @@ a candidate therefore costs one integer combination of cached
 per-commutator coefficient maps; truncated matrix products run only when
 the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
-ring homomorphism; only candidates that are trivial to the probed degree
-escalate to integer specializations of the variables and finally to full
-exact evaluation.  Specializations fold the cached exact generator matrices
-and exact generator inverses letter by letter, and a negative multiplicity
-folds the commutator's inverse word ([a, b]^-1 = [b, a]), so nothing is
-inverted modulo p.  Every reported conclusion is exact.
+ring homomorphism.  Both routes read the image minus I degree by degree
+through ``graded.graded_parts``.  Only candidates that are trivial to the
+probed degree escalate to integer specializations of the variables and
+finally to full exact evaluation.  Specializations fold the cached exact
+generator matrices and their closed-form exact inverses letter by letter,
+and a negative multiplicity folds the commutator's inverse word
+([a, b]^-1 = [b, a]), so nothing is inverted modulo p.  Every reported
+conclusion is exact.
 
 The weight-5 breakdown regression is certified the same way: the truncated
 quotient of the two words is nonzero in degree 6, which proves their exact
@@ -37,7 +39,14 @@ from math import gcd
 from typing import Iterator
 
 from .braid import BraidLetter, BraidWord, _letter_matrix, evaluate_exact
-from .graded import GradedClass, _commutator_matrix, _primitive, kernel_report, pi
+from .graded import (
+    GradedClass,
+    _commutator_matrix,
+    _primitive,
+    graded_parts,
+    kernel_report,
+    pi,
+)
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
 from .laurent import (
     _MAX_TRUNC_DEG,
@@ -173,11 +182,7 @@ def _candidate_matrix(
 
 def _first_nonvanishing_degree(matrix: SquareMatrix) -> int | None:
     """Smallest total degree carrying a nonzero coefficient of ``matrix - I``."""
-    diff = matrix - matrix.identity_like()
-    return min(
-        (e.min_degree() for row in diff.rows for e in row if not e.is_zero()),
-        default=None,
-    )
+    return min(graded_parts(matrix), default=None)
 
 
 class _LinearScreen:
@@ -200,19 +205,14 @@ class _LinearScreen:
         column = self._columns.get(index)
         if column is None:
             w = self.w
-            image = _commutator_matrix(self.basis[index], self.n, self.depth)
-            diff = image - image.identity_like()
-            column = [{} for _ in range(w, self.depth + 1)]
-            for i, row in enumerate(diff.rows):
-                for j, e in enumerate(row):
-                    for exps, c in e.terms().items():
-                        degree = sum(exps)
-                        if degree < w:
-                            raise DomainError(
-                                f"{self.basis[index]} is not congruent to I "
-                                f"modulo degree {w}"
-                            )
-                        column[degree - w][(i, j, exps)] = c
+            parts = graded_parts(
+                _commutator_matrix(self.basis[index], self.n, self.depth)
+            )
+            if min(parts, default=w) < w:
+                raise DomainError(
+                    f"{self.basis[index]} is not congruent to I modulo degree {w}"
+                )
+            column = [parts.get(d, {}) for d in range(w, self.depth + 1)]
             self._columns[index] = column
         return column
 
@@ -311,26 +311,6 @@ def _specialized_candidate_is_identity(
         if acc != _mod_identity(n):
             return False
     return True
-
-
-def test_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
-    """Exact identity test of a word, locating the first nonvanishing degree.
-
-    Truncations are probed at increasing depth up to ``cfg.degree_probe``;
-    a non-identity truncation certifies exact non-identity (truncation is a
-    ring homomorphism) and pins the first total degree at which the image
-    minus the identity carries a nonzero coefficient.  Only a word trivial
-    to the probe depth falls through to full exact evaluation, so the
-    ``is_identity`` verdict is always an exact statement.
-    """
-    from .braid import evaluate_truncated
-
-    for depth in range(1, cfg.degree_probe + 1):
-        first = _first_nonvanishing_degree(evaluate_truncated(word, depth))
-        if first is not None:
-            return CandidateResult((), len(word), False, first)
-    exact = evaluate_exact(word)
-    return CandidateResult((), len(word), exact.is_identity(), None)
 
 
 def _labeled(vector: tuple[int, ...], basis) -> tuple[tuple[str, int], ...]:

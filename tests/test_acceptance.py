@@ -29,7 +29,8 @@ from gassner.graded import (
     verify_tables,
 )
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator, witt_rank
-from gassner.laurent import LaurentPoly, laurent_determinant, series_from_laurent, specialize
+from gassner.laurent import LaurentPoly, series_from_laurent, specialize
+from oracle import laurent_determinant
 from gassner.search import (
     BREAKDOWN_COMMUTATORS,
     BREAKDOWN_WORD_TEXTS,

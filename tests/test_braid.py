@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gassner.braid import (
+    MAX_STRANDS,
     BraidLetter,
     BraidWord,
     WordSyntaxError,
@@ -18,10 +19,11 @@ from gassner.braid import (
 from gassner.laurent import (
     LaurentPoly,
     UsageError,
-    laurent_determinant,
     series_from_laurent,
+    series_matrix_inverse,
     specialize,
 )
+from oracle import laurent_determinant
 
 
 def random_word(rng, n, length):
@@ -67,8 +69,9 @@ class TestGenerators:
                 det = laurent_determinant(gassner_generator(n, r, s))
                 assert det == LaurentPoly.var(n, r) * LaurentPoly.var(n, s)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_inverse_products(self, n):
+        # the inverse is unique, so both products certify the closed form
         for s in range(2, n + 1):
             for r in range(1, s):
                 g = gassner_generator(n, r, s)
@@ -82,20 +85,26 @@ class TestGenerators:
                 assert det == expected
 
     def test_index_violation(self):
-        with pytest.raises(UsageError):
-            gassner_generator(4, 4, 1)
-        with pytest.raises(UsageError):
-            gassner_generator(4, 2, 2)
+        for build in (gassner_generator, gassner_generator_inverse):
+            with pytest.raises(UsageError):
+                build(4, 4, 1)
+            with pytest.raises(UsageError):
+                build(4, 2, 2)
+
+    @pytest.mark.parametrize("build", [gassner_generator, gassner_generator_inverse])
+    def test_strand_cap(self, build):
+        assert build(MAX_STRANDS, 1, 2).size == MAX_STRANDS
+        with pytest.raises(UsageError, match=f"cap of {MAX_STRANDS}"):
+            build(MAX_STRANDS + 1, 1, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inverse_commutes_with_truncation(self, n):
-        # exact inverse then truncate == truncate then series-invert
-        from gassner.laurent import series_matrix_inverse
-
+        # exact inverse then truncate == truncate then series-invert; the
+        # left side is how truncated inverse letters are built
         for s in range(2, n + 1):
             for r in range(1, s):
                 exact_inverse = gassner_generator_inverse(n, r, s)
-                for d in range(0, 6):
+                for d in range(0, 11):
                     truncated = gassner_generator(n, r, s).map_entries(
                         lambda e: series_from_laurent(e, d)
                     )
@@ -114,7 +123,11 @@ class TestParsing:
     def test_aliases(self):
         w = parse_word("x1 x2", 4)
         assert w.letters == (BraidLetter(1, 4, 1), BraidLetter(2, 4, 1))
-        assert w.is_free_subgroup_word
+
+    def test_strand_cap(self):
+        assert parse_word("x1", MAX_STRANDS).n == MAX_STRANDS
+        with pytest.raises(UsageError, match=f"cap of {MAX_STRANDS}"):
+            parse_word("x1", MAX_STRANDS + 1)
 
     def test_bracket_expansion(self):
         w = parse_word("[x2,x1]", 4)

@@ -36,6 +36,29 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("r,s", [(2, 2), (4, 1)])
+    def test_inverse_bad_indices_exit_two(self, capsys, r, s):
+        code, out, err = run(
+            capsys, "gen", "--n", "4", "--r", str(r), "--s", str(s), "--inverse"
+        )
+        assert code == 2
+        assert out == ""
+        assert "1 <= r < s <= n" in err
+
+    def test_inverse_at_strand_cap_is_fast(self, capsys):
+        # the closed-form inverse costs O(n^2); a general adjugate walks
+        # every column subset and runs out of memory here
+        import time
+
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "gen", "--n", "64", "--r", "1", "--s", "2", "--inverse"
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.count("\n") == 64
+        assert elapsed < 1.0
+
     def test_truncate(self, capsys):
         code, out, _ = run(
             capsys, "gen", "--n", "2", "--r", "1", "--s", "2",
@@ -90,6 +113,30 @@ class TestEval:
         # words up to the cap cost a few MB; the full expansions would
         # need gigabytes (exponent) or terabytes (brackets)
         assert peak < 32 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "3000", "--r", "1", "--s", "2"],
+            ["gen", "--n", "3000", "--r", "1", "--s", "2", "--inverse"],
+            ["eval", "--n", "3000", "x1"],
+        ],
+        ids=["gen", "gen-inverse", "eval"],
+    )
+    def test_strand_cap_exit_two_without_allocating(self, capsys, argv):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 64" in err
+        # a 3000 x 3000 matrix of polynomials would take gigabytes
+        assert peak < 1 << 20
 
     def test_deep_bracket_nesting_exit_two(self, capsys):
         text = "[" * 2000 + "x1,x2" + "]" * 2000

@@ -13,6 +13,7 @@ from gassner.graded import (
     IntMatrix,
     assemble_phi_matrix,
     bracket,
+    graded_parts,
     integer_kernel,
     integer_rank,
     kernel_report,
@@ -190,6 +191,59 @@ class TestPi:
         assert all(c == classes[0] for c in classes)
 
 
+@st.composite
+def near_identity_series_matrices(draw):
+    """Series matrices I + N with every term of N in degrees 1..max_deg.
+
+    As for Gassner images, the variable count equals the size.
+    """
+    size = n_vars = draw(st.integers(1, 3))
+    max_deg = draw(st.integers(1, 4))
+    monomials = st.lists(
+        st.integers(0, n_vars - 1), min_size=1, max_size=max_deg
+    ).map(lambda vs: tuple(vs.count(v) for v in range(n_vars)))
+    entries = [
+        [
+            draw(st.dictionaries(monomials, st.integers(-3, 3), max_size=3))
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
+    for k in range(size):
+        entries[k][k][(0,) * n_vars] = 1
+    return series_matrix(entries, n_vars, max_deg)
+
+
+class TestGradedParts:
+    @settings(max_examples=100, deadline=None)
+    @given(near_identity_series_matrices())
+    def test_parts_rebuild_difference_and_agree_with_pi(self, m):
+        parts = graded_parts(m)
+        n_vars, max_deg = m.rows[0][0].n_vars, m.rows[0][0].max_deg
+        rebuilt = [[{} for _ in range(m.size)] for _ in range(m.size)]
+        for degree, part in parts.items():
+            assert part
+            for (row, col, exps), c in part.items():
+                assert sum(exps) == degree and c != 0
+                rebuilt[row][col][exps] = c
+        assert series_matrix(rebuilt, n_vars, max_deg) == m - m.identity_like()
+
+        for i in range(1, max_deg + 1):
+            if min(parts, default=i) >= i:
+                expected = {
+                    (tuple(k + 1 for k, x in enumerate(exps) for _ in range(x)),
+                     row + 1, col + 1): c
+                    for (row, col, exps), c in parts.get(i, {}).items()
+                }
+                assert pi(m, i).coords == expected
+            else:
+                with pytest.raises(DomainError, match=f"degree-{min(parts)} term"):
+                    pi(m, i)
+
+    def test_identity_has_no_parts(self):
+        assert graded_parts(SquareMatrix.identity_series(3, 3, 4)) == {}
+
+
 class TestPhi:
     def test_weight_one(self):
         n = 4
@@ -299,10 +353,6 @@ class TestGradedClass:
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):
             GradedClass(3, 1) + GradedClass(3, 2)
-
-    def test_json_round_trip(self):
-        cls = phi(parse_commutator("[[x2,x1],x1]"), 4)
-        assert GradedClass.from_dict(cls.to_dict()) == cls
 
 
 class TestIntMatrix:

@@ -167,7 +167,3 @@ class TestParsing:
     def test_round_trip_through_str(self):
         for term in basic_commutators(3, 4):
             assert parse_commutator(str(term)) == term
-
-    def test_json_round_trip(self):
-        for term in basic_commutators(3, 3):
-            assert CommutatorTerm.from_json(term.to_json()) == term

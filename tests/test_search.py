@@ -4,20 +4,36 @@ import random
 
 import pytest
 
-from gassner.braid import BraidWord, evaluate_truncated, parse_word
-from gassner.graded import integer_rank, kernel_report, phi, pi
+from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
+from gassner.graded import graded_parts, integer_rank, kernel_report, phi, pi
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
 from gassner.search import (
     BREAKDOWN_COMMUTATORS,
     BREAKDOWN_WORD_TEXTS,
     EXPECTED_FIRST_DIFFERENCE_DEGREE,
+    CandidateResult,
     SearchConfig,
     breakdown_regression,
     kernel_candidates,
     run_search,
     vector_to_word,
 )
-from gassner.search import test_candidate as check_candidate
+
+
+def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
+    """Oracle for run_search: test the flat word, locating its first degree.
+
+    Truncations are probed at increasing depth up to ``cfg.degree_probe``;
+    a non-identity truncation certifies exact non-identity (truncation is a
+    ring homomorphism) and pins the first total degree at which the image
+    minus the identity carries a nonzero coefficient.  Only a word trivial
+    to the probe depth falls through to full exact evaluation.
+    """
+    for depth in range(1, cfg.degree_probe + 1):
+        first = min(graded_parts(evaluate_truncated(word, depth)), default=None)
+        if first is not None:
+            return CandidateResult((), len(word), False, first)
+    return CandidateResult((), len(word), evaluate_exact(word).is_identity(), None)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +158,7 @@ class TestCandidateTesting:
 class TestDriverConsistency:
     @pytest.mark.parametrize("probe", [5, 8, 10])
     def test_candidate_matrix_matches_word_evaluation(self, kernel5, probe):
-        # run_search's verdicts equal test_candidate's on the representative
+        # run_search's verdicts equal check_candidate's on the representative
         # word.  Probe 5 sends the driver through the specialization ladder,
         # 8 through the linear screen, and 10 = 2w past it, where the
         # product fallback is armed.  The oracle always probes to degree 10:
@@ -177,7 +193,6 @@ class TestSpecialization:
     def test_specialized_fold_matches_specialized_exact(self, sign):
         # folding specialized letters equals specializing the exact product;
         # sign -1 folds the inverse word
-        from gassner.braid import evaluate_exact
         from gassner.search import (
             _SPECIALIZATION_PRIME,
             _specialization_points,
@@ -284,7 +299,6 @@ class TestBreakdownRegression:
     def test_degree_six_difference_matches_exact_route(self):
         # independent oracle: convert the exact evaluations and compare the
         # leading parts of W1 - W2, which equal those of W1*W2^-1 - I
-        from gassner.braid import evaluate_exact
         from gassner.laurent import series_from_laurent
 
         report = breakdown_regression()
@@ -293,18 +307,18 @@ class TestBreakdownRegression:
         s1 = evaluate_exact(w1).map_entries(lambda e: series_from_laurent(e, 6))
         s2 = evaluate_exact(w2).map_entries(lambda e: series_from_laurent(e, 6))
         diff = s1 - s2
-        degrees = [
-            e.min_degree() for row in diff.rows for e in row if not e.is_zero()
+        terms = [
+            (sum(exps), i, j, exps, c)
+            for i, row in enumerate(diff.rows)
+            for j, e in enumerate(row)
+            for exps, c in e.terms().items()
         ]
-        assert min(degrees) == 6
-        got = {}
-        for i, row in enumerate(diff.rows):
-            for j, e in enumerate(row):
-                for exps, c in e.homogeneous_part(6).items():
-                    mono = tuple(
-                        k + 1 for k, x in enumerate(exps) for _ in range(x)
-                    )
-                    got[(mono, i + 1, j + 1)] = c
+        assert min(degree for degree, *_ in terms) == 6
+        got = {
+            (tuple(k + 1 for k, x in enumerate(exps) for _ in range(x)), i + 1, j + 1): c
+            for degree, i, j, exps, c in terms
+            if degree == 6
+        }
         assert got == report.difference_class.coords
 
     def test_phi_classes_of_breakdown_pair_agree(self):
