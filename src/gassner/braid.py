@@ -59,6 +59,11 @@ class BraidLetter(NamedTuple):
         return BraidLetter(self.r, self.s, -self.exponent)
 
 
+def _invert(letters: tuple[BraidLetter, ...]) -> tuple[BraidLetter, ...]:
+    """The letters of the inverse word: reversed, each exponent negated."""
+    return tuple(l.inverse() for l in reversed(letters))
+
+
 def _check_letter(letter: BraidLetter, n: int) -> None:
     if not (1 <= letter.r < letter.s <= n):
         raise UsageError(
@@ -88,9 +93,7 @@ class BraidWord:
         return BraidWord(self.n, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(
-            self.n, tuple(l.inverse() for l in reversed(self.letters))
-        )
+        return BraidWord(self.n, _invert(self.letters))
 
     def __pow__(self, k: int) -> "BraidWord":
         if k < 0:
@@ -355,10 +358,6 @@ class _WordParser:
             _check_length(2 * (len(left) + len(right)), pos)
             return left + right + _invert(left) + _invert(right)
         raise WordSyntaxError("expected a letter, alias, or bracket", self.pos())
-
-
-def _invert(letters: tuple[BraidLetter, ...]) -> tuple[BraidLetter, ...]:
-    return tuple(l.inverse() for l in reversed(letters))
 
 
 def _check_length(length: int, pos: int) -> None:

@@ -165,7 +165,8 @@ def _cmd_verify(args) -> int:
         results["sfold"] = report.to_dict()
     if args.suite in ("breakdown", "all"):
         try:
-            report = breakdown_regression()
+            # --suite all runs the breakdown at 4 strands whatever --n is
+            report = breakdown_regression(args.n if args.suite == "breakdown" else 4)
             results["breakdown"] = {"ok": True, "report": report.to_dict()}
         except RegressionError as exc:
             failed = True

@@ -239,18 +239,24 @@ def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
 
 
 @lru_cache(maxsize=None)
-def _commutator_matrix(term: CommutatorTerm, n: int, max_deg: int) -> SquareMatrix:
-    # Bracket-tree evaluation: associativity of the truncated ring makes
-    # this equal to the flat left-to-right product of the word's letters,
-    # but recursive inverses are near-identity and their geometric series
-    # terminate quickly.
-    from .laurent import series_matrix_inverse
-
+def _commutator_matrix(
+    term: CommutatorTerm, n: int, max_deg: int, sign: int
+) -> SquareMatrix:
+    # Image of the term (sign 1) or of its inverse (sign -1), by bracket
+    # recursion: [a, b] = A B A^-1 B^-1 and [a, b]^-1 = [b, a].  Each A^-1 is
+    # the child's own sign -1 image, built only when a parent asks for it,
+    # and the leaves are closed-form truncated letters, so nothing is
+    # inverted.  Associativity of the truncated ring makes this the flat
+    # product of the word's letters.
     if term.is_leaf:
-        return _letter_matrix_truncated(n, term.gen, n, 1, max_deg)
-    a = _commutator_matrix(term.left, n, max_deg)
-    b = _commutator_matrix(term.right, n, max_deg)
-    return a * b * series_matrix_inverse(a) * series_matrix_inverse(b)
+        return _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
+    a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
+    return (
+        _commutator_matrix(a, n, max_deg, 1)
+        * _commutator_matrix(b, n, max_deg, 1)
+        * _commutator_matrix(a, n, max_deg, -1)
+        * _commutator_matrix(b, n, max_deg, -1)
+    )
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:
@@ -265,7 +271,7 @@ def phi(term: CommutatorTerm, n: int) -> GradedClass:
     for j in leaf_sequence(term):
         if j > n - 1:
             raise UsageError(f"leaf x{j} exceeds the free rank {n - 1}")
-    return pi(_commutator_matrix(term, n, w), w)
+    return pi(_commutator_matrix(term, n, w, 1), w)
 
 
 # ---------------------------------------------------------------------------

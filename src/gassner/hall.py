@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braid import MAX_BRACKET_DEPTH, BraidLetter, BraidWord
+from .braid import MAX_BRACKET_DEPTH, BraidLetter, BraidWord, _invert
 from .laurent import UsageError
 
 MAX_GENERATORS = 6
@@ -215,9 +215,7 @@ def _expand(term: CommutatorTerm, n: int) -> tuple[BraidLetter, ...]:
         return (BraidLetter(term.gen, n, 1),)
     a = _expand(term.left, n)
     b = _expand(term.right, n)
-    a_inv = tuple(l.inverse() for l in reversed(a))
-    b_inv = tuple(l.inverse() for l in reversed(b))
-    return a + b + a_inv + b_inv
+    return a + b + _invert(a) + _invert(b)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class LaurentPoly:
         return cls(n_vars, {(0,) * n_vars: 1})
 
     @classmethod
-    def constant(cls, n_vars: int, c: int) -> "LaurentPoly":
-        return cls(n_vars, {(0,) * n_vars: c})
-
-    @classmethod
     def var(cls, n_vars: int, i: int, power: int = 1) -> "LaurentPoly":
         """The monomial t_i^power; ``i`` is 1-based."""
         if not 1 <= i <= n_vars:
@@ -183,9 +179,6 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n_vars, 0)
 
     def specialize(self, var: int) -> "LaurentPoly":
         """Substitute t_var = 1 (``var`` is 1-based)."""
@@ -364,10 +357,6 @@ class TruncatedSeries:
         return cls(n_vars, max_deg, {(0,) * n_vars: 1})
 
     @classmethod
-    def constant(cls, n_vars: int, max_deg: int, c: int) -> "TruncatedSeries":
-        return cls(n_vars, max_deg, {(0,) * n_vars: c})
-
-    @classmethod
     def var(cls, n_vars: int, max_deg: int, i: int) -> "TruncatedSeries":
         """The series u_i = t_i - 1 (``i`` is 1-based)."""
         if not 1 <= i <= n_vars:
@@ -482,13 +471,6 @@ class TruncatedSeries:
                 else:
                     del out[key]
         return _raw_series(self.n_vars, self.max_deg, out)
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        if c == 0:
-            return self.zero_like()
-        return _raw_series(
-            self.n_vars, self.max_deg, {k: c * v for k, v in self._terms.items()}
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,10 +18,11 @@ nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Both routes read the image minus I degree by degree
 through ``graded.graded_parts``.  Only candidates that are trivial to the
 probed degree escalate to integer specializations of the variables and
-finally to full exact evaluation.  Specializations fold the cached exact
-generator matrices and their closed-form exact inverses letter by letter,
-and a negative multiplicity folds the commutator's inverse word
-([a, b]^-1 = [b, a]), so nothing is inverted modulo p.  Every reported
+finally to full exact evaluation.  Truncated and specialized images alike
+come from one bracket recursion, [a, b] = A B A^-1 B^-1 with
+[a, b]^-1 = [b, a], over closed-form letters and their inverses; a negative
+multiplicity multiplies the commutator's inverse image, so no matrix is
+ever inverted, in the truncated ring or modulo p.  Every reported
 conclusion is exact.
 
 The weight-5 breakdown regression is certified the same way: the truncated
@@ -38,7 +39,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import Iterator
 
-from .braid import BraidLetter, BraidWord, _letter_matrix, evaluate_exact
+from .braid import BraidWord, _letter_matrix, evaluate_exact
 from .graded import (
     GradedClass,
     _commutator_matrix,
@@ -48,13 +49,7 @@ from .graded import (
     pi,
 )
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
-from .laurent import (
-    _MAX_TRUNC_DEG,
-    DomainError,
-    SquareMatrix,
-    UsageError,
-    series_matrix_inverse,
-)
+from .laurent import _MAX_TRUNC_DEG, DomainError, SquareMatrix, UsageError
 
 _SPECIALIZATION_PRIME = 2**61 - 1
 _SPECIALIZATION_COUNT = 3
@@ -160,13 +155,12 @@ def vector_to_word(vector: tuple[int, ...], n: int, w: int) -> BraidWord:
 def _commutator_power(
     term: CommutatorTerm, n: int, max_deg: int, m: int
 ) -> SquareMatrix:
-    if m == 1:
-        return _commutator_matrix(term, n, max_deg)
-    if m < 0:
-        return series_matrix_inverse(_commutator_power(term, n, max_deg, -m))
-    return _commutator_power(term, n, max_deg, m - 1) * _commutator_matrix(
-        term, n, max_deg
-    )
+    """The term's image to the power m != 0; m < 0 powers its sign -1 image."""
+    sign = 1 if m > 0 else -1
+    image = _commutator_matrix(term, n, max_deg, sign)
+    if m == sign:
+        return image
+    return _commutator_power(term, n, max_deg, m - sign) * image
 
 
 def _candidate_matrix(
@@ -206,7 +200,7 @@ class _LinearScreen:
         if column is None:
             w = self.w
             parts = graded_parts(
-                _commutator_matrix(self.basis[index], self.n, self.depth)
+                _commutator_matrix(self.basis[index], self.n, self.depth, 1)
             )
             if min(parts, default=w) < w:
                 raise DomainError(
@@ -277,19 +271,21 @@ def _mod_identity(size):
 def _specialized_commutator(
     term: CommutatorTerm, n: int, point_index: int, seed: int, sign: int
 ):
-    """The term's image (sign 1) or its inverse (sign -1) specialized mod p."""
-    point = _specialization_points(n, seed)[point_index]
+    """The term's image (sign 1) or its inverse (sign -1) specialized mod p.
+
+    The same bracket recursion as ``graded._commutator_matrix``, over the
+    specialized exact letters and their closed-form inverses.
+    """
     p = _SPECIALIZATION_PRIME
-    word = commutator_to_word(term, n)
-    if sign < 0:
-        word = word.inverse()
-    acc = _mod_identity(n)
-    cache: dict[BraidLetter, tuple] = {}
-    for letter in word.letters:
-        if letter not in cache:
-            exact = _letter_matrix(n, *letter)
-            cache[letter] = _specialize_matrix(exact, point, p)
-        acc = _mod_matmul(acc, cache[letter], p)
+    if term.is_leaf:
+        point = _specialization_points(n, seed)[point_index]
+        return _specialize_matrix(_letter_matrix(n, term.gen, n, sign), point, p)
+    a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
+    acc = _specialized_commutator(a, n, point_index, seed, 1)
+    for child, s in ((b, 1), (a, -1), (b, -1)):
+        acc = _mod_matmul(
+            acc, _specialized_commutator(child, n, point_index, seed, s), p
+        )
     return acc
 
 
@@ -477,9 +473,8 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     classes_equal = phi(c1, n) == phi(c2, n)
 
     probe = max(EXPECTED_FIRST_DIFFERENCE_DEGREE + 2, 8)
-    b1 = _commutator_matrix(c1, n, probe)
-    b2 = _commutator_matrix(c2, n, probe)
-    quotient = b1 * series_matrix_inverse(b2)
+    b1 = _commutator_matrix(c1, n, probe, 1)
+    quotient = b1 * _commutator_matrix(c2, n, probe, -1)
     first = _first_nonvanishing_degree(quotient)
     exact_equal = first is None
 

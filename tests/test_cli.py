@@ -206,6 +206,20 @@ class TestVerify:
         assert code == 0
         assert "first difference degree: 6" in out
 
+    def test_breakdown_rejects_other_strand_counts(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "breakdown", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "specific to 4 strands" in err
+
+    def test_all_runs_breakdown_at_four_strands(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--n", "5", "--weight", "3"
+        )
+        assert code == 0
+        assert "breakdown: pass" in out
+        assert "first difference degree: 6" in out
+
     def test_sfold_pass(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "sfold", "--n", "4", "--weight", "5"

@@ -11,6 +11,7 @@ from gassner.braid import evaluate_truncated, parse_word
 from gassner.graded import (
     GradedClass,
     IntMatrix,
+    _commutator_matrix,
     assemble_phi_matrix,
     bracket,
     graded_parts,
@@ -26,6 +27,7 @@ from gassner.laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    series_matrix_inverse,
 )
 
 
@@ -333,6 +335,22 @@ class TestPhi:
                 )
             m = evaluate_truncated(word, w)
             pi(m, w)  # raises DomainError if a lower degree survives
+
+
+class TestSignedImages:
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_inverse_image_matches_series_inverse_and_inverse_word(self, w):
+        # the sign -1 image, built by [a, b]^-1 = [b, a], against the
+        # geometric-series inverse and the flat inverse word, at and past
+        # the weight
+        for term in basic_commutators(3, w):
+            for depth in (w, w + 2):
+                image = _commutator_matrix(term, 4, depth, 1)
+                inverse = _commutator_matrix(term, 4, depth, -1)
+                assert inverse == series_matrix_inverse(image)
+                word = commutator_to_word(term, 4).inverse()
+                assert inverse == evaluate_truncated(word, depth)
+                assert (image * inverse).is_identity()
 
 
 class TestGradedClass:

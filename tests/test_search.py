@@ -13,6 +13,8 @@ from gassner.search import (
     EXPECTED_FIRST_DIFFERENCE_DEGREE,
     CandidateResult,
     SearchConfig,
+    _candidate_matrix,
+    _commutator_power,
     breakdown_regression,
     kernel_candidates,
     run_search,
@@ -188,25 +190,72 @@ class TestDriverConsistency:
             )
 
 
+class TestCommutatorPower:
+    @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
+    def test_power_matches_word_power(self, m):
+        # negative powers multiply the sign -1 image; the flat word power
+        # is the independent route
+        for w in (1, 2, 3):
+            for term in basic_commutators(3, w):
+                word = commutator_to_word(term, 4) ** m
+                assert _commutator_power(term, 4, 6, m) == evaluate_truncated(
+                    word, 6
+                )
+
+
+class TestNoSeriesInverse:
+    def test_runtime_paths_never_invert_a_series_matrix(self, monkeypatch):
+        # every runtime inverse comes from [a, b]^-1 = [b, a] over
+        # closed-form letters; caches are cleared so nothing computed
+        # earlier hides a call
+        import sys
+
+        from gassner.graded import _commutator_matrix
+
+        def refuse(m):
+            raise AssertionError("series_matrix_inverse called at runtime")
+
+        for name, module in list(sys.modules.items()):
+            if name == "gassner" or name.startswith("gassner."):
+                if hasattr(module, "series_matrix_inverse"):
+                    monkeypatch.setattr(module, "series_matrix_inverse", refuse)
+        _commutator_matrix.cache_clear()
+        _commutator_power.cache_clear()
+
+        report = kernel_report(4, 5)
+        breakdown_regression()
+        run_search(SearchConfig(budget=3, degree_probe=10))
+        vector = next(v for v in report.kernel if min(v) < 0)
+        assert not _candidate_matrix(vector, 4, 5, 6).is_identity()
+
+
 class TestSpecialization:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_specialized_fold_matches_specialized_exact(self, sign):
-        # folding specialized letters equals specializing the exact product;
-        # sign -1 folds the inverse word
+        # the bracket recursion over specialized letters equals specializing
+        # the exact product of the expanded word; sign -1 is the inverse word
         from gassner.search import (
+            _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
             _specialization_points,
             _specialize_matrix,
             _specialized_commutator,
         )
 
-        term = parse_commutator("[[x2,x1],x1]")
-        point = _specialization_points(4, 20041101)[0]
-        word = commutator_to_word(term, 4)
-        exact = evaluate_exact(word if sign == 1 else word.inverse())
-        direct = _specialize_matrix(exact, point, _SPECIALIZATION_PRIME)
-        folded = _specialized_commutator(term, 4, 0, 20041101, sign)
-        assert direct == folded
+        points = _specialization_points(4, 20041101)
+        assert len(points) == _SPECIALIZATION_COUNT
+        for w in (1, 2, 3):
+            for term in basic_commutators(3, w):
+                word = commutator_to_word(term, 4)
+                exact = evaluate_exact(word if sign == 1 else word.inverse())
+                for index, point in enumerate(points):
+                    direct = _specialize_matrix(
+                        exact, point, _SPECIALIZATION_PRIME
+                    )
+                    folded = _specialized_commutator(
+                        term, 4, index, 20041101, sign
+                    )
+                    assert direct == folded
 
     def test_specialized_inverse_fold_inverts(self):
         from gassner.search import (
