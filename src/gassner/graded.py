@@ -35,7 +35,13 @@ from .hall import (
     weight,
     witt_rank,
 )
-from .laurent import DomainError, SquareMatrix, TruncatedSeries, UsageError
+from .laurent import (
+    DomainError,
+    SquareMatrix,
+    TruncatedSeries,
+    UsageError,
+    retruncate,
+)
 
 Coord = tuple[tuple[int, ...], int, int]  # (monomial, row, col), all 1-based
 
@@ -242,30 +248,54 @@ def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
 def _commutator_matrix(
     term: CommutatorTerm, n: int, max_deg: int, sign: int
 ) -> SquareMatrix:
-    # Image of the term (sign 1) or of its inverse (sign -1), by bracket
-    # recursion: [a, b] = A B A^-1 B^-1 and [a, b]^-1 = [b, a].  Each A^-1 is
-    # the child's own sign -1 image, built only when a parent asks for it,
-    # and the leaves are closed-form truncated letters, so nothing is
-    # inverted.  Associativity of the truncated ring makes this the flat
-    # product of the word's letters.
+    # Image of the term (sign 1) or of its inverse (sign -1) truncated at
+    # max_deg, by bracket recursion with [a, b]^-1 = [b, a].  A term of
+    # weight w is I plus terms of degree >= w, so below its weight the
+    # image is I.  Otherwise [A, B] - I = (xy - yx) A^-1 B^-1 with x = A - I
+    # starting in degree weight(a) and y = B - I in degree weight(b).  So A
+    # is needed only through max_deg - weight(b), B through
+    # max_deg - weight(a), and A^-1 B^-1 (the children's sign -1 images)
+    # through max_deg - weight(term); that factor is I when the depth is
+    # below both child weights.  Each child is lifted back to max_deg,
+    # which is sound because its partner vanishes below the gap.  Leaves
+    # are closed-form truncated letters, so nothing is inverted, and the
+    # result is the truncation of the flat product of the word's letters.
+    if max_deg < weight(term):
+        return SquareMatrix.identity_series(n, n, max_deg)
     if term.is_leaf:
         return _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
-    return (
-        _commutator_matrix(a, n, max_deg, 1)
-        * _commutator_matrix(b, n, max_deg, 1)
-        * _commutator_matrix(a, n, max_deg, -1)
-        * _commutator_matrix(b, n, max_deg, -1)
-    )
+    i, j = weight(a), weight(b)
+    x = _lift(_commutator_matrix(a, n, max_deg - j, 1), max_deg)
+    y = _lift(_commutator_matrix(b, n, max_deg - i, 1), max_deg)
+    identity = x.identity_like()
+    x, y = x - identity, y - identity
+    bracket_part = x * y - y * x
+    rest = max_deg - i - j
+    if rest >= min(i, j):
+        inverses = _commutator_matrix(a, n, rest, -1) * _commutator_matrix(
+            b, n, rest, -1
+        )
+        bracket_part = bracket_part * _lift(inverses, max_deg)
+    return identity + bracket_part
+
+
+def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
+    """``m`` with every entry raised to truncation degree ``max_deg``."""
+    return m.map_entries(lambda e: retruncate(e, max_deg))
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:
     """Class of a weight-i basic commutator in the degree-i graded piece.
 
-    Evaluates the commutator word in the ring truncated at the weight and
-    extracts the top coefficient data; the congruence check inside ``pi``
-    doubles as a verification that commutators of weight i land in the
-    i-th congruence subgroup.
+    Builds the image truncated at the weight by the depth-aware bracket
+    recursion of ``_commutator_matrix``, which truncates each child at the
+    weight minus its sibling's weight, that is at its own weight, and
+    extracts the top coefficient data.  The recursion returns I below a
+    term's weight without computing there, so the congruence check inside
+    ``pi`` is only a consistency check here; the tests run it on the flat
+    commutator word, which verifies that commutators of weight i land in
+    the i-th congruence subgroup.
     """
     w = weight(term)
     for j in leaf_sequence(term):

@@ -550,6 +550,25 @@ def series_from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
     return TruncatedSeries.from_laurent(p, max_deg)
 
 
+def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
+    """The series ``s`` under truncation degree ``max_deg``.
+
+    Lowering the degree drops the terms above it; that is truncation, a
+    ring homomorphism.  Raising it keeps the terms and reads every degree
+    above ``s.max_deg`` as zero, which is no homomorphism: a product with
+    the raised series is exact only when the other factor vanishes below
+    the gap.  If ``s`` is known through degree d and y has no terms below
+    degree max_deg - d, then s·y is known through degree max_deg.
+    """
+    _check_max_deg(max_deg)
+    if max_deg >= s.max_deg:
+        return _raw_series(s.n_vars, max_deg, s._terms)
+    cutoff = (max_deg + 1) << (8 * s.n_vars)
+    return _raw_series(
+        s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
+    )
+
+
 RingElement = Union[LaurentPoly, TruncatedSeries]
 
 

@@ -19,11 +19,14 @@ ring homomorphism.  Both routes read the image minus I degree by degree
 through ``graded.graded_parts``.  Only candidates that are trivial to the
 probed degree escalate to integer specializations of the variables and
 finally to full exact evaluation.  Truncated and specialized images alike
-come from one bracket recursion, [a, b] = A B A^-1 B^-1 with
-[a, b]^-1 = [b, a], over closed-form letters and their inverses; a negative
-multiplicity multiplies the commutator's inverse image, so no matrix is
-ever inverted, in the truncated ring or modulo p.  Every reported
-conclusion is exact.
+come from one bracket recursion with [a, b]^-1 = [b, a] over closed-form
+letters and their inverses.  Modulo p it forms A B A^-1 B^-1; in the
+truncated ring it forms [A, B] - I = (ab - ba) A^-1 B^-1 with a = A - I and
+b = B - I, truncating each child at the depth minus its sibling's weight
+and A^-1 B^-1 at the depth minus the term's weight, since a term is I
+below its weight.  A negative multiplicity multiplies the commutator's
+inverse image, so no matrix is ever inverted, in the truncated ring or
+modulo p.  Every reported conclusion is exact.
 
 The weight-5 breakdown regression is certified the same way: the truncated
 quotient of the two words is nonzero in degree 6, which proves their exact

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassner import graded
 from gassner.braid import evaluate_truncated, parse_word
 from gassner.graded import (
     GradedClass,
@@ -21,7 +22,12 @@ from gassner.graded import (
     phi,
     pi,
 )
-from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
+from gassner.hall import (
+    basic_commutators,
+    commutator_to_word,
+    parse_commutator,
+    weight,
+)
 from gassner.laurent import (
     DomainError,
     SquareMatrix,
@@ -336,21 +342,49 @@ class TestPhi:
             m = evaluate_truncated(word, w)
             pi(m, w)  # raises DomainError if a lower degree survives
 
+    @pytest.mark.parametrize("n, w", [(4, 5), (5, 4)])
+    def test_phi_matches_flat_word_congruence(self, n, w):
+        # the recursion returns I below a term's weight without computing
+        # there, so the flat word keeps pi's congruence check independent:
+        # every weight-w commutator word lands in the w-th congruence
+        # subgroup
+        for term in basic_commutators(n - 1, w):
+            word = commutator_to_word(term, n)
+            assert phi(term, n) == pi(evaluate_truncated(word, w), w)
+
 
 class TestSignedImages:
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_inverse_image_matches_series_inverse_and_inverse_word(self, w):
-        # the sign -1 image, built by [a, b]^-1 = [b, a], against the
-        # geometric-series inverse and the flat inverse word, at and past
-        # the weight
+        # both signed images against the flat word and its inverse, below,
+        # at and past the weight, and the sign -1 image against the
+        # geometric-series inverse of the sign 1 image
         for term in basic_commutators(3, w):
-            for depth in (w, w + 2):
+            word = commutator_to_word(term, 4)
+            for depth in sorted({0, 1, w - 1, w, w + 1, w + 2, 2 * w - 1}):
                 image = _commutator_matrix(term, 4, depth, 1)
                 inverse = _commutator_matrix(term, 4, depth, -1)
+                assert image == evaluate_truncated(word, depth)
+                assert inverse == evaluate_truncated(word.inverse(), depth)
                 assert inverse == series_matrix_inverse(image)
-                word = commutator_to_word(term, 4).inverse()
-                assert inverse == evaluate_truncated(word, depth)
                 assert (image * inverse).is_identity()
+
+    def test_requests_never_exceed_term_weight(self, monkeypatch):
+        # phi needs a weight-w image only through degree w, so no request
+        # of the recursion, its children included, goes deeper than the
+        # requested term's weight
+        requests = []
+        compute = graded._commutator_matrix.__wrapped__
+
+        def recording(term, n, max_deg, sign):
+            requests.append((term, max_deg))
+            return compute(term, n, max_deg, sign)
+
+        monkeypatch.setattr(graded, "_commutator_matrix", recording)
+        kernel_report(4, 5)
+        assert any(term.is_leaf for term, _ in requests)
+        too_deep = [(str(t), d) for t, d in requests if d > weight(t)]
+        assert not too_deep
 
 
 class TestGradedClass:

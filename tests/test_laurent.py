@@ -12,6 +12,7 @@ from gassner.laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    retruncate,
     series_from_laurent,
     series_matrix_inverse,
     specialize,
@@ -114,6 +115,39 @@ class TestRingLaws:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+class TestRetruncate:
+    @settings(max_examples=100, deadline=None)
+    @given(_small_polys, st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
+    def test_lower_truncates_and_lift_round_trips(self, p, top, low, extra):
+        low = min(low, top)
+        s = series_from_laurent(p, top)
+        lowered = retruncate(s, low)
+        assert lowered == series_from_laurent(p, low)
+        assert lowered == TruncatedSeries(
+            2, low, {e: c for e, c in s.terms().items() if sum(e) <= low}
+        )
+        assert retruncate(retruncate(s, top + extra), top) == s
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_polys, _small_polys, st.integers(0, 6), st.integers(0, 6))
+    def test_lift_is_exact_against_a_factor_vanishing_below_the_gap(
+        self, p, q, top, gap
+    ):
+        # x known through degree top - gap times y with no terms below
+        # degree gap is known through degree top
+        gap = min(gap, top)
+        x = series_from_laurent(p, top)
+        y = series_from_laurent(q, top)
+        y = TruncatedSeries(
+            2, top, {e: c for e, c in y.terms().items() if sum(e) >= gap}
+        )
+        assert retruncate(retruncate(x, top - gap), top) * y == x * y
+
+    def test_degree_cap_checked(self):
+        with pytest.raises(UsageError):
+            retruncate(TruncatedSeries.one(2, 2), -1)
 
 
 class TestSeries:
