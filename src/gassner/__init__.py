@@ -47,7 +47,6 @@ from .laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
-    series_from_laurent,
     series_matrix_inverse,
     specialize,
 )

@@ -200,7 +200,7 @@ def evaluate_exact(word: BraidWord) -> SquareMatrix:
 def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
     """Product of the word's letters in the truncated ring.
 
-    Equals ``series_from_laurent`` applied entrywise to the exact
+    Equals ``TruncatedSeries.from_laurent`` applied entrywise to the exact
     evaluation, but multiplies only truncated letter matrices.
     """
     acc = SquareMatrix.identity_series(word.n, word.n, max_deg)

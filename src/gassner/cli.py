@@ -7,7 +7,7 @@ Subcommands expose the workbench operations with machine-readable output:
     rank     rank of the weight-w class matrix against the Witt number
     kernel   rank plus a primitive basis of the left kernel
     verify   run the reference-table / left-normed / breakdown suites
-    search   enumerate and test kernel candidates, streaming JSON lines
+    search   enumerate and test kernel candidates, one JSON line each
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 """
@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 
-from .braid import evaluate_exact, evaluate_truncated, gassner_generator, gassner_generator_inverse, parse_word
+from .braid import _letter_matrix, _letter_matrix_truncated, evaluate_exact, evaluate_truncated, parse_word
 from .graded import kernel_report, sfold_property_check, verify_tables
-from .laurent import DomainError, UsageError, series_from_laurent
+from .laurent import DomainError, UsageError
 from .search import SearchConfig, breakdown_regression, RegressionError, run_search
 
 USAGE_ERROR = 2
@@ -92,13 +92,11 @@ def _print_matrix(matrix, fmt: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    matrix = (
-        gassner_generator_inverse(args.n, args.r, args.s)
-        if args.inverse
-        else gassner_generator(args.n, args.r, args.s)
-    )
-    if args.truncate is not None:
-        matrix = matrix.map_entries(lambda e: series_from_laurent(e, args.truncate))
+    letter = (args.n, args.r, args.s, -1 if args.inverse else 1)
+    if args.truncate is None:
+        matrix = _letter_matrix(*letter)
+    else:
+        matrix = _letter_matrix_truncated(*letter, args.truncate)
     _print_matrix(matrix, args.format)
     return 0
 

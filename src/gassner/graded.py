@@ -30,6 +30,7 @@ from .braid import _letter_matrix_truncated
 from .hall import (
     CommutatorTerm,
     basic_commutators,
+    check_leaves,
     is_left_normed,
     leaf_sequence,
     weight,
@@ -125,32 +126,15 @@ class GradedClass:
             if m == tuple(mono)
         }
 
-    def sorted_coords(self) -> list[tuple[Coord, int]]:
-        return sorted(self.coords.items())
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "degree": self.degree,
             "coords": [
                 {"mono": list(mono), "row": row, "col": col, "c": str(v)}
-                for (mono, row, col), v in self.sorted_coords()
+                for (mono, row, col), v in sorted(self.coords.items())
             ],
         }
-
-    def __str__(self) -> str:
-        if not self.coords:
-            return "0"
-        parts = []
-        for mono in self.monomials():
-            cells = ", ".join(
-                f"e[{row},{col}]({v})"
-                for (m, row, col), v in self.sorted_coords()
-                if m == mono
-            )
-            label = "*".join(f"t{l}" for l in mono)
-            parts.append(f"{label}: {cells}")
-        return "; ".join(parts)
 
     def __repr__(self) -> str:
         return f"GradedClass(n={self.n}, degree={self.degree}, {len(self.coords)} coords)"
@@ -179,12 +163,29 @@ def graded_parts(m: SquareMatrix) -> dict[int, Part]:
     return parts
 
 
-def pi(m: SquareMatrix, i: int) -> GradedClass:
-    """Degree-i coefficient data of M - I for M = I mod J^i.
+def congruent_parts(m: SquareMatrix, i: int) -> dict[int, Part]:
+    """``graded_parts(m)`` for a matrix M = I mod J^i.
 
     Raises ``DomainError`` naming the first offending term when the matrix
     carries a nonzero coefficient in some degree below i (i.e. the matrix
     is not congruent to the identity modulo J^i).
+    """
+    parts = graded_parts(m)
+    d = min(parts, default=i)
+    if d < i:
+        row, col, exps = min(parts[d])
+        raise DomainError(
+            f"matrix is not congruent to I mod J^{i}: entry ({row + 1},{col + 1}) "
+            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+        )
+    return parts
+
+
+def pi(m: SquareMatrix, i: int) -> GradedClass:
+    """Degree-i coefficient data of M - I for M = I mod J^i.
+
+    Raises ``DomainError`` as ``congruent_parts`` does when the matrix is
+    not congruent to the identity modulo J^i.
     """
     if i < 1:
         raise UsageError("degree must be positive")
@@ -195,17 +196,9 @@ def pi(m: SquareMatrix, i: int) -> GradedClass:
         raise UsageError(
             f"matrix truncation degree {sample.max_deg} is below {i}"
         )
-    parts = graded_parts(m)
-    d = min(parts, default=i)
-    if d < i:
-        row, col, exps = min(parts[d])
-        raise DomainError(
-            f"matrix is not congruent to I mod J^{i}: entry ({row + 1},{col + 1}) "
-            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
-        )
     coords = {
         (_monomial_of(exps), row + 1, col + 1): coeff
-        for (row, col, exps), coeff in parts.get(i, {}).items()
+        for (row, col, exps), coeff in congruent_parts(m, i).get(i, {}).items()
     }
     return GradedClass(m.size, i, coords)
 
@@ -298,9 +291,7 @@ def phi(term: CommutatorTerm, n: int) -> GradedClass:
     the i-th congruence subgroup.
     """
     w = weight(term)
-    for j in leaf_sequence(term):
-        if j > n - 1:
-            raise UsageError(f"leaf x{j} exceeds the free rank {n - 1}")
+    check_leaves(term, n)
     return pi(_commutator_matrix(term, n, w, 1), w)
 
 

@@ -197,15 +197,20 @@ def _mobius(n: int) -> int:
 # Commutator words
 
 
+def check_leaves(term: CommutatorTerm, n: int) -> None:
+    """Reject a leaf x_j with j > n - 1, the free rank on n strands."""
+    for j in leaf_sequence(term):
+        if j > n - 1:
+            raise UsageError(f"leaf x{j} exceeds the free rank {n - 1}")
+
+
 def commutator_to_word(term: CommutatorTerm, n: int) -> BraidWord:
     """Expand a commutator tree into a word over n strands.
 
     A leaf x_j becomes the letter A(j, n); a bracket [a, b] expands to
     a b a^-1 b^-1.  Every leaf index must be at most n-1.
     """
-    for j in leaf_sequence(term):
-        if j > n - 1:
-            raise UsageError(f"leaf x{j} exceeds the free rank {n - 1}")
+    check_leaves(term, n)
     return BraidWord(n, _expand(term, n))
 
 

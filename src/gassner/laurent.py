@@ -89,10 +89,6 @@ class LaurentPoly:
         exps[i - 1] = power
         return cls(n_vars, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, n_vars: int, exps: Iterable[int], coeff: int = 1) -> "LaurentPoly":
-        return cls(n_vars, {tuple(exps): coeff})
-
     # -- ring structure
 
     def zero_like(self) -> "LaurentPoly":
@@ -141,23 +137,6 @@ class LaurentPoly:
                 else:
                     del out[key]
         return _raw_laurent(self.n_vars, out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise UsageError("negative powers are only defined for unit monomials")
-        result = LaurentPoly.one(self.n_vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return self.zero_like()
-        return _raw_laurent(self.n_vars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -214,13 +193,6 @@ class LaurentPoly:
                 {"e": list(e), "c": str(c)} for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LaurentPoly":
-        return cls(
-            data["n_vars"],
-            {tuple(t["e"]): int(t["c"]) for t in data["terms"]},
-        )
 
     def __str__(self) -> str:
         return _format_poly(self.sorted_terms(), _format_t_monomial)
@@ -355,17 +327,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, n_vars: int, max_deg: int) -> "TruncatedSeries":
         return cls(n_vars, max_deg, {(0,) * n_vars: 1})
-
-    @classmethod
-    def var(cls, n_vars: int, max_deg: int, i: int) -> "TruncatedSeries":
-        """The series u_i = t_i - 1 (``i`` is 1-based)."""
-        if not 1 <= i <= n_vars:
-            raise UsageError(f"variable index {i} out of range 1..{n_vars}")
-        if max_deg < 1:
-            return cls.zero(n_vars, max_deg)
-        exps = [0] * n_vars
-        exps[i - 1] = 1
-        return cls(n_vars, max_deg, {tuple(exps): 1})
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly, max_deg: int) -> "TruncatedSeries":
@@ -512,14 +473,6 @@ class TruncatedSeries:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TruncatedSeries":
-        return cls(
-            data["n_vars"],
-            data["max_deg"],
-            {tuple(t["e"]): int(t["c"]) for t in data["terms"]},
-        )
-
     def __str__(self) -> str:
         return _format_poly(self.sorted_terms(), _format_u_monomial)
 
@@ -543,11 +496,6 @@ def _binomial_expansion(e: int, max_deg: int) -> list[tuple[int, int]]:
     return [
         (k, (-1) ** k * math.comb(-e + k - 1, k)) for k in range(max_deg + 1)
     ]
-
-
-def series_from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
-    """Module-level alias for ``TruncatedSeries.from_laurent``."""
-    return TruncatedSeries.from_laurent(p, max_deg)
 
 
 def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
@@ -710,13 +658,6 @@ class SquareMatrix:
             "ring": ring,
             "entries": [[e.to_dict() for e in row] for row in self.rows],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SquareMatrix":
-        elem = LaurentPoly if data["ring"] == "laurent" else TruncatedSeries
-        return cls(
-            [[elem.from_dict(e) for e in row] for row in data["entries"]]
-        )
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.rows]

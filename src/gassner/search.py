@@ -18,19 +18,16 @@ nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Both routes read the image minus I degree by degree
 through ``graded.graded_parts``.  Only candidates that are trivial to the
 probed degree escalate to integer specializations of the variables and
-finally to full exact evaluation.  Truncated and specialized images alike
-come from one bracket recursion with [a, b]^-1 = [b, a] over closed-form
-letters and their inverses.  Modulo p it forms A B A^-1 B^-1; in the
-truncated ring it forms [A, B] - I = (ab - ba) A^-1 B^-1 with a = A - I and
-b = B - I, truncating each child at the depth minus its sibling's weight
-and A^-1 B^-1 at the depth minus the term's weight, since a term is I
-below its weight.  A negative multiplicity multiplies the commutator's
-inverse image, so no matrix is ever inverted, in the truncated ring or
-modulo p.  Every reported conclusion is exact.
+finally to full exact evaluation.  Truncated images come from the
+depth-aware recursion of ``graded._commutator_matrix``; specialized images
+from A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both invert a
+commutator by [a, b]^-1 = [b, a] over closed-form letters and their
+inverses, and a negative multiplicity multiplies the commutator's inverse
+image, so no matrix is ever inverted.  Every reported conclusion is exact.
 
-The weight-5 breakdown regression is certified the same way: the truncated
-quotient of the two words is nonzero in degree 6, which proves their exact
-matrices differ without evaluating either word exactly.
+The weight-5 breakdown regression is certified from the same truncated
+images: the quotient of the two commutators is nonzero in degree 6, which
+proves their exact matrices differ without evaluating either word.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations
 from math import gcd
 from typing import Iterator
 
@@ -47,12 +44,14 @@ from .graded import (
     GradedClass,
     _commutator_matrix,
     _primitive,
+    congruent_parts,
     graded_parts,
     kernel_report,
+    phi,
     pi,
 )
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
-from .laurent import _MAX_TRUNC_DEG, DomainError, SquareMatrix, UsageError
+from .laurent import _MAX_TRUNC_DEG, SquareMatrix, UsageError
 
 _SPECIALIZATION_PRIME = 2**61 - 1
 _SPECIALIZATION_COUNT = 3
@@ -117,12 +116,9 @@ def kernel_candidates(
         return
     emitted = 0
     dim = len(kernel_basis)
-    bound = cfg.coeff_bound
-    nonzero = [c for c in range(-bound, bound + 1) if c]
-    positive = list(range(1, bound + 1))
     for size in range(1, min(cfg.support_bound, dim) + 1):
         for support in combinations(range(dim), size):
-            for coeffs in product(positive, *([nonzero] * (size - 1))):
+            for coeffs in _coefficient_tuples(size, cfg.coeff_bound):
                 if emitted >= cfg.budget:
                     return
                 if gcd(*coeffs) != 1:
@@ -134,6 +130,21 @@ def kernel_candidates(
                         vector[k] += c * v
                 yield _primitive(vector)
                 emitted += 1
+
+
+def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Nonzero tuples in [-bound, bound] with a positive first entry.
+
+    In lexicographic order, drawn from ranges so that nothing grows with
+    ``bound``; of the one-entry tuples only (1,) has content 1.
+    """
+    if size == 1:
+        return iter([(1,)])
+    nonzero = (range(-bound, 0), range(1, bound + 1))
+    tuples = ((c,) for c in nonzero[1])
+    for _ in range(size - 1):
+        tuples = (t + (c,) for t in tuples for c in chain(*nonzero))
+    return tuples
 
 
 def vector_to_word(vector: tuple[int, ...], n: int, w: int) -> BraidWord:
@@ -177,11 +188,6 @@ def _candidate_matrix(
     return acc
 
 
-def _first_nonvanishing_degree(matrix: SquareMatrix) -> int | None:
-    """Smallest total degree carrying a nonzero coefficient of ``matrix - I``."""
-    return min(graded_parts(matrix), default=None)
-
-
 class _LinearScreen:
     """First nonvanishing degree of weight-w candidates through ``depth``.
 
@@ -201,15 +207,11 @@ class _LinearScreen:
     def _column(self, index: int) -> list[dict[tuple, int]]:
         column = self._columns.get(index)
         if column is None:
-            w = self.w
-            parts = graded_parts(
-                _commutator_matrix(self.basis[index], self.n, self.depth, 1)
+            parts = congruent_parts(
+                _commutator_matrix(self.basis[index], self.n, self.depth, 1),
+                self.w,
             )
-            if min(parts, default=w) < w:
-                raise DomainError(
-                    f"{self.basis[index]} is not congruent to I modulo degree {w}"
-                )
-            column = [parts.get(d, {}) for d in range(w, self.depth + 1)]
+            column = [parts.get(d, {}) for d in range(self.w, self.depth + 1)]
             self._columns[index] = column
         return column
 
@@ -385,9 +387,8 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     for vector in kernel_candidates(cfg, report.kernel):
         first = screen.first_nonvanishing_degree(vector)
         if first is None and cfg.degree_probe > screen.depth:
-            first = _first_nonvanishing_degree(
-                _candidate_matrix(vector, n, w, cfg.degree_probe)
-            )
+            matrix = _candidate_matrix(vector, n, w, cfg.degree_probe)
+            first = min(graded_parts(matrix), default=None)
         if first is not None:
             is_identity = False
         elif _specialized_candidate_is_identity(vector, n, w, cfg.seed):
@@ -452,33 +453,32 @@ class BreakdownReport:
 def breakdown_regression(n: int = 4) -> BreakdownReport:
     """Reproduce the weight-5 collision: equal truncations, unequal matrices.
 
-    Asserts that the two fixed commutator words agree modulo degree 5, have
+    Asserts that the two fixed commutators agree modulo degree 5, have
     identical weight-5 classes, and first differ in degree 6; any failure
-    raises ``RegressionError``.  The exact matrices are never built: their
-    quotient's truncation to degree 8 is nonzero in degree 6, and because
-    truncation is a ring homomorphism that certifies the exact matrices
-    differ.  Returns the report with the degree-6 difference class of the
-    first word times the inverse of the second.
+    raises ``RegressionError``.  Both truncations are read from the
+    commutator images ``phi`` has already cached; the tests compare them
+    with the flat words ``BREAKDOWN_WORD_TEXTS`` evaluated letter by letter.
+    The exact matrices are never built: their quotient's truncation to
+    degree 8 is nonzero in degree 6, and because truncation is a ring
+    homomorphism that certifies the exact matrices differ.  Returns the
+    report with the degree-6 difference class of the first commutator times
+    the inverse of the second.
     """
-    from .braid import evaluate_truncated, parse_word
     from .hall import parse_commutator
 
     if n != 4:
         raise UsageError("the breakdown regression is specific to 4 strands")
-    w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], n)
-    w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], n)
-    truncations_equal = evaluate_truncated(w1, 5) == evaluate_truncated(w2, 5)
-
-    from .graded import phi
-
     c1 = parse_commutator(BREAKDOWN_COMMUTATORS[0])
     c2 = parse_commutator(BREAKDOWN_COMMUTATORS[1])
     classes_equal = phi(c1, n) == phi(c2, n)
+    truncations_equal = _commutator_matrix(c1, n, 5, 1) == _commutator_matrix(
+        c2, n, 5, 1
+    )
 
     probe = max(EXPECTED_FIRST_DIFFERENCE_DEGREE + 2, 8)
     b1 = _commutator_matrix(c1, n, probe, 1)
     quotient = b1 * _commutator_matrix(c2, n, probe, -1)
-    first = _first_nonvanishing_degree(quotient)
+    first = min(graded_parts(quotient), default=None)
     exact_equal = first is None
 
     if not truncations_equal:

@@ -357,60 +357,47 @@ PHI4_LEFT_CORRECTED_DUP2: tuple[Row, ...] = tuple(
 )
 
 
+# shape -> (weight, leaf symbols, table or tables by variant); a weight with
+# two shapes lists the left-normed one first.
+_SHAPES: dict[str, tuple[int, tuple[str, ...], tuple[Row, ...] | dict]] = {
+    "weight1": (1, ("r",), PHI1),
+    "weight2": (2, ("r", "s"), PHI2),
+    "weight3": (3, ("r", "s", "u"), PHI3),
+    "weight4_left_normed": (
+        4,
+        ("r", "s", "u", "v"),
+        {
+            "printed": PHI4_LEFT_PRINTED,
+            "corrected": PHI4_LEFT_CORRECTED,
+            "corrected_dup2": PHI4_LEFT_CORRECTED_DUP2,
+        },
+    ),
+    "weight4_double": (4, ("r", "s", "u", "v"), PHI4_DOUBLE),
+}
+
+
 def shapes_for_weight(w: int) -> tuple[str, ...]:
-    return {
-        1: ("weight1",),
-        2: ("weight2",),
-        3: ("weight3",),
-        4: ("weight4_left_normed", "weight4_double"),
-    }[w]
+    return tuple(shape for shape, entry in _SHAPES.items() if entry[0] == w)
 
 
 def shape_of(term: CommutatorTerm) -> str:
     w = weight(term)
-    if w == 1:
-        return "weight1"
-    if w == 2:
-        return "weight2"
-    if w == 3:
-        return "weight3"
-    if w == 4:
-        return "weight4_left_normed" if is_left_normed(term) else "weight4_double"
-    raise UsageError(f"no reference table for weight {w}")
+    shapes = shapes_for_weight(w)
+    if not shapes:
+        raise UsageError(f"no reference table for weight {w}")
+    return shapes[0] if is_left_normed(term) else shapes[-1]
 
 
 def _assignment(shape: str, term: CommutatorTerm, n: int) -> dict[str, int]:
+    if shape not in _SHAPES:
+        raise UsageError(f"unknown table shape {shape}")
     leaves = leaf_sequence(term)
-    symbols = {
-        "weight1": ("r",),
-        "weight2": ("r", "s"),
-        "weight3": ("r", "s", "u"),
-        "weight4_left_normed": ("r", "s", "u", "v"),
-        "weight4_double": ("r", "s", "u", "v"),
-    }[shape]
+    symbols = _SHAPES[shape][1]
     if len(leaves) != len(symbols):
         raise UsageError(f"{term} does not have shape {shape}")
     assignment = dict(zip(symbols, leaves))
     assignment["n"] = n
     return assignment
-
-
-def _table(shape: str, variant: str) -> tuple[Row, ...]:
-    if shape == "weight1":
-        return PHI1
-    if shape == "weight2":
-        return PHI2
-    if shape == "weight3":
-        return PHI3
-    if shape == "weight4_double":
-        return PHI4_DOUBLE
-    if shape == "weight4_left_normed":
-        return {
-            "printed": PHI4_LEFT_PRINTED,
-            "corrected": PHI4_LEFT_CORRECTED,
-            "corrected_dup2": PHI4_LEFT_CORRECTED_DUP2,
-        }[variant]
-    raise UsageError(f"unknown table shape {shape}")
 
 
 def instantiate(
@@ -425,8 +412,11 @@ def instantiate(
     if variant not in VARIANTS:
         raise UsageError(f"unknown table variant {variant!r}")
     assignment = _assignment(shape, term, n)
+    table = _SHAPES[shape][2]
+    if isinstance(table, dict):
+        table = table[variant]
     out: dict[tuple[tuple[int, ...], int, int], int] = {}
-    for factor, terms in _table(shape, variant):
+    for factor, terms in table:
         mono = tuple(sorted(assignment[sym] for sym in factor))
         for row_sym, col_sym, deltas, coeff in terms:
             if any(assignment[a] != assignment[b] for a, b in deltas):

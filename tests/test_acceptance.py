@@ -29,7 +29,7 @@ from gassner.graded import (
     verify_tables,
 )
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator, witt_rank
-from gassner.laurent import LaurentPoly, series_from_laurent, specialize
+from gassner.laurent import LaurentPoly, TruncatedSeries, specialize
 from oracle import laurent_determinant
 from gassner.search import (
     BREAKDOWN_COMMUTATORS,
@@ -209,7 +209,7 @@ def test_09_property_suites():
             d = rng.randint(0, 5)
             w = _random_word(rng, n, rng.randint(0, 4))
             exact = evaluate_exact(w).map_entries(
-                lambda e: series_from_laurent(e, d)
+                lambda e: TruncatedSeries.from_laurent(e, d)
             )
             assert evaluate_truncated(w, d) == exact
 

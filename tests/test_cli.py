@@ -25,11 +25,11 @@ class TestGen:
             "--format", "json",
         )
         assert code == 0
-        from gassner.braid import gassner_generator
-        from gassner.laurent import SquareMatrix
+        from gassner.braid import gassner_generator, gassner_generator_inverse
 
-        matrix = SquareMatrix.from_dict(json.loads(out))
-        assert (gassner_generator(4, 1, 4) * matrix).is_identity()
+        inverse = gassner_generator_inverse(4, 1, 4)
+        assert json.loads(out) == inverse.to_dict()
+        assert (gassner_generator(4, 1, 4) * inverse).is_identity()
 
     def test_bad_indices_exit_two(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "4", "--r", "4", "--s", "1")
@@ -245,7 +245,7 @@ class TestVerifyMismatchPath:
         from gassner import tables
 
         broken = ((("n",), (("r", "r", (), 1), ("n", "r", (), 1))),) + tables.PHI1[1:]
-        monkeypatch.setattr(tables, "PHI1", broken)
+        monkeypatch.setitem(tables._SHAPES, "weight1", (1, ("r",), broken))
         code, out, _ = run(capsys, "verify", "--suite", "tables", "--n", "4")
         assert code == 1
         assert "MISMATCH" in out
@@ -254,7 +254,7 @@ class TestVerifyMismatchPath:
         from gassner import tables
 
         broken = ((("n",), (("r", "r", (), 1), ("n", "r", (), 1))),) + tables.PHI1[1:]
-        monkeypatch.setattr(tables, "PHI1", broken)
+        monkeypatch.setitem(tables._SHAPES, "weight1", (1, ("r",), broken))
         code, out, _ = run(
             capsys, "verify", "--suite", "tables", "--n", "4", "--format", "json"
         )
@@ -303,6 +303,23 @@ class TestSearch:
         )
         assert code == 0
         assert "tested 0 candidates" in out
+
+    def test_huge_coeff_bound_without_allocating(self, capsys):
+        # coefficient tuples are drawn lazily from ranges, so the budget
+        # bounds the work; listing [-bound, bound] would take gigabytes
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "search", "--coeff-bound", "1000000000", "--budget", "5"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "tested 5 candidates, 0 identities" in out
+        assert peak < 32 << 20
 
     def test_degree_probe_past_series_cap_exit_two(self, capsys):
         # the linear screen stops below degree 2w, so the probe bound must

@@ -13,7 +13,6 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     retruncate,
-    series_from_laurent,
     series_matrix_inverse,
     specialize,
 )
@@ -25,7 +24,7 @@ def t(i, n=2):
 
 
 def u(i, n, d):
-    return TruncatedSeries.var(n, d, i)
+    return TruncatedSeries.from_laurent(t(i, n) - LaurentPoly.one(n), d)
 
 
 class TestLaurentArithmetic:
@@ -58,12 +57,7 @@ class TestLaurentArithmetic:
         t1, t2 = t(1), t(2)
         assert (t1 * t2).specialize(2) == t1
         p = LaurentPoly(2, {(1, 1): 1, (1, 0): 1})  # t1*t2 + t1
-        assert p.specialize(2) == t1.scale(2)
-
-    def test_power(self):
-        t1 = t(1)
-        assert t1**3 == t1 * t1 * t1
-        assert (t1**0).is_one()
+        assert p.specialize(2) == t1 + t1
 
 
 _small_polys = st.builds(
@@ -91,9 +85,9 @@ class TestRingLaws:
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, st.integers(0, 6))
     def test_series_conversion_is_ring_homomorphism(self, a, b, d):
-        fa, fb = series_from_laurent(a, d), series_from_laurent(b, d)
-        assert series_from_laurent(a * b, d) == fa * fb
-        assert series_from_laurent(a + b, d) == fa + fb
+        fa, fb = TruncatedSeries.from_laurent(a, d), TruncatedSeries.from_laurent(b, d)
+        assert TruncatedSeries.from_laurent(a * b, d) == fa * fb
+        assert TruncatedSeries.from_laurent(a + b, d) == fa + fb
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,14 +96,14 @@ class TestRingLaws:
         st.integers(0, 6),
     )
     def test_unit_monomial_inverse_maps_to_one(self, exps, sign, d):
-        p = LaurentPoly.monomial(2, exps, sign)
-        p_inv = LaurentPoly.monomial(2, [-e for e in exps], sign)
-        assert series_from_laurent(p * p_inv, d).is_one()
+        p = LaurentPoly(2, {exps: sign})
+        p_inv = LaurentPoly(2, {tuple(-e for e in exps): sign})
+        assert TruncatedSeries.from_laurent(p * p_inv, d).is_one()
 
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, _small_polys, st.integers(0, 5))
     def test_series_ring_laws(self, pa, pb, pc, d):
-        a, b, c = (series_from_laurent(p, d) for p in (pa, pb, pc))
+        a, b, c = (TruncatedSeries.from_laurent(p, d) for p in (pa, pb, pc))
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
@@ -122,9 +116,9 @@ class TestRetruncate:
     @given(_small_polys, st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
     def test_lower_truncates_and_lift_round_trips(self, p, top, low, extra):
         low = min(low, top)
-        s = series_from_laurent(p, top)
+        s = TruncatedSeries.from_laurent(p, top)
         lowered = retruncate(s, low)
-        assert lowered == series_from_laurent(p, low)
+        assert lowered == TruncatedSeries.from_laurent(p, low)
         assert lowered == TruncatedSeries(
             2, low, {e: c for e, c in s.terms().items() if sum(e) <= low}
         )
@@ -138,8 +132,8 @@ class TestRetruncate:
         # x known through degree top - gap times y with no terms below
         # degree gap is known through degree top
         gap = min(gap, top)
-        x = series_from_laurent(p, top)
-        y = series_from_laurent(q, top)
+        x = TruncatedSeries.from_laurent(p, top)
+        y = TruncatedSeries.from_laurent(q, top)
         y = TruncatedSeries(
             2, top, {e: c for e, c in y.terms().items() if sum(e) >= gap}
         )
@@ -152,18 +146,18 @@ class TestRetruncate:
 
 class TestSeries:
     def test_from_laurent_variable(self):
-        s = series_from_laurent(t(1), 2)
+        s = TruncatedSeries.from_laurent(t(1), 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 1})
 
     def test_from_laurent_negative_exponent(self):
-        s = series_from_laurent(LaurentPoly.var(2, 1, -1), 2)
+        s = TruncatedSeries.from_laurent(LaurentPoly.var(2, 1, -1), 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
 
     def test_from_laurent_generator_entry(self):
         # 1 - t_r + t_r*t_s expands to 1 + u_s + u_r*u_s
         one = LaurentPoly.one(2)
         t1, t2 = t(1), t(2)
-        s = series_from_laurent(one - t1 + t1 * t2, 2)
+        s = TruncatedSeries.from_laurent(one - t1 + t1 * t2, 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
 
     def test_inverse_pair_truncates_to_one(self):
@@ -262,11 +256,19 @@ class TestMatrices:
             )
             assert sympy.simplify(mine - theirs) == 0
 
-    def test_matrix_json_round_trip(self):
-        m = SquareMatrix.identity_laurent(2, 2)
-        assert SquareMatrix.from_dict(m.to_dict()) == m
-        s = SquareMatrix.identity_series(2, 2, 3)
-        assert SquareMatrix.from_dict(s.to_dict()) == s
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[LaurentPoly.one(2), LaurentPoly.one(2)], [LaurentPoly.one(2)]],
+            [],
+            [[LaurentPoly.one(2)] * 2, [TruncatedSeries.one(2, 3)] * 2],
+            [[TruncatedSeries.one(2, 3)] * 2, [TruncatedSeries.one(2, 4)] * 2],
+        ],
+        ids=["ragged", "empty", "laurent-beside-series", "mixed-max-deg"],
+    )
+    def test_constructor_rejects(self, rows):
+        with pytest.raises(UsageError):
+            SquareMatrix(rows)
 
     def test_specialize_matrix(self):
         from gassner.braid import gassner_generator
@@ -282,17 +284,16 @@ class TestMatrices:
 
 
 class TestJson:
-    def test_poly_round_trip(self):
-        p = LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)})
-        assert LaurentPoly.from_dict(p.to_dict()) == p
-        assert p.to_dict()["terms"][0]["c"] == str(-(10**30))
-
-    def test_series_round_trip(self):
-        s = TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1})
-        assert TruncatedSeries.from_dict(s.to_dict()) == s
-        assert s.to_dict()["max_deg"] == 4
-
     def test_terms_sorted(self):
         p = LaurentPoly(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1})
         es = [tuple(item["e"]) for item in p.to_dict()["terms"]]
         assert es == sorted(es)
+        # coefficients print exactly, as decimal strings
+        big = LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)})
+        assert big.to_dict()["terms"][0]["c"] == str(-(10**30))
+        s = TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1})
+        assert s.to_dict() == {
+            "n_vars": 2,
+            "max_deg": 4,
+            "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 2], "c": "7"}],
+        }

@@ -14,6 +14,7 @@ from gassner.search import (
     CandidateResult,
     SearchConfig,
     _candidate_matrix,
+    _coefficient_tuples,
     _commutator_power,
     breakdown_regression,
     kernel_candidates,
@@ -71,6 +72,18 @@ class TestEnumeration:
     def test_budget_respected(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=7)
         assert len(list(kernel_candidates(cfg, kernel5.kernel))) == 7
+
+    def test_coefficient_tuples_follow_product_order(self):
+        # oracle: itertools.product over the listed ranges; of the one-entry
+        # tuples only (1,) survives the content filter, so only it is drawn
+        from itertools import product
+
+        for bound in (1, 2, 3):
+            nonzero = [c for c in range(-bound, bound + 1) if c]
+            assert list(_coefficient_tuples(1, bound)) == [(1,)]
+            for size in (2, 3, 4):
+                expected = product(range(1, bound + 1), *[nonzero] * (size - 1))
+                assert list(_coefficient_tuples(size, bound)) == list(expected)
 
     def test_empty_kernel_yields_nothing(self):
         cfg = SearchConfig()
@@ -337,10 +350,12 @@ class TestBreakdownRegression:
         assert report.difference_class.degree == 6
 
     def test_certified_without_exact_evaluation(self, monkeypatch):
-        def refuse(word):
-            raise AssertionError("breakdown must not evaluate words exactly")
+        # nor truncated: both truncations are the cached commutator images
+        def refuse(*args):
+            raise AssertionError("breakdown must not evaluate words")
 
         monkeypatch.setattr("gassner.search.evaluate_exact", refuse)
+        monkeypatch.setattr("gassner.braid.evaluate_truncated", refuse)
         report = breakdown_regression()
         assert report.exact_equal is False
         assert report.first_difference_degree == 6
@@ -348,13 +363,15 @@ class TestBreakdownRegression:
     def test_degree_six_difference_matches_exact_route(self):
         # independent oracle: convert the exact evaluations and compare the
         # leading parts of W1 - W2, which equal those of W1*W2^-1 - I
-        from gassner.laurent import series_from_laurent
+        from gassner.laurent import TruncatedSeries
 
         report = breakdown_regression()
         w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
         w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
-        s1 = evaluate_exact(w1).map_entries(lambda e: series_from_laurent(e, 6))
-        s2 = evaluate_exact(w2).map_entries(lambda e: series_from_laurent(e, 6))
+        s1, s2 = (
+            evaluate_exact(w).map_entries(lambda e: TruncatedSeries.from_laurent(e, 6))
+            for w in (w1, w2)
+        )
         diff = s1 - s2
         terms = [
             (sum(exps), i, j, exps, c)
