@@ -39,6 +39,7 @@ from .laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    identity_rows,
     specialize,
 )
 
@@ -124,11 +125,6 @@ def _check_generator(n: int, r: int, s: int) -> None:
         raise UsageError(f"generator indices must satisfy 1 <= r < s <= n, got ({r},{s})")
 
 
-def _identity_rows(n: int) -> list[list[LaurentPoly]]:
-    one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
     """The Gassner matrix of A(r,s) on n strands."""
@@ -136,7 +132,7 @@ def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
     one = LaurentPoly.one(n)
     tr = LaurentPoly.var(n, r)
     ts = LaurentPoly.var(n, s)
-    rows = _identity_rows(n)
+    rows = identity_rows(n, one)
     rows[r - 1][r - 1] = one - tr + tr * ts
     rows[r - 1][s - 1] = tr * (one - tr)
     rows[s - 1][r - 1] = one - ts
@@ -157,7 +153,7 @@ def gassner_generator_inverse(n: int, r: int, s: int) -> SquareMatrix:
     ts = LaurentPoly.var(n, s)
     ts_inv = LaurentPoly.var(n, s, -1)
     u = LaurentPoly.var(n, r, -1) * ts_inv
-    rows = _identity_rows(n)
+    rows = identity_rows(n, one)
     rows[r - 1][r - 1] = ts_inv
     rows[r - 1][s - 1] = (tr - one) * ts_inv
     rows[s - 1][r - 1] = (ts - one) * u
@@ -191,7 +187,7 @@ def _letter_matrix_truncated(
 
 def evaluate_exact(word: BraidWord) -> SquareMatrix:
     """Ordered product of exact generator matrices; empty word gives I_n."""
-    acc = SquareMatrix.identity_laurent(word.n, word.n)
+    acc = SquareMatrix(identity_rows(word.n, LaurentPoly.one(word.n)))
     for l in word.letters:
         acc = acc * _letter_matrix(word.n, l.r, l.s, l.exponent)
     return acc
@@ -203,7 +199,7 @@ def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
     Equals ``TruncatedSeries.from_laurent`` applied entrywise to the exact
     evaluation, but multiplies only truncated letter matrices.
     """
-    acc = SquareMatrix.identity_series(word.n, word.n, max_deg)
+    acc = SquareMatrix(identity_rows(word.n, TruncatedSeries.one(word.n, max_deg)))
     for l in word.letters:
         acc = acc * _letter_matrix_truncated(word.n, l.r, l.s, l.exponent, max_deg)
     return acc

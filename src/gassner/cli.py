@@ -9,13 +9,16 @@ Subcommands expose the workbench operations with machine-readable output:
     verify   run the reference-table / left-normed / breakdown suites
     search   enumerate and test kernel candidates, one JSON line each
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout goes away before the output is written,
+as in ``gassner search --format json | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .braid import _letter_matrix, _letter_matrix_truncated, evaluate_exact, evaluate_truncated, parse_word
@@ -25,6 +28,7 @@ from .search import SearchConfig, breakdown_regression, RegressionError, run_sea
 
 USAGE_ERROR = 2
 MISMATCH = 1
+BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,10 +244,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader is gone; the Python docs' SIGPIPE recipe points stdout
+        # at devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

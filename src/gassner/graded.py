@@ -3,10 +3,12 @@
 A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
-``pi`` extracts that data as a ``GradedClass``; ``phi`` composes it with the
-evaluation of a commutator word, giving the induced map from the weight-i
-lower-central quotient of the free subgroup into the degree-i graded piece
-of the congruence filtration.
+Images are cached, composed (``_compose``) and read as that deviation
+X = M - I, so no identity matrix is built or subtracted.  ``pi`` extracts
+the degree-i data as a ``GradedClass``; ``phi`` composes it with the image
+of a commutator, giving the induced map from the weight-i lower-central
+quotient of the free subgroup into the degree-i graded piece of the
+congruence filtration.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
 into one integer matrix.  One exact fraction-free elimination of that matrix
@@ -147,30 +149,30 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
 Part = dict[tuple[int, int, tuple[int, ...]], int]
 
 
-def graded_parts(m: SquareMatrix) -> dict[int, Part]:
-    """Homogeneous parts of M - I for a series matrix M, keyed by degree.
+def graded_parts(x: SquareMatrix) -> dict[int, Part]:
+    """Homogeneous parts of the deviation X = M - I of a series matrix M.
 
-    Each part maps (row, col, exponents), with 0-based row and column, to a
-    nonzero coefficient.  Degrees without a nonzero coefficient are absent,
-    so ``min(graded_parts(m), default=None)`` is the first degree where M
-    differs from the identity.
+    Keyed by degree; each part maps (row, col, exponents), with 0-based row
+    and column, to a nonzero coefficient.  Degrees without a nonzero
+    coefficient are absent, so ``min(graded_parts(x), default=None)`` is
+    the first degree where M differs from the identity.
     """
     parts: dict[int, Part] = {}
-    for row, entries in enumerate((m - m.identity_like()).rows):
+    for row, entries in enumerate(x.rows):
         for col, e in enumerate(entries):
             for exps, coeff in e.terms().items():
                 parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
     return parts
 
 
-def congruent_parts(m: SquareMatrix, i: int) -> dict[int, Part]:
-    """``graded_parts(m)`` for a matrix M = I mod J^i.
+def congruent_parts(x: SquareMatrix, i: int) -> dict[int, Part]:
+    """``graded_parts(x)`` for X = M - I with M = I mod J^i.
 
-    Raises ``DomainError`` naming the first offending term when the matrix
-    carries a nonzero coefficient in some degree below i (i.e. the matrix
-    is not congruent to the identity modulo J^i).
+    Raises ``DomainError`` naming the first offending term when X carries
+    a nonzero coefficient in some degree below i (i.e. M is not congruent
+    to the identity modulo J^i).
     """
-    parts = graded_parts(m)
+    parts = graded_parts(x)
     d = min(parts, default=i)
     if d < i:
         row, col, exps = min(parts[d])
@@ -181,15 +183,15 @@ def congruent_parts(m: SquareMatrix, i: int) -> dict[int, Part]:
     return parts
 
 
-def pi(m: SquareMatrix, i: int) -> GradedClass:
-    """Degree-i coefficient data of M - I for M = I mod J^i.
+def pi(x: SquareMatrix, i: int) -> GradedClass:
+    """Degree-i coefficient data of X = M - I (given X, not M) for M = I mod J^i.
 
-    Raises ``DomainError`` as ``congruent_parts`` does when the matrix is
-    not congruent to the identity modulo J^i.
+    Raises ``DomainError`` as ``congruent_parts`` does when M is not
+    congruent to the identity modulo J^i.
     """
     if i < 1:
         raise UsageError("degree must be positive")
-    sample = m.rows[0][0]
+    sample = x.rows[0][0]
     if not isinstance(sample, TruncatedSeries):
         raise UsageError("coefficient extraction expects a series matrix")
     if sample.max_deg < i:
@@ -198,9 +200,9 @@ def pi(m: SquareMatrix, i: int) -> GradedClass:
         )
     coords = {
         (_monomial_of(exps), row + 1, col + 1): coeff
-        for (row, col, exps), coeff in congruent_parts(m, i).get(i, {}).items()
+        for (row, col, exps), coeff in congruent_parts(x, i).get(i, {}).items()
     }
-    return GradedClass(m.size, i, coords)
+    return GradedClass(x.size, i, coords)
 
 
 def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
@@ -241,36 +243,47 @@ def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
 def _commutator_matrix(
     term: CommutatorTerm, n: int, max_deg: int, sign: int
 ) -> SquareMatrix:
-    # Image of the term (sign 1) or of its inverse (sign -1) truncated at
-    # max_deg, by bracket recursion with [a, b]^-1 = [b, a].  A term of
-    # weight w is I plus terms of degree >= w, so below its weight the
-    # image is I.  Otherwise [A, B] - I = (xy - yx) A^-1 B^-1 with x = A - I
-    # starting in degree weight(a) and y = B - I in degree weight(b).  So A
-    # is needed only through max_deg - weight(b), B through
-    # max_deg - weight(a), and A^-1 B^-1 (the children's sign -1 images)
-    # through max_deg - weight(term); that factor is I when the depth is
-    # below both child weights.  Each child is lifted back to max_deg,
-    # which is sound because its partner vanishes below the gap.  Leaves
-    # are closed-form truncated letters, so nothing is inverted, and the
-    # result is the truncation of the flat product of the word's letters.
+    # X = M - I for the image M of the term (sign 1) or of its inverse
+    # (sign -1) truncated at max_deg, by bracket recursion with
+    # [a, b]^-1 = [b, a].  A term of weight w is I plus terms of degree
+    # >= w, so below its weight X is zero.  Otherwise [A, B] - I = c + c E
+    # with c = xy - yx for x = A - I from degree weight(a) and y = B - I
+    # from degree weight(b), and E = A^-1 B^-1 - I composed from the
+    # children's sign -1 deviations.  So x is needed only through
+    # max_deg - weight(b), y through max_deg - weight(a), and E through
+    # max_deg - weight(term), where E is zero if that is below both child
+    # weights.  Children are lifted back to max_deg, sound because each
+    # partner vanishes below the gap.  Leaves are truncated closed-form
+    # letters minus I: nothing is inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
-        return SquareMatrix.identity_series(n, n, max_deg)
+        zero = TruncatedSeries.zero(n, max_deg)
+        return SquareMatrix([[zero] * n for _ in range(n)])
     if term.is_leaf:
-        return _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
+        letter = _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
+        one = TruncatedSeries.one(n, max_deg)
+        return SquareMatrix(
+            [
+                [e - one if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(letter.rows)
+            ]
+        )
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
     x = _lift(_commutator_matrix(a, n, max_deg - j, 1), max_deg)
     y = _lift(_commutator_matrix(b, n, max_deg - i, 1), max_deg)
-    identity = x.identity_like()
-    x, y = x - identity, y - identity
-    bracket_part = x * y - y * x
+    c = x * y - y * x
     rest = max_deg - i - j
     if rest >= min(i, j):
-        inverses = _commutator_matrix(a, n, rest, -1) * _commutator_matrix(
-            b, n, rest, -1
+        e = _compose(
+            _commutator_matrix(a, n, rest, -1), _commutator_matrix(b, n, rest, -1)
         )
-        bracket_part = bracket_part * _lift(inverses, max_deg)
-    return identity + bracket_part
+        c = c + c * _lift(e, max_deg)
+    return c
+
+
+def _compose(p: SquareMatrix, x: SquareMatrix) -> SquareMatrix:
+    """(I + P)(I + X) - I = P + X + P X: the product of two deviations."""
+    return p + x + p * x
 
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
@@ -281,14 +294,14 @@ def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
 def phi(term: CommutatorTerm, n: int) -> GradedClass:
     """Class of a weight-i basic commutator in the degree-i graded piece.
 
-    Builds the image truncated at the weight by the depth-aware bracket
-    recursion of ``_commutator_matrix``, which truncates each child at the
-    weight minus its sibling's weight, that is at its own weight, and
-    extracts the top coefficient data.  The recursion returns I below a
-    term's weight without computing there, so the congruence check inside
-    ``pi`` is only a consistency check here; the tests run it on the flat
-    commutator word, which verifies that commutators of weight i land in
-    the i-th congruence subgroup.
+    Builds the image minus I truncated at the weight by the depth-aware
+    bracket recursion of ``_commutator_matrix``, which truncates each child
+    at the weight minus its sibling's weight, that is at its own weight,
+    and extracts the top coefficient data.  The recursion returns zero
+    below a term's weight without computing there, so the congruence check
+    inside ``pi`` is only a consistency check here; the tests run it on the
+    flat commutator word minus I, which verifies that commutators of weight
+    i land in the i-th congruence subgroup.
     """
     w = weight(term)
     check_leaves(term, n)

@@ -94,9 +94,6 @@ class LaurentPoly:
     def zero_like(self) -> "LaurentPoly":
         return LaurentPoly.zero(self.n_vars)
 
-    def one_like(self) -> "LaurentPoly":
-        return LaurentPoly.one(self.n_vars)
-
     def _check_compat(self, other: "LaurentPoly") -> None:
         if not isinstance(other, LaurentPoly):
             raise UsageError(f"cannot combine LaurentPoly with {type(other).__name__}")
@@ -378,9 +375,6 @@ class TruncatedSeries:
     def zero_like(self) -> "TruncatedSeries":
         return TruncatedSeries.zero(self.n_vars, self.max_deg)
 
-    def one_like(self) -> "TruncatedSeries":
-        return TruncatedSeries.one(self.n_vars, self.max_deg)
-
     def _check_compat(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise UsageError(
@@ -520,6 +514,12 @@ def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
 RingElement = Union[LaurentPoly, TruncatedSeries]
 
 
+def identity_rows(size: int, one: RingElement) -> list[list[RingElement]]:
+    """The identity grid over the ring of ``one``, as lists callers may fill."""
+    zero = one.zero_like()
+    return [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+
 # ---------------------------------------------------------------------------
 # Square matrices over either ring
 
@@ -554,28 +554,8 @@ class SquareMatrix:
         raise AttributeError("SquareMatrix is immutable")
 
     @classmethod
-    def identity_laurent(cls, size: int, n_vars: int) -> "SquareMatrix":
-        one = LaurentPoly.one(n_vars)
-        zero = LaurentPoly.zero(n_vars)
-        return cls(
-            [[one if i == j else zero for j in range(size)] for i in range(size)]
-        )
-
-    @classmethod
     def identity_series(cls, size: int, n_vars: int, max_deg: int) -> "SquareMatrix":
-        one = TruncatedSeries.one(n_vars, max_deg)
-        zero = TruncatedSeries.zero(n_vars, max_deg)
-        return cls(
-            [[one if i == j else zero for j in range(size)] for i in range(size)]
-        )
-
-    def identity_like(self) -> "SquareMatrix":
-        sample = self.rows[0][0]
-        one, zero = sample.one_like(), sample.zero_like()
-        n = self.size
-        return SquareMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        return cls(identity_rows(size, TruncatedSeries.one(n_vars, max_deg)))
 
     def _check_compat(self, other: "SquareMatrix") -> None:
         if not isinstance(other, SquareMatrix):
@@ -703,7 +683,7 @@ def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:
                     "matrix is not congruent to the identity: entry "
                     f"({i + 1},{j + 1}) has constant term {e.constant_term()}"
                 )
-    identity = m.identity_like()
+    identity = SquareMatrix.identity_series(m.size, sample.n_vars, sample.max_deg)
     n_mat = identity - m
     acc = identity
     power = identity

@@ -15,26 +15,27 @@ a candidate therefore costs one integer combination of cached
 per-commutator coefficient maps; truncated matrix products run only when
 the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
-ring homomorphism.  Both routes read the image minus I degree by degree
-through ``graded.graded_parts``.  Only candidates that are trivial to the
-probed degree escalate to integer specializations of the variables and
-finally to full exact evaluation.  Truncated images come from the
-depth-aware recursion of ``graded._commutator_matrix``; specialized images
-from A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both invert a
+ring homomorphism.  Truncated images are deviations X = M - I
+(``graded._commutator_matrix``); products compose them (``graded._compose``)
+and both routes read X through ``graded.graded_parts``.  Only candidates
+trivial to the probed degree escalate to integer specializations of the
+variables and finally to full exact evaluation.  Specialized images are
+A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
 commutator by [a, b]^-1 = [b, a] over closed-form letters and their
 inverses, and a negative multiplicity multiplies the commutator's inverse
 image, so no matrix is ever inverted.  Every reported conclusion is exact.
 
 The weight-5 breakdown regression is certified from the same truncated
-images: the quotient of the two commutators is nonzero in degree 6, which
-proves their exact matrices differ without evaluating either word.
+images: the composed deviation of the first commutator and the inverse of
+the second is nonzero in degree 6, which proves their exact matrices differ
+without evaluating either word.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import gcd
 from typing import Iterator
@@ -43,6 +44,7 @@ from .braid import BraidWord, _letter_matrix, evaluate_exact
 from .graded import (
     GradedClass,
     _commutator_matrix,
+    _compose,
     _primitive,
     congruent_parts,
     graded_parts,
@@ -169,23 +171,21 @@ def vector_to_word(vector: tuple[int, ...], n: int, w: int) -> BraidWord:
 def _commutator_power(
     term: CommutatorTerm, n: int, max_deg: int, m: int
 ) -> SquareMatrix:
-    """The term's image to the power m != 0; m < 0 powers its sign -1 image."""
+    """The term's image to the power m != 0 minus I; m < 0 uses the inverse."""
     sign = 1 if m > 0 else -1
     image = _commutator_matrix(term, n, max_deg, sign)
     if m == sign:
         return image
-    return _commutator_power(term, n, max_deg, m - sign) * image
+    return _compose(_commutator_power(term, n, max_deg, m - sign), image)
 
 
 def _candidate_matrix(
     vector: tuple[int, ...], n: int, w: int, max_deg: int
 ) -> SquareMatrix:
+    """The image of a nonzero candidate ``vector`` minus I, at ``max_deg``."""
     basis = basic_commutators(n - 1, w)
-    acc = SquareMatrix.identity_series(n, n, max_deg)
-    for term, m in zip(basis, vector):
-        if m:
-            acc = acc * _commutator_power(term, n, max_deg, m)
-    return acc
+    powers = (_commutator_power(t, n, max_deg, m) for t, m in zip(basis, vector) if m)
+    return reduce(_compose, powers)
 
 
 class _LinearScreen:
@@ -364,13 +364,10 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     retested under integer specializations and, if still unresolved, by
     full exact evaluation, so ``is_identity`` is always an exact statement.
 
-    Through degree min(probe, 2w - 1) the truncated image is read off a
-    linear screen (``_LinearScreen``): each weight-w commutator is I plus
-    terms of degree at least w, so cross terms of the candidate product
-    start at degree 2w and the lower degrees of the product minus I are
-    exactly the integer combination of the commutators' own coefficients.
-    The truncated matrix product to the probe depth runs only when the
-    probe reaches 2w and the screen finds nothing below it.
+    Through degree min(probe, 2w - 1) the truncated image is read off the
+    linear screen (``_LinearScreen``); the product of deviations to the
+    probe depth runs only when the probe reaches 2w and the screen finds
+    nothing below it.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -476,8 +473,9 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     )
 
     probe = max(EXPECTED_FIRST_DIFFERENCE_DEGREE + 2, 8)
-    b1 = _commutator_matrix(c1, n, probe, 1)
-    quotient = b1 * _commutator_matrix(c2, n, probe, -1)
+    quotient = _compose(
+        _commutator_matrix(c1, n, probe, 1), _commutator_matrix(c2, n, probe, -1)
+    )
     first = min(graded_parts(quotient), default=None)
     exact_equal = first is None
 

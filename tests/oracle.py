@@ -5,6 +5,16 @@ from itertools import combinations
 from gassner.laurent import LaurentPoly, SquareMatrix
 
 
+def minus_identity(m: SquareMatrix) -> SquareMatrix:
+    """M - I for a series matrix M, the form the library reads and caches.
+
+    The tests evaluate flat words letter by letter to full matrices M and
+    compare the library's deviations with this.
+    """
+    sample = m.rows[0][0]
+    return m - SquareMatrix.identity_series(m.size, sample.n_vars, sample.max_deg)
+
+
 def laurent_determinant(m: SquareMatrix) -> LaurentPoly:
     """Exact determinant by Laplace expansion with subset memoization.
 

@@ -328,3 +328,36 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "degree probe" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [("rank", "--n", "4", "--weight", "4"), ("search", "--format", "json")],
+        ids=["rank", "search-json"],
+    )
+    def test_closed_pipe_exits_141_without_traceback(self, argv):
+        # the reader of stdout is gone before the child writes, as in
+        # `gassner search --format json | head -1`; exit 1 would claim a
+        # verification mismatch
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gassner.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
+        assert proc.returncode == 141

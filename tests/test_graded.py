@@ -13,6 +13,7 @@ from gassner.graded import (
     GradedClass,
     IntMatrix,
     _commutator_matrix,
+    _compose,
     assemble_phi_matrix,
     bracket,
     graded_parts,
@@ -35,6 +36,7 @@ from gassner.laurent import (
     UsageError,
     series_matrix_inverse,
 )
+from oracle import minus_identity
 
 
 def _dense_bareiss(rows, pivot_cols):
@@ -139,35 +141,39 @@ def series_matrix(entries, n, d):
     )
 
 
+def zero_series_matrix(size, d):
+    return series_matrix([[{}] * size for _ in range(size)], size, d)
+
+
 class TestPi:
     def test_single_off_diagonal_term(self):
-        # I + e[1,2]((t1-1)(t3-1)) at degree 2
-        one, zero = {(0, 0, 0): 1}, {}
-        m = series_matrix(
+        # M = I + e[1,2]((t1-1)(t3-1)) at degree 2; pi reads X = M - I
+        zero = {}
+        x = series_matrix(
             [
-                [one, {(1, 0, 1): 1}, zero],
-                [zero, one, zero],
-                [zero, zero, one],
+                [zero, {(1, 0, 1): 1}, zero],
+                [zero, zero, zero],
+                [zero, zero, zero],
             ],
             3,
             2,
         )
-        cls = pi(m, 2)
+        cls = pi(x, 2)
         assert cls.coords == {((1, 3), 1, 2): 1}
 
     def test_rank_one_perturbation_block(self):
-        # the 2x2 block [[1+q, -q], [q, 1-q]] with q = (t1-1)(t2-1)
+        # the 2x2 block M = [[1+q, -q], [q, 1-q]] with q = (t1-1)(t2-1),
+        # so X = M - I = [[q, -q], [q, -q]]
         q = (1, 1)
-        one, zero = {(0, 0): 1}, {}
-        m = series_matrix(
+        x = series_matrix(
             [
-                [{(0, 0): 1, q: 1}, {q: -1}],
-                [{q: 1}, {(0, 0): 1, q: -1}],
+                [{q: 1}, {q: -1}],
+                [{q: 1}, {q: -1}],
             ],
             2,
             2,
         )
-        cls = pi(m, 2)
+        cls = pi(x, 2)
         assert cls.coords == {
             ((1, 2), 1, 1): 1,
             ((1, 2), 2, 2): -1,
@@ -176,34 +182,39 @@ class TestPi:
         }
 
     def test_identity_gives_empty_class(self):
-        m = SquareMatrix.identity_series(4, 4, 3)
+        # the identity's deviation is the zero matrix
+        x = zero_series_matrix(4, 3)
         for i in (1, 2, 3):
-            assert pi(m, i).is_zero()
+            assert pi(x, i).is_zero()
 
     def test_congruence_violation_names_offender(self):
-        one, zero = {(0, 0): 1}, {}
-        m = series_matrix([[one, {(1, 0): 1}], [zero, one]], 2, 3)
+        # M = I + e[1,2](t1-1) is not I mod J^2
+        zero = {}
+        x = series_matrix([[zero, {(1, 0): 1}], [zero, zero]], 2, 3)
         with pytest.raises(DomainError) as err:
-            pi(m, 2)
+            pi(x, 2)
         assert "(1,2)" in str(err.value)
         assert "degree-1" in str(err.value)
 
     def test_truncation_below_degree_rejected(self):
-        m = SquareMatrix.identity_series(2, 2, 1)
+        x = zero_series_matrix(2, 1)
         with pytest.raises(UsageError):
-            pi(m, 2)
+            pi(x, 2)
 
     def test_independent_of_truncation_depth(self):
         word = parse_word("[x2,x1]", 4)
-        classes = [pi(evaluate_truncated(word, d), 2) for d in (2, 3, 4, 5)]
+        classes = [
+            pi(minus_identity(evaluate_truncated(word, d)), 2) for d in (2, 3, 4, 5)
+        ]
         assert all(c == classes[0] for c in classes)
 
 
 @st.composite
 def near_identity_series_matrices(draw):
-    """Series matrices I + N with every term of N in degrees 1..max_deg.
+    """Deviations N = M - I of series matrices M = I + N near the identity.
 
-    As for Gassner images, the variable count equals the size.
+    Every term of N lies in degrees 1..max_deg.  As for Gassner images, the
+    variable count equals the size.
     """
     size = n_vars = draw(st.integers(1, 3))
     max_deg = draw(st.integers(1, 4))
@@ -217,8 +228,6 @@ def near_identity_series_matrices(draw):
         ]
         for _ in range(size)
     ]
-    for k in range(size):
-        entries[k][k][(0,) * n_vars] = 1
     return series_matrix(entries, n_vars, max_deg)
 
 
@@ -234,7 +243,7 @@ class TestGradedParts:
             for (row, col, exps), c in part.items():
                 assert sum(exps) == degree and c != 0
                 rebuilt[row][col][exps] = c
-        assert series_matrix(rebuilt, n_vars, max_deg) == m - m.identity_like()
+        assert series_matrix(rebuilt, n_vars, max_deg) == m
 
         for i in range(1, max_deg + 1):
             if min(parts, default=i) >= i:
@@ -249,7 +258,7 @@ class TestGradedParts:
                     pi(m, i)
 
     def test_identity_has_no_parts(self):
-        assert graded_parts(SquareMatrix.identity_series(3, 3, 4)) == {}
+        assert graded_parts(zero_series_matrix(3, 4)) == {}
 
 
 class TestPhi:
@@ -289,7 +298,7 @@ class TestPhi:
             basis = basic_commutators(3, w)
             c1, c2 = rng.choice(basis), rng.choice(basis)
             word = commutator_to_word(c1, 4) * commutator_to_word(c2, 4)
-            cls = pi(evaluate_truncated(word, w), w)
+            cls = pi(minus_identity(evaluate_truncated(word, w)), w)
             assert cls == phi(c1, 4) + phi(c2, 4)
 
     def test_inversion_negates(self):
@@ -298,7 +307,7 @@ class TestPhi:
             w = rng.choice((2, 3, 4))
             c = rng.choice(basic_commutators(3, w))
             word = commutator_to_word(c, 4).inverse()
-            cls = pi(evaluate_truncated(word, w), w)
+            cls = pi(minus_identity(evaluate_truncated(word, w)), w)
             assert cls == -phi(c, 4)
 
     def test_trace_zero_above_weight_one(self):
@@ -326,7 +335,7 @@ class TestPhi:
                 * commutator_to_word(a, 4).inverse()
                 * commutator_to_word(b, 4).inverse()
             )
-            cls = pi(evaluate_truncated(word, wa + wb), wa + wb)
+            cls = pi(minus_identity(evaluate_truncated(word, wa + wb)), wa + wb)
             assert cls == bracket(phi(a, 4), phi(b, 4))
 
     def test_filtration_products_stay_congruent(self):
@@ -339,35 +348,40 @@ class TestPhi:
                 word = word * commutator_to_word(
                     rng.choice(basic_commutators(3, w)), 4
                 )
-            m = evaluate_truncated(word, w)
-            pi(m, w)  # raises DomainError if a lower degree survives
+            x = minus_identity(evaluate_truncated(word, w))
+            pi(x, w)  # raises DomainError if a lower degree survives
 
     @pytest.mark.parametrize("n, w", [(4, 5), (5, 4)])
     def test_phi_matches_flat_word_congruence(self, n, w):
-        # the recursion returns I below a term's weight without computing
-        # there, so the flat word keeps pi's congruence check independent:
-        # every weight-w commutator word lands in the w-th congruence
-        # subgroup
+        # the recursion returns zero below a term's weight without
+        # computing there, so the flat word keeps pi's congruence check
+        # independent: every weight-w commutator word lands in the w-th
+        # congruence subgroup
         for term in basic_commutators(n - 1, w):
             word = commutator_to_word(term, n)
-            assert phi(term, n) == pi(evaluate_truncated(word, w), w)
+            assert phi(term, n) == pi(minus_identity(evaluate_truncated(word, w)), w)
 
 
 class TestSignedImages:
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_inverse_image_matches_series_inverse_and_inverse_word(self, w):
-        # both signed images against the flat word and its inverse, below,
-        # at and past the weight, and the sign -1 image against the
-        # geometric-series inverse of the sign 1 image
+        # both signed deviations against the flat word and its inverse
+        # minus I, below, at and past the weight; the sign -1 deviation
+        # against the geometric-series inverse of the flat word minus I;
+        # and the two composed to zero
         for term in basic_commutators(3, w):
             word = commutator_to_word(term, 4)
             for depth in sorted({0, 1, w - 1, w, w + 1, w + 2, 2 * w - 1}):
                 image = _commutator_matrix(term, 4, depth, 1)
                 inverse = _commutator_matrix(term, 4, depth, -1)
-                assert image == evaluate_truncated(word, depth)
-                assert inverse == evaluate_truncated(word.inverse(), depth)
-                assert inverse == series_matrix_inverse(image)
-                assert (image * inverse).is_identity()
+                flat = evaluate_truncated(word, depth)
+                assert image == minus_identity(flat)
+                assert inverse == minus_identity(
+                    evaluate_truncated(word.inverse(), depth)
+                )
+                assert inverse == minus_identity(series_matrix_inverse(flat))
+                assert _compose(image, inverse).is_zero()
+                assert _compose(inverse, image).is_zero()
 
     def test_requests_never_exceed_term_weight(self, monkeypatch):
         # phi needs a weight-w image only through degree w, so no request

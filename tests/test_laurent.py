@@ -12,6 +12,7 @@ from gassner.laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    identity_rows,
     retruncate,
     series_matrix_inverse,
     specialize,
@@ -210,9 +211,21 @@ class TestMatrices:
         with pytest.raises(DomainError):
             series_matrix_inverse(m)
 
+    def test_identity_rows_over_both_rings(self):
+        # one grid builder serves the generators, both evaluators and the
+        # series identity; its rows are fresh lists the caller may fill
+        for one in (LaurentPoly.one(2), TruncatedSeries.one(2, 3)):
+            rows = identity_rows(3, one)
+            assert SquareMatrix(rows).is_identity()
+            rows[0][1] = one
+            assert SquareMatrix(identity_rows(3, one)).is_identity()
+        assert SquareMatrix.identity_series(3, 2, 3) == SquareMatrix(
+            identity_rows(3, TruncatedSeries.one(2, 3))
+        )
+
     def test_determinant_of_identity(self):
         for n in (1, 2, 3, 4):
-            m = SquareMatrix.identity_laurent(n, 2)
+            m = SquareMatrix(identity_rows(n, LaurentPoly.one(2)))
             assert laurent_determinant(m).is_one()
 
     def test_determinant_against_sympy(self):

@@ -7,6 +7,7 @@ import pytest
 from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
 from gassner.graded import graded_parts, integer_rank, kernel_report, phi, pi
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
+from gassner.laurent import SquareMatrix
 from gassner.search import (
     BREAKDOWN_COMMUTATORS,
     BREAKDOWN_WORD_TEXTS,
@@ -21,6 +22,7 @@ from gassner.search import (
     run_search,
     vector_to_word,
 )
+from oracle import minus_identity
 
 
 def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
@@ -33,7 +35,8 @@ def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
     to the probe depth falls through to full exact evaluation.
     """
     for depth in range(1, cfg.degree_probe + 1):
-        first = min(graded_parts(evaluate_truncated(word, depth)), default=None)
+        x = minus_identity(evaluate_truncated(word, depth))
+        first = min(graded_parts(x), default=None)
         if first is not None:
             return CandidateResult((), len(word), False, first)
     return CandidateResult((), len(word), evaluate_exact(word).is_identity(), None)
@@ -180,7 +183,7 @@ class TestDriverConsistency:
         # its verdict at a probe p <= 10 is the same with a first degree
         # above p read as None, while probing only to 5 would send these
         # words to exact evaluation, which takes minutes.  The driver's
-        # cached-product route also equals the flat word evaluation.
+        # composed deviations also equal the flat word evaluation minus I.
         from gassner.search import _candidate_matrix
 
         cfg = SearchConfig(
@@ -191,7 +194,7 @@ class TestDriverConsistency:
         for vec in kernel_candidates(cfg, kernel5.kernel):
             word = vector_to_word(vec, 4, 5)
             product = _candidate_matrix(vec, 4, 5, 6)
-            assert product == evaluate_truncated(word, 6)
+            assert product == minus_identity(evaluate_truncated(word, 6))
             verdict = check_candidate(word, SearchConfig(degree_probe=10))
             first = verdict.first_nonvanishing_degree
             labeled = tuple(
@@ -206,40 +209,49 @@ class TestDriverConsistency:
 class TestCommutatorPower:
     @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
     def test_power_matches_word_power(self, m):
-        # negative powers multiply the sign -1 image; the flat word power
-        # is the independent route
+        # negative powers compose the sign -1 deviation; the flat word
+        # power minus I is the independent route
         for w in (1, 2, 3):
             for term in basic_commutators(3, w):
                 word = commutator_to_word(term, 4) ** m
-                assert _commutator_power(term, 4, 6, m) == evaluate_truncated(
-                    word, 6
+                assert _commutator_power(term, 4, 6, m) == minus_identity(
+                    evaluate_truncated(word, 6)
                 )
 
 
 class TestNoSeriesInverse:
-    def test_runtime_paths_never_invert_a_series_matrix(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "refused", ["series_matrix_inverse", "SquareMatrix.identity_series"]
+    )
+    def test_runtime_paths_never_invert_a_series_matrix(self, monkeypatch, refused):
         # every runtime inverse comes from [a, b]^-1 = [b, a] over
-        # closed-form letters; caches are cleared so nothing computed
-        # earlier hides a call
+        # closed-form letters, and images are carried as M - I, so no
+        # runtime path builds a series identity either.  Probe 10 runs the
+        # product fallback and probe 5 the specialization ladder; caches are
+        # cleared so nothing computed earlier hides a call
         import sys
 
         from gassner.graded import _commutator_matrix
 
-        def refuse(m):
-            raise AssertionError("series_matrix_inverse called at runtime")
+        def refuse(*args):
+            raise AssertionError(f"{refused} called at runtime")
 
-        for name, module in list(sys.modules.items()):
-            if name == "gassner" or name.startswith("gassner."):
-                if hasattr(module, "series_matrix_inverse"):
-                    monkeypatch.setattr(module, "series_matrix_inverse", refuse)
+        if refused == "SquareMatrix.identity_series":
+            monkeypatch.setattr(SquareMatrix, "identity_series", refuse)
+        else:
+            for name, module in list(sys.modules.items()):
+                if name == "gassner" or name.startswith("gassner."):
+                    if hasattr(module, refused):
+                        monkeypatch.setattr(module, refused, refuse)
         _commutator_matrix.cache_clear()
         _commutator_power.cache_clear()
 
         report = kernel_report(4, 5)
         breakdown_regression()
         run_search(SearchConfig(budget=3, degree_probe=10))
+        run_search(SearchConfig(budget=3, degree_probe=5))
         vector = next(v for v in report.kernel if min(v) < 0)
-        assert not _candidate_matrix(vector, 4, 5, 6).is_identity()
+        assert not _candidate_matrix(vector, 4, 5, 6).is_zero()
 
 
 class TestSpecialization:
@@ -309,8 +321,8 @@ class TestSearch:
         vectors = list(kernel_candidates(cfg, kernel5.kernel))
         for vec in rng.sample(vectors, 2):
             word = vector_to_word(vec, 4, 5)
-            m = evaluate_truncated(word, 5)
-            cls = pi(m, 5)  # DomainError if degrees below 5 survive
+            x = minus_identity(evaluate_truncated(word, 5))
+            cls = pi(x, 5)  # DomainError if degrees below 5 survive
             assert cls.is_zero()
 
     def test_run_search_small(self):
