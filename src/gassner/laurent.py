@@ -404,7 +404,15 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        self._check_compat(other)
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = out.get(key, 0) - coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return _raw_series(self.n_vars, self.max_deg, out)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compat(other)

@@ -11,9 +11,11 @@ weight-w basic commutator g_i is congruent to I modulo the w-th power of
 the ideal J = (t_1 - 1, ..., t_n - 1), so below degree 2w the image of
 prod g_i^{m_i} minus I equals the integer combination sum m_i (g_i - I):
 every cross term of the product has degree at least 2w.  Below that degree
-a candidate therefore costs one integer combination of cached
-per-commutator coefficient maps; truncated matrix products run only when
-the probe reaches degree 2w and the combination vanishes below it.  A
+a candidate sum c_k K_k of kernel basis vectors therefore costs one integer
+combination of its at most ``support_bound`` kernel columns
+K_d[k] = sum_i K_k[i] (g_i - I)_d, each built once per degree d, and only
+when some candidate first reaches d; truncated matrix products run only
+when the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Truncated images are deviations X = M - I
 (``graded._commutator_matrix``); products compose them (``graded._compose``)
@@ -43,6 +45,7 @@ from typing import Iterator
 from .braid import BraidWord, _letter_matrix, evaluate_exact
 from .graded import (
     GradedClass,
+    Part,
     _commutator_matrix,
     _compose,
     _primitive,
@@ -113,11 +116,22 @@ def kernel_candidates(
     their normalization appears earlier.  Enumeration order is by support
     size, then support positions, then coefficient tuples, so identical
     configurations yield identical streams.  The budget caps the count.
+    It maps ``_combine`` over ``_kernel_combinations``, the enumeration
+    ``run_search`` walks.
     """
-    if not kernel_basis:
-        return
+    for combination in _kernel_combinations(cfg, len(kernel_basis)):
+        yield _combine(combination, kernel_basis)
+
+
+def _kernel_combinations(
+    cfg: SearchConfig, dim: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The candidates of ``kernel_candidates`` as ((k, c_k), ...) pairs.
+
+    Each pair is a kernel-basis index and its coefficient, indices
+    increasing; the budget counts the combinations that are yielded.
+    """
     emitted = 0
-    dim = len(kernel_basis)
     for size in range(1, min(cfg.support_bound, dim) + 1):
         for support in combinations(range(dim), size):
             for coeffs in _coefficient_tuples(size, cfg.coeff_bound):
@@ -125,13 +139,20 @@ def kernel_candidates(
                     return
                 if gcd(*coeffs) != 1:
                     continue
-                vector = [0] * len(kernel_basis[0])
-                for index, c in zip(support, coeffs):
-                    basis_vec = kernel_basis[index]
-                    for k, v in enumerate(basis_vec):
-                        vector[k] += c * v
-                yield _primitive(vector)
+                yield tuple(zip(support, coeffs))
                 emitted += 1
+
+
+def _combine(
+    combination: tuple[tuple[int, int], ...], kernel_basis: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The primitive basis-coordinate vector of sum c_k K_k."""
+    vector = [0] * len(kernel_basis[0])
+    for index, c in combination:
+        for k, v in enumerate(kernel_basis[index]):
+            if v:
+                vector[k] += c * v
+    return _primitive(vector)
 
 
 def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -189,42 +210,69 @@ def _candidate_matrix(
 
 
 class _LinearScreen:
-    """First nonvanishing degree of weight-w candidates through ``depth``.
+    """First nonvanishing degree of kernel combinations through ``depth``.
 
     Requires depth <= 2w - 1.  Each weight-w basic commutator g_i is
     congruent to I modulo J^w, so in every degree d <= 2w - 1 the part of
     prod g_i^{m_i} - I is sum m_i (g_i - I)_d: every other term of the
     expanded product, including those of g_i^m beyond m (g_i - I), has
-    degree at least 2w.  Per commutator the screen keeps the integer
-    coefficients of g_i - I in degrees w..depth, built from its truncated
-    image the first time a candidate uses it.
+    degree at least 2w.
+
+    The screen works in kernel coordinates.  For kernel basis vector K_k
+    and degree d it caches the integer map K_d[k] = sum_i K_k[i] (g_i - I)_d,
+    so a candidate sum c_k K_k costs one combination of at most
+    ``support_bound`` of these columns in each degree, not one per basic
+    commutator in its support.  The vector ``run_search`` tests is that
+    sum divided by its content, up to sign; a nonzero scalar changes no
+    vanishing pattern, so the first nonvanishing degree is the same.
+
+    Degrees are built on demand: the first candidate to reach degree d
+    reads (g_i - I)_d, for each i a kernel column needs, from the image
+    truncated at d.  Truncation at d is a ring homomorphism, so that part
+    equals the degree-d part of the image at any greater depth.
     """
 
-    def __init__(self, basis, n: int, w: int, depth: int):
-        self.basis, self.n, self.w, self.depth = basis, n, w, depth
-        self._columns: dict[int, list[dict[tuple, int]]] = {}
+    def __init__(
+        self, basis, kernel: list[tuple[int, ...]], n: int, w: int, depth: int
+    ):
+        self.basis, self.kernel = basis, kernel
+        self.n, self.w, self.depth = n, w, depth
+        self._parts: dict[tuple[int, int], Part] = {}
+        self._columns: dict[tuple[int, int], Part] = {}
 
-    def _column(self, index: int) -> list[dict[tuple, int]]:
-        column = self._columns.get(index)
+    def _part(self, index: int, d: int) -> Part:
+        """(g_index - I)_d, read from the image truncated at degree d."""
+        part = self._parts.get((index, d))
+        if part is None:
+            image = _commutator_matrix(self.basis[index], self.n, d, 1)
+            part = congruent_parts(image, self.w).get(d, {})
+            self._parts[(index, d)] = part
+        return part
+
+    def _column(self, k: int, d: int) -> Part:
+        """K_d[k] = sum_i K_k[i] (g_i - I)_d, without zero entries."""
+        column = self._columns.get((k, d))
         if column is None:
-            parts = congruent_parts(
-                _commutator_matrix(self.basis[index], self.n, self.depth, 1),
-                self.w,
-            )
-            column = [parts.get(d, {}) for d in range(self.w, self.depth + 1)]
-            self._columns[index] = column
+            acc: Part = {}
+            for index, m in enumerate(self.kernel[k]):
+                if m:
+                    for key, c in self._part(index, d).items():
+                        acc[key] = acc.get(key, 0) + m * c
+            column = {key: c for key, c in acc.items() if c}
+            self._columns[(k, d)] = column
         return column
 
-    def first_nonvanishing_degree(self, vector: tuple[int, ...]) -> int | None:
-        """Smallest degree <= depth where the candidate's image differs from I."""
-        support = [(self._column(k), m) for k, m in enumerate(vector) if m]
-        for offset in range(self.depth - self.w + 1):
-            acc: dict[tuple, int] = {}
-            for column, m in support:
-                for key, c in column[offset].items():
-                    acc[key] = acc.get(key, 0) + m * c
+    def first_nonvanishing_degree(
+        self, combination: tuple[tuple[int, int], ...]
+    ) -> int | None:
+        """Smallest degree <= depth where sum c_k K_k maps off the identity."""
+        for d in range(self.w, self.depth + 1):
+            acc: Part = {}
+            for k, c in combination:
+                for key, v in self._column(k, d).items():
+                    acc[key] = acc.get(key, 0) + c * v
             if any(acc.values()):
-                return self.w + offset
+                return d
         return None
 
 
@@ -314,8 +362,10 @@ def _specialized_candidate_is_identity(
     return True
 
 
-def _labeled(vector: tuple[int, ...], basis) -> tuple[tuple[str, int], ...]:
-    return tuple((str(t), m) for t, m in zip(basis, vector) if m)
+def _labeled(
+    vector: tuple[int, ...], labels: list[str]
+) -> tuple[tuple[str, int], ...]:
+    return tuple((label, m) for label, m in zip(labels, vector) if m)
 
 
 @dataclass
@@ -364,10 +414,14 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     retested under integer specializations and, if still unresolved, by
     full exact evaluation, so ``is_identity`` is always an exact statement.
 
-    Through degree min(probe, 2w - 1) the truncated image is read off the
-    linear screen (``_LinearScreen``); the product of deviations to the
-    probe depth runs only when the probe reaches 2w and the screen finds
-    nothing below it.
+    Candidates are walked once, as kernel combinations ((k, c_k), ...)
+    (``_kernel_combinations``, the enumeration behind ``kernel_candidates``).
+    Through degree min(probe, 2w - 1) each combination is read off the
+    linear screen (``_LinearScreen``) in kernel coordinates, building a
+    degree's columns only when a candidate reaches it; the product of
+    deviations to the probe depth runs only when the probe reaches 2w and
+    the screen finds nothing below it.  Labels come from one list of basis
+    texts per run.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -379,10 +433,14 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
             "there are no kernel directions to search"
         )
         return result
+    labels = [str(t) for t in basis]
     word_lengths = [len(commutator_to_word(t, n)) for t in basis]
-    screen = _LinearScreen(basis, n, w, min(cfg.degree_probe, 2 * w - 1))
-    for vector in kernel_candidates(cfg, report.kernel):
-        first = screen.first_nonvanishing_degree(vector)
+    screen = _LinearScreen(
+        basis, report.kernel, n, w, min(cfg.degree_probe, 2 * w - 1)
+    )
+    for combination in _kernel_combinations(cfg, len(report.kernel)):
+        vector = _combine(combination, report.kernel)
+        first = screen.first_nonvanishing_degree(combination)
         if first is None and cfg.degree_probe > screen.depth:
             matrix = _candidate_matrix(vector, n, w, cfg.degree_probe)
             first = min(graded_parts(matrix), default=None)
@@ -397,7 +455,7 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
             abs(m) * word_lengths[k] for k, m in enumerate(vector) if m
         )
         outcome = CandidateResult(
-            coefficients=_labeled(vector, basis),
+            coefficients=_labeled(vector, labels),
             word_length=length,
             is_identity=is_identity,
             first_nonvanishing_degree=first,

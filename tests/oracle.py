@@ -1,7 +1,9 @@
 """Independent exact routes that the tests check the library against."""
 
+from functools import lru_cache
 from itertools import combinations
 
+from gassner.graded import _commutator_matrix, congruent_parts
 from gassner.laurent import LaurentPoly, SquareMatrix
 
 
@@ -39,3 +41,27 @@ def laurent_determinant(m: SquareMatrix) -> LaurentPoly:
             new[cols] = acc
         minors = new
     return minors[tuple(range(n))]
+
+
+@lru_cache(maxsize=None)
+def _image_parts(term, n: int, w: int, depth: int):
+    return congruent_parts(_commutator_matrix(term, n, depth, 1), w)
+
+
+def per_commutator_first_degree(vector, basis, n: int, w: int, depth: int):
+    """First degree d in w..depth where sum m_i (g_i - I)_d is nonzero.
+
+    The screen ``run_search`` used before it worked in kernel coordinates:
+    every basic commutator in the vector's support is read from its image
+    truncated at ``depth`` (at most 2w - 1), and the multiplicities m_i
+    combine those parts degree by degree.  None if all of them vanish.
+    """
+    support = [(_image_parts(t, n, w, depth), m) for t, m in zip(basis, vector) if m]
+    for d in range(w, depth + 1):
+        acc = {}
+        for parts, m in support:
+            for key, c in parts.get(d, {}).items():
+                acc[key] = acc.get(key, 0) + m * c
+        if any(acc.values()):
+            return d
+    return None

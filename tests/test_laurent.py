@@ -90,6 +90,16 @@ class TestRingLaws:
         assert TruncatedSeries.from_laurent(a * b, d) == fa * fb
         assert TruncatedSeries.from_laurent(a + b, d) == fa + fb
 
+    @settings(max_examples=100, deadline=None)
+    @given(_small_polys, _small_polys, st.integers(0, 6))
+    def test_series_subtraction_matches_negated_sum(self, a, b, d):
+        # subtraction runs its own loop; a + (-b) and the Laurent
+        # difference converted are the independent routes
+        fa, fb = TruncatedSeries.from_laurent(a, d), TruncatedSeries.from_laurent(b, d)
+        assert fa - fb == fa + (-fb)
+        assert fa - fb == TruncatedSeries.from_laurent(a - b, d)
+        assert (fa - fa).is_zero()
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
@@ -181,6 +191,8 @@ class TestSeries:
     def test_mismatched_truncation_rejected(self):
         with pytest.raises(UsageError):
             TruncatedSeries.one(2, 2) + TruncatedSeries.one(2, 3)
+        with pytest.raises(UsageError):
+            TruncatedSeries.one(2, 2) - TruncatedSeries.one(2, 3)
 
     def test_term_exceeding_degree_rejected(self):
         with pytest.raises(UsageError):

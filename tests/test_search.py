@@ -16,13 +16,16 @@ from gassner.search import (
     SearchConfig,
     _candidate_matrix,
     _coefficient_tuples,
+    _combine,
     _commutator_power,
+    _kernel_combinations,
+    _LinearScreen,
     breakdown_regression,
     kernel_candidates,
     run_search,
     vector_to_word,
 )
-from oracle import minus_identity
+from oracle import minus_identity, per_commutator_first_degree
 
 
 def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
@@ -204,6 +207,75 @@ class TestDriverConsistency:
             assert by_coeffs[labeled].first_nonvanishing_degree == (
                 first if first is not None and first <= probe else None
             )
+
+
+class TestKernelScreen:
+    @pytest.mark.parametrize(
+        "n, w, budget, product_stride",
+        [(4, 5, 10_000, 1), (5, 5, 200, 10), (4, 6, 200, 10)],
+        ids=["4-5-all", "5-5-first200", "4-6-first200"],
+    )
+    def test_first_degree_matches_per_commutator_screen_and_product(
+        self, n, w, budget, product_stride
+    ):
+        # the kernel-coordinate screen, run to 2w - 1 with each degree read
+        # at its own depth, against two routes at depth 2w - 1: the
+        # per-commutator combination sum m_i (g_i - I)_d of the emitted
+        # vector, and the composed product of its powers.  Every candidate
+        # is decided at w + 1.  The product route costs 0.06 s a candidate
+        # at (5,5) and 0.2-0.4 s at (4,6) (2-core Xeon), so at those sizes
+        # it checks every tenth one
+        report = kernel_report(n, w)
+        depth = 2 * w - 1
+        screen = _LinearScreen(report.row_labels, report.kernel, n, w, depth)
+        cfg = SearchConfig(n=n, weight=w, budget=budget)
+        combinations = list(_kernel_combinations(cfg, len(report.kernel)))
+        assert len(combinations) == (152 if (n, w) == (4, 5) else budget)
+        for index, combination in enumerate(combinations):
+            vector = _combine(combination, report.kernel)
+            first = screen.first_nonvanishing_degree(combination)
+            assert first == w + 1
+            assert first == per_commutator_first_degree(
+                vector, report.row_labels, n, w, depth
+            )
+            if index % product_stride == 0:
+                product = _candidate_matrix(vector, n, w, depth)
+                assert first == min(graded_parts(product), default=None)
+
+    def test_default_search_builds_no_image_past_degree_six(self, monkeypatch):
+        # every default candidate is decided at degree 6, so the screen
+        # never reads degrees 7 or 8 although the probe is 8
+        import gassner.search as search
+
+        depths = []
+        original = search._commutator_matrix
+
+        def recording(term, n, max_deg, sign):
+            depths.append(max_deg)
+            return original(term, n, max_deg, sign)
+
+        monkeypatch.setattr(search, "_commutator_matrix", recording)
+        report = run_search(SearchConfig())
+        assert len(report.candidates) == 152
+        assert max(depths) == 6
+
+    @pytest.mark.parametrize(
+        "coeff_bound, budget", [(2, 5), (2, 17), (2, 100), (3, 60)]
+    )
+    def test_reported_labels_follow_kernel_candidates(
+        self, kernel5, coeff_bound, budget
+    ):
+        # budgets cut inside a support size: with coefficient bound 2 there
+        # are 4 one-vector, 36 two-vector and 112 three-vector candidates
+        cfg = SearchConfig(coeff_bound=coeff_bound, budget=budget)
+        labels = [str(t) for t in kernel5.row_labels]
+        expected = [
+            tuple((labels[i], m) for i, m in enumerate(vector) if m)
+            for vector in kernel_candidates(cfg, kernel5.kernel)
+        ]
+        got = [r.coefficients for r in run_search(cfg).candidates]
+        assert len(got) == budget
+        assert got == expected
 
 
 class TestCommutatorPower:
