@@ -32,9 +32,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .laurent import (
+    _check_max_deg,
     LaurentPoly,
     SquareMatrix,
     TruncatedSeries,
@@ -44,11 +46,30 @@ from .laurent import (
 )
 
 MAX_STRANDS = 64
+MAX_SERIES_COEFFICIENTS = 10**6
 
 
 def _check_strands(n: int) -> None:
     if n > MAX_STRANDS:
         raise UsageError(f"strand count {n} exceeds the cap of {MAX_STRANDS}")
+
+
+def check_series_budget(n: int, max_deg: int) -> None:
+    """Reject an n x n series matrix at ``max_deg`` that may hold too much.
+
+    Each entry has at most C(max_deg + n, n) terms, one per monomial of
+    degree at most max_deg in n variables; the bound n^2 C(max_deg + n, n)
+    must not exceed MAX_SERIES_COEFFICIENTS.  Checked before any series is
+    built.
+    """
+    _check_max_deg(max_deg)
+    size = n * n * comb(max_deg + n, n)
+    if size > MAX_SERIES_COEFFICIENTS:
+        raise UsageError(
+            f"a {n}x{n} series matrix truncated at degree {max_deg} may hold "
+            f"{size} coefficients, more than the budget of "
+            f"{MAX_SERIES_COEFFICIENTS}"
+        )
 
 
 class BraidLetter(NamedTuple):
@@ -63,6 +84,13 @@ class BraidLetter(NamedTuple):
 def _invert(letters: tuple[BraidLetter, ...]) -> tuple[BraidLetter, ...]:
     """The letters of the inverse word: reversed, each exponent negated."""
     return tuple(l.inverse() for l in reversed(letters))
+
+
+def bracket_letters(
+    a: tuple[BraidLetter, ...], b: tuple[BraidLetter, ...]
+) -> tuple[BraidLetter, ...]:
+    """The letters of [a, b] = a b a^-1 b^-1."""
+    return a + b + _invert(a) + _invert(b)
 
 
 def _check_letter(letter: BraidLetter, n: int) -> None:
@@ -284,12 +312,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _WordParser:
-    def __init__(self, tokens: list[tuple[str, object, int]], n: int, length: int):
-        self.tokens = tokens
-        self.n = n
+class _Tokens:
+    """Token cursor with the bracket depth cap, shared by ``parse_word``
+    and ``hall.parse_commutator``."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.length = len(text)
         self.i = 0
-        self.length = length
         self.depth = 0
 
     def peek(self) -> str | None:
@@ -297,6 +327,43 @@ class _WordParser:
 
     def pos(self) -> int:
         return self.tokens[self.i][2] if self.i < len(self.tokens) else self.length
+
+    def take(self) -> tuple[object, int]:
+        _, value, pos = self.tokens[self.i]
+        self.i += 1
+        return value, pos
+
+    def expect(self, kind: str, message: str) -> None:
+        if self.peek() != kind:
+            raise WordSyntaxError(message, self.pos())
+        self.i += 1
+
+    def bracket(self, parse):
+        """Sides of "[" left "," right "]", each read by ``parse``, and the
+        position of the "["."""
+        pos = self.pos()
+        if self.depth == MAX_BRACKET_DEPTH:
+            raise WordSyntaxError(
+                f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos
+            )
+        self.depth += 1
+        self.i += 1
+        left = parse()
+        self.expect("comma", "expected ',' in bracket")
+        right = parse()
+        self.expect("close", "expected ']'")
+        self.depth -= 1
+        return left, right, pos
+
+    def finish(self) -> None:
+        if self.i != len(self.tokens):
+            raise WordSyntaxError("trailing input", self.pos())
+
+
+class _WordParser(_Tokens):
+    def __init__(self, text: str, n: int):
+        super().__init__(text)
+        self.n = n
 
     def parse_word(self) -> tuple[BraidLetter, ...]:
         letters: list[BraidLetter] = []
@@ -310,49 +377,30 @@ class _WordParser:
     def parse_term(self) -> tuple[BraidLetter, ...]:
         atom = self.parse_atom()
         if self.peek() == "caret":
-            _, exp, pos = self.tokens[self.i]
-            self.i += 1
+            exp, pos = self.take()
             return _power(atom, exp, pos)
         return atom
 
     def parse_atom(self) -> tuple[BraidLetter, ...]:
         kind = self.peek()
         if kind == "letter":
-            _, (r, s), pos = self.tokens[self.i]
-            self.i += 1
-            letter = BraidLetter(r, s, 1)
+            (r, s), pos = self.take()
             if not (1 <= r < s <= self.n):
                 raise WordSyntaxError(
                     f"A({r},{s}) violates 1 <= r < s <= {self.n}", pos
                 )
-            return (letter,)
+            return (BraidLetter(r, s, 1),)
         if kind == "alias":
-            _, j, pos = self.tokens[self.i]
-            self.i += 1
+            j, pos = self.take()
             if not (1 <= j <= self.n - 1):
                 raise WordSyntaxError(
                     f"x{j} out of range 1..{self.n - 1}", pos
                 )
             return (BraidLetter(j, self.n, 1),)
         if kind == "open":
-            pos = self.pos()
-            if self.depth == MAX_BRACKET_DEPTH:
-                raise WordSyntaxError(
-                    f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos
-                )
-            self.depth += 1
-            self.i += 1
-            left = self.parse_word()
-            if self.peek() != "comma":
-                raise WordSyntaxError("expected ',' in bracket", self.pos())
-            self.i += 1
-            right = self.parse_word()
-            if self.peek() != "close":
-                raise WordSyntaxError("expected ']'", self.pos())
-            self.i += 1
-            self.depth -= 1
+            left, right, pos = self.bracket(self.parse_word)
             _check_length(2 * (len(left) + len(right)), pos)
-            return left + right + _invert(left) + _invert(right)
+            return bracket_letters(left, right)
         raise WordSyntaxError("expected a letter, alias, or bracket", self.pos())
 
 
@@ -377,8 +425,7 @@ def parse_word(text: str, n: int) -> BraidWord:
     if n < 2:
         raise UsageError("strand count must be at least 2")
     _check_strands(n)
-    parser = _WordParser(_tokenize(text), n, len(text))
+    parser = _WordParser(text, n)
     letters = parser.parse_word()
-    if parser.i != len(parser.tokens):
-        raise WordSyntaxError("trailing input", parser.pos())
+    parser.finish()
     return BraidWord(n, letters)

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .braid import _letter_matrix, _letter_matrix_truncated, evaluate_exact, evaluate_truncated, parse_word
+from .braid import _letter_matrix, _letter_matrix_truncated, check_series_budget, evaluate_exact, evaluate_truncated, parse_word
 from .graded import kernel_report, sfold_property_check, verify_tables
 from .laurent import DomainError, UsageError
 from .search import SearchConfig, breakdown_regression, RegressionError, run_search
@@ -97,9 +97,9 @@ def _print_matrix(matrix, fmt: str) -> None:
 
 def _cmd_gen(args) -> int:
     letter = (args.n, args.r, args.s, -1 if args.inverse else 1)
-    if args.truncate is None:
-        matrix = _letter_matrix(*letter)
-    else:
+    matrix = _letter_matrix(*letter)
+    if args.truncate is not None:
+        check_series_budget(args.n, args.truncate)
         matrix = _letter_matrix_truncated(*letter, args.truncate)
     _print_matrix(matrix, args.format)
     return 0
@@ -108,6 +108,7 @@ def _cmd_gen(args) -> int:
 def _cmd_eval(args) -> int:
     word = parse_word(args.word, args.n)
     if args.truncate is not None:
+        check_series_budget(args.n, args.truncate)
         matrix = evaluate_truncated(word, args.truncate)
     else:
         matrix = evaluate_exact(word)

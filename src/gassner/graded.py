@@ -32,6 +32,7 @@ from .braid import _letter_matrix_truncated
 from .hall import (
     CommutatorTerm,
     basic_commutators,
+    check_basis_size,
     check_leaves,
     is_left_normed,
     leaf_sequence,
@@ -154,8 +155,7 @@ def graded_parts(x: SquareMatrix) -> dict[int, Part]:
 
     Keyed by degree; each part maps (row, col, exponents), with 0-based row
     and column, to a nonzero coefficient.  Degrees without a nonzero
-    coefficient are absent, so ``min(graded_parts(x), default=None)`` is
-    the first degree where M differs from the identity.
+    coefficient are absent.
     """
     parts: dict[int, Part] = {}
     for row, entries in enumerate(x.rows):
@@ -163,6 +163,11 @@ def graded_parts(x: SquareMatrix) -> dict[int, Part]:
             for exps, coeff in e.terms().items():
                 parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
     return parts
+
+
+def first_degree(x: SquareMatrix) -> int | None:
+    """First degree where M = I + X differs from I; None where it does not."""
+    return min(graded_parts(x), default=None)
 
 
 def congruent_parts(x: SquareMatrix, i: int) -> dict[int, Part]:
@@ -481,6 +486,7 @@ class KernelReport:
 
 
 def kernel_report(n: int, w: int) -> KernelReport:
+    check_basis_size(n - 1, w)
     matrix = assemble_phi_matrix(n, w)
     kernel = integer_kernel(matrix)
     return KernelReport(
@@ -675,6 +681,7 @@ class SFoldReport:
 def sfold_property_check(n: int, s: int) -> SFoldReport:
     if s < 3:
         raise UsageError("the left-normed law is checked for weights >= 3")
+    check_basis_size(n - 1, s)
     basis = basic_commutators(n - 1, s)
     failures_a: list[str] = []
     failures_b: list[str] = []

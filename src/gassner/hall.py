@@ -13,19 +13,25 @@ compares weight first and then the left and right components recursively,
 with generators ordered x_m > ... > x_1; this reproduces the usual ordering
 of weights one and two.  Bases are returned as ascending sequences (least
 element first) and generation is deterministic.
+
+Commutator text c := "x" int | "[" c "," c "]" is a sub-grammar of the
+braid word grammar and is read from the same tokens under the same bracket
+depth cap, with the same positioned errors.  A term on n strands expands
+to a word as the word grammar expands brackets: x_j is the letter A(j, n)
+and [a, b] is a b a^-1 b^-1 (``braid.bracket_letters``).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braid import MAX_BRACKET_DEPTH, BraidLetter, BraidWord, _invert
+from .braid import BraidLetter, BraidWord, WordSyntaxError, _Tokens, bracket_letters
 from .laurent import UsageError
 
 MAX_GENERATORS = 6
 MAX_WEIGHT = 8
+MAX_BASIS_SIZE = 3000
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,20 @@ def witt_rank(m: int, w: int) -> int:
     return total // w
 
 
+def check_basis_size(m: int, w: int) -> None:
+    """Reject a weight-w basis on m generators of more than MAX_BASIS_SIZE.
+
+    The size is the Witt number, counted before any commutator is built.
+    """
+    _check_caps(m, w)
+    size = witt_rank(m, w)
+    if size > MAX_BASIS_SIZE:
+        raise UsageError(
+            f"the weight-{w} basis on {m} generators has {size} basic "
+            f"commutators, more than the budget of {MAX_BASIS_SIZE}"
+        )
+
+
 def _divisors(n: int) -> list[int]:
     out = set()
     d = 1
@@ -218,55 +238,26 @@ def commutator_to_word(term: CommutatorTerm, n: int) -> BraidWord:
 def _expand(term: CommutatorTerm, n: int) -> tuple[BraidLetter, ...]:
     if term.is_leaf:
         return (BraidLetter(term.gen, n, 1),)
-    a = _expand(term.left, n)
-    b = _expand(term.right, n)
-    return a + b + _invert(a) + _invert(b)
+    return bracket_letters(_expand(term.left, n), _expand(term.right, n))
 
 
 # ---------------------------------------------------------------------------
 # Commutator grammar:  c := "x" int | "[" c "," c "]"
-#
-# Brackets nested deeper than MAX_BRACKET_DEPTH (shared with the word
-# grammar) are rejected before the recursive descent can exhaust the stack.
 
 
 def parse_commutator(text: str) -> CommutatorTerm:
-    term, end = _parse_commutator(text, _skip_ws(text, 0))
-    end = _skip_ws(text, end)
-    if end != len(text):
-        raise UsageError(f"trailing input in commutator (at position {end})")
+    tokens = _Tokens(text)
+    term = _parse_commutator(tokens)
+    tokens.finish()
     return term
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_commutator(
-    text: str, pos: int, depth: int = 0
-) -> tuple[CommutatorTerm, int]:
-    if pos >= len(text):
-        raise UsageError(f"unexpected end of commutator (at position {pos})")
-    if text[pos] == "x":
-        m = re.match(r"x(\d+)", text[pos:])
-        if m is None:
-            raise UsageError(f"expected generator index (at position {pos})")
-        return CommutatorTerm.leaf(int(m.group(1))), pos + m.end()
-    if text[pos] == "[":
-        if depth == MAX_BRACKET_DEPTH:
-            raise UsageError(
-                f"brackets nested deeper than {MAX_BRACKET_DEPTH} "
-                f"(at position {pos})"
-            )
-        left, pos = _parse_commutator(text, _skip_ws(text, pos + 1), depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ",":
-            raise UsageError(f"expected ',' in commutator (at position {pos})")
-        right, pos = _parse_commutator(text, _skip_ws(text, pos + 1), depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "]":
-            raise UsageError(f"expected ']' in commutator (at position {pos})")
-        return CommutatorTerm.bracket(left, right), pos + 1
-    raise UsageError(f"unexpected character {text[pos]!r} (at position {pos})")
+def _parse_commutator(tokens: _Tokens) -> CommutatorTerm:
+    kind = tokens.peek()
+    if kind == "alias":
+        j, _ = tokens.take()
+        return CommutatorTerm.leaf(j)
+    if kind == "open":
+        left, right, _ = tokens.bracket(lambda: _parse_commutator(tokens))
+        return CommutatorTerm.bracket(left, right)
+    raise WordSyntaxError("expected a generator x<j> or a bracket", tokens.pos())

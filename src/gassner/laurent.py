@@ -117,7 +117,15 @@ class LaurentPoly:
         return _raw_laurent(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        self._check_compat(other)
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            new = out.get(exps, 0) - coeff
+            if new:
+                out[exps] = new
+            else:
+                del out[exps]
+        return _raw_laurent(self.n_vars, out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compat(other)

@@ -14,7 +14,8 @@ every cross term of the product has degree at least 2w.  Below that degree
 a candidate sum c_k K_k of kernel basis vectors therefore costs one integer
 combination of its at most ``support_bound`` kernel columns
 K_d[k] = sum_i K_k[i] (g_i - I)_d, each built once per degree d, and only
-when some candidate first reaches d; truncated matrix products run only
+when some candidate first reaches d after w (degree w is the candidate's
+weight-w class, zero in the kernel).  Truncated matrix products run only
 when the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Truncated images are deviations X = M - I
@@ -24,8 +25,9 @@ trivial to the probed degree escalate to integer specializations of the
 variables and finally to full exact evaluation.  Specialized images are
 A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
 commutator by [a, b]^-1 = [b, a] over closed-form letters and their
-inverses, and a negative multiplicity multiplies the commutator's inverse
-image, so no matrix is ever inverted.  Every reported conclusion is exact.
+inverses, and both rungs multiply one cached power per commutator, a
+negative one of the inverse image, so no matrix is ever inverted.  Every
+reported conclusion is exact.
 
 The weight-5 breakdown regression is certified from the same truncated
 images: the composed deviation of the first commutator and the inverse of
@@ -50,7 +52,7 @@ from .graded import (
     _compose,
     _primitive,
     congruent_parts,
-    graded_parts,
+    first_degree,
     kernel_report,
     phi,
     pi,
@@ -104,32 +106,16 @@ class CandidateResult:
         }
 
 
-def kernel_candidates(
-    cfg: SearchConfig, kernel_basis: list[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """Enumerate integer combinations of kernel basis vectors.
-
-    Coefficients range over [-coeff_bound, coeff_bound] with at most
-    ``support_bound`` of them nonzero.  Each emitted vector has content 1;
-    sign duplicates are avoided by forcing the first nonzero coefficient
-    positive, and coefficient tuples with a common factor are skipped since
-    their normalization appears earlier.  Enumeration order is by support
-    size, then support positions, then coefficient tuples, so identical
-    configurations yield identical streams.  The budget caps the count.
-    It maps ``_combine`` over ``_kernel_combinations``, the enumeration
-    ``run_search`` walks.
-    """
-    for combination in _kernel_combinations(cfg, len(kernel_basis)):
-        yield _combine(combination, kernel_basis)
-
-
 def _kernel_combinations(
     cfg: SearchConfig, dim: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The candidates of ``kernel_candidates`` as ((k, c_k), ...) pairs.
+    """Integer combinations of kernel basis vectors as ((k, c_k), ...).
 
-    Each pair is a kernel-basis index and its coefficient, indices
-    increasing; the budget counts the combinations that are yielded.
+    Indices increase; at most ``support_bound`` coefficients, each in
+    [-coeff_bound, coeff_bound], the first positive and all coprime (a
+    multiple's normalization appears earlier).  Ordered by support size,
+    support, then coefficients; the budget caps the count.  ``_combine``
+    makes the primitive vector ``run_search`` tests.
     """
     emitted = 0
     for size in range(1, min(cfg.support_bound, dim) + 1):
@@ -224,7 +210,8 @@ class _LinearScreen:
     ``support_bound`` of these columns in each degree, not one per basic
     commutator in its support.  The vector ``run_search`` tests is that
     sum divided by its content, up to sign; a nonzero scalar changes no
-    vanishing pattern, so the first nonvanishing degree is the same.
+    vanishing pattern, so the first nonvanishing degree is the same.  It
+    starts at degree w + 1: K_w[k] is the class of a kernel vector, zero.
 
     Degrees are built on demand: the first candidate to reach degree d
     reads (g_i - I)_d, for each i a kernel column needs, from the image
@@ -265,8 +252,8 @@ class _LinearScreen:
     def first_nonvanishing_degree(
         self, combination: tuple[tuple[int, int], ...]
     ) -> int | None:
-        """Smallest degree <= depth where sum c_k K_k maps off the identity."""
-        for d in range(self.w, self.depth + 1):
+        """Smallest degree in w+1..depth where sum c_k K_k is nonzero."""
+        for d in range(self.w + 1, self.depth + 1):
             acc: Part = {}
             for k, c in combination:
                 for key, v in self._column(k, d).items():
@@ -304,8 +291,8 @@ def _specialize_matrix(
     return tuple(out)
 
 
-def _mod_matmul(a, b, p):
-    size = len(a)
+def _mod_matmul(a, b):
+    p, size = _SPECIALIZATION_PRIME, len(a)
     return tuple(
         tuple(
             sum(a[i][k] * b[k][j] for k in range(size)) % p for j in range(size)
@@ -322,24 +309,28 @@ def _mod_identity(size):
 
 @lru_cache(maxsize=None)
 def _specialized_commutator(
-    term: CommutatorTerm, n: int, point_index: int, seed: int, sign: int
+    term: CommutatorTerm, n: int, point_index: int, seed: int, m: int
 ):
-    """The term's image (sign 1) or its inverse (sign -1) specialized mod p.
+    """The term's image to the power m != 0 mod p; m < 0 uses the inverse.
 
-    The same bracket recursion as ``graded._commutator_matrix``, over the
-    specialized exact letters and their closed-form inverses.
+    At m = ±1, the bracket recursion of ``graded._commutator_matrix`` over
+    the specialized exact letters and their closed-form inverses; other
+    powers multiply cached ones, as ``_commutator_power`` does.
     """
-    p = _SPECIALIZATION_PRIME
-    if term.is_leaf:
+    sign = 1 if m > 0 else -1
+    if m != sign:
+        factors = ((term, m - sign), (term, sign))
+    elif term.is_leaf:
         point = _specialization_points(n, seed)[point_index]
-        return _specialize_matrix(_letter_matrix(n, term.gen, n, sign), point, p)
-    a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
-    acc = _specialized_commutator(a, n, point_index, seed, 1)
-    for child, s in ((b, 1), (a, -1), (b, -1)):
-        acc = _mod_matmul(
-            acc, _specialized_commutator(child, n, point_index, seed, s), p
-        )
-    return acc
+        letter = _letter_matrix(n, term.gen, n, sign)
+        return _specialize_matrix(letter, point, _SPECIALIZATION_PRIME)
+    else:
+        a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
+        factors = ((a, 1), (b, 1), (a, -1), (b, -1))
+    return reduce(
+        _mod_matmul,
+        (_specialized_commutator(t, n, point_index, seed, k) for t, k in factors),
+    )
 
 
 def _specialized_candidate_is_identity(
@@ -347,25 +338,16 @@ def _specialized_candidate_is_identity(
 ) -> bool:
     """True when every specialization of the candidate gives the identity."""
     basis = basic_commutators(n - 1, w)
-    p = _SPECIALIZATION_PRIME
+    identity = _mod_identity(n)
     for point_index in range(_SPECIALIZATION_COUNT):
-        acc = _mod_identity(n)
-        for term, m in zip(basis, vector):
-            if not m:
-                continue
-            sign = 1 if m > 0 else -1
-            mat = _specialized_commutator(term, n, point_index, seed, sign)
-            for _ in range(abs(m)):
-                acc = _mod_matmul(acc, mat, p)
-        if acc != _mod_identity(n):
+        powers = (
+            _specialized_commutator(t, n, point_index, seed, m)
+            for t, m in zip(basis, vector)
+            if m
+        )
+        if reduce(_mod_matmul, powers, identity) != identity:
             return False
     return True
-
-
-def _labeled(
-    vector: tuple[int, ...], labels: list[str]
-) -> tuple[tuple[str, int], ...]:
-    return tuple((label, m) for label, m in zip(labels, vector) if m)
 
 
 @dataclass
@@ -415,7 +397,7 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     full exact evaluation, so ``is_identity`` is always an exact statement.
 
     Candidates are walked once, as kernel combinations ((k, c_k), ...)
-    (``_kernel_combinations``, the enumeration behind ``kernel_candidates``).
+    (``_kernel_combinations``) tested as primitive vectors (``_combine``).
     Through degree min(probe, 2w - 1) each combination is read off the
     linear screen (``_LinearScreen``) in kernel coordinates, building a
     degree's columns only when a candidate reaches it; the product of
@@ -443,20 +425,16 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
         first = screen.first_nonvanishing_degree(combination)
         if first is None and cfg.degree_probe > screen.depth:
             matrix = _candidate_matrix(vector, n, w, cfg.degree_probe)
-            first = min(graded_parts(matrix), default=None)
-        if first is not None:
-            is_identity = False
-        elif _specialized_candidate_is_identity(vector, n, w, cfg.seed):
-            word = vector_to_word(vector, n, w)
-            is_identity = evaluate_exact(word).is_identity()
-        else:
-            is_identity = False
-        length = sum(
-            abs(m) * word_lengths[k] for k, m in enumerate(vector) if m
+            first = first_degree(matrix)
+        is_identity = (
+            first is None
+            and _specialized_candidate_is_identity(vector, n, w, cfg.seed)
+            and evaluate_exact(vector_to_word(vector, n, w)).is_identity()
         )
+        support = [(k, m) for k, m in enumerate(vector) if m]
         outcome = CandidateResult(
-            coefficients=_labeled(vector, labels),
-            word_length=length,
+            coefficients=tuple((labels[k], m) for k, m in support),
+            word_length=sum(abs(m) * word_lengths[k] for k, m in support),
             is_identity=is_identity,
             first_nonvanishing_degree=first,
         )
@@ -534,7 +512,7 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     quotient = _compose(
         _commutator_matrix(c1, n, probe, 1), _commutator_matrix(c2, n, probe, -1)
     )
-    first = min(graded_parts(quotient), default=None)
+    first = first_degree(quotient)
     exact_equal = first is None
 
     if not truncations_equal:

@@ -117,6 +117,34 @@ class TestEval:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["eval", "--n", "4", "--truncate", "60", "[x1,x2] [x3,x1]"],
+            ["eval", "--n", "4", "--truncate", "33", "x1"],
+            ["gen", "--n", "4", "--r", "1", "--s", "4", "--truncate", "60"],
+            ["gen", "--n", "64", "--r", "1", "--s", "2", "--truncate", "2"],
+        ],
+        ids=["eval-degree-60", "eval-degree-33", "gen-degree-60", "gen-64-strands"],
+    )
+    def test_truncation_budget_exit_two_before_any_series(
+        self, capsys, monkeypatch, argv
+    ):
+        # n^2 C(D+n, n) bounds the coefficients of a truncated n x n matrix;
+        # above the budget nothing truncated is built.  Unchecked, the
+        # degree-60 eval takes about a minute and prints 42 MB
+        import gassner.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("a truncated matrix was built")
+
+        monkeypatch.setattr(cli, "evaluate_truncated", refuse)
+        monkeypatch.setattr(cli, "_letter_matrix_truncated", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "more than the budget of 1000000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["gen", "--n", "3000", "--r", "1", "--s", "2"],
             ["gen", "--n", "3000", "--r", "1", "--s", "2", "--inverse"],
             ["eval", "--n", "3000", "x1"],
@@ -193,6 +221,39 @@ class TestRankKernel:
         )
         assert code == 0
         assert json.loads(out)["kernel"] == []
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--n", "7", "--weight", "8"],
+            ["kernel", "--n", "7", "--weight", "6"],
+            ["search", "--n", "6", "--weight", "7"],
+            ["verify", "--suite", "sfold", "--n", "7", "--weight", "6"],
+            ["verify", "--suite", "all", "--n", "5", "--weight", "8"],
+        ],
+        ids=["rank", "kernel", "search", "verify-sfold", "verify-all"],
+    )
+    def test_basis_budget_exit_two_before_building_basis(
+        self, capsys, monkeypatch, argv
+    ):
+        # the Witt number is checked once per command, before the basis is
+        # built; (7,8) alone has 209,790 basic commutators.  The tables
+        # suite of verify --suite all builds weights 1-4 only
+        import gassner.hall as hall
+
+        original = hall._basic_commutators
+
+        def refuse(m, w):
+            if w >= 6:
+                raise AssertionError(f"the weight-{w} basis was built")
+            return original(m, w)
+
+        monkeypatch.setattr(hall, "_basic_commutators", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "more than the budget of 3000" in err
 
 
 class TestVerify:

@@ -2,13 +2,15 @@
 
 import pytest
 
+from gassner.braid import MAX_BRACKET_DEPTH, WordSyntaxError
 from gassner.hall import (
-    MAX_BRACKET_DEPTH,
+    MAX_BASIS_SIZE,
     CommutatorTerm,
     basic_commutators,
     commutator_to_word,
     is_basic,
     is_left_normed,
+    check_basis_size,
     leaf_sequence,
     parse_commutator,
     sort_key,
@@ -98,6 +100,19 @@ class TestGeneration:
         with pytest.raises(UsageError):
             witt_rank(0, 1)
 
+    def test_basis_budget(self):
+        # (6,6) is the largest size admitted by the budget that anything
+        # runs; its weight-6 basis on 5 generators has 2,580 elements.  The
+        # check counts by the Witt formula and builds nothing
+        check_basis_size(5, 6)
+        assert witt_rank(5, 6) == 2580 <= MAX_BASIS_SIZE
+        assert witt_rank(6, 6) == 7735 > MAX_BASIS_SIZE
+        for m, w in ((6, 6), (6, 8)):
+            with pytest.raises(UsageError, match=f"budget of {MAX_BASIS_SIZE}"):
+                check_basis_size(m, w)
+        with pytest.raises(UsageError, match="capped"):
+            check_basis_size(7, 2)
+
 
 class TestWords:
     def test_leaf(self):
@@ -163,6 +178,18 @@ class TestParsing:
         assert parse_commutator(text).weight == MAX_BRACKET_DEPTH + 1
         with pytest.raises(UsageError, match="nested deeper"):
             parse_commutator(f"[x2,{text}]")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("A(1,2)", 0), ("[x1,x2]^2", 7), ("[x1,A(1,4)]", 4), ("[x2,x1] x1", 8)],
+    )
+    def test_word_only_syntax_rejected_with_position(self, text, position):
+        # commutator text shares the word grammar's tokens but admits only
+        # generators and brackets
+        with pytest.raises(WordSyntaxError) as info:
+            parse_commutator(text)
+        assert info.value.position == position
+        assert f"position {position}" in str(info.value)
 
     def test_round_trip_through_str(self):
         for term in basic_commutators(3, 4):

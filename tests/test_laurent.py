@@ -91,6 +91,14 @@ class TestRingLaws:
         assert TruncatedSeries.from_laurent(a + b, d) == fa + fb
 
     @settings(max_examples=100, deadline=None)
+    @given(_small_polys, _small_polys)
+    def test_laurent_subtraction_matches_negated_sum(self, a, b):
+        # subtraction runs its own loop; a + (-b) is the independent route
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+        assert (a - a).is_zero()
+
+    @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, st.integers(0, 6))
     def test_series_subtraction_matches_negated_sum(self, a, b, d):
         # subtraction runs its own loop; a + (-b) and the Laurent

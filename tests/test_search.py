@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
-from gassner.graded import graded_parts, integer_rank, kernel_report, phi, pi
+from gassner.graded import first_degree, integer_rank, kernel_report, phi, pi
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
 from gassner.laurent import SquareMatrix
 from gassner.search import (
@@ -21,7 +21,6 @@ from gassner.search import (
     _kernel_combinations,
     _LinearScreen,
     breakdown_regression,
-    kernel_candidates,
     run_search,
     vector_to_word,
 )
@@ -38,11 +37,18 @@ def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
     to the probe depth falls through to full exact evaluation.
     """
     for depth in range(1, cfg.degree_probe + 1):
-        x = minus_identity(evaluate_truncated(word, depth))
-        first = min(graded_parts(x), default=None)
+        first = first_degree(minus_identity(evaluate_truncated(word, depth)))
         if first is not None:
             return CandidateResult((), len(word), False, first)
     return CandidateResult((), len(word), evaluate_exact(word).is_identity(), None)
+
+
+def candidate_vectors(cfg: SearchConfig, kernel_basis) -> list[tuple[int, ...]]:
+    """The primitive vectors run_search tests, in its order."""
+    return [
+        _combine(combination, kernel_basis)
+        for combination in _kernel_combinations(cfg, len(kernel_basis))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +59,12 @@ def kernel5():
 class TestEnumeration:
     def test_support_one_returns_basis(self, kernel5):
         cfg = SearchConfig(coeff_bound=1, support_bound=1, budget=100)
-        got = list(kernel_candidates(cfg, kernel5.kernel))
+        got = list(candidate_vectors(cfg, kernel5.kernel))
         assert got == list(kernel5.kernel)
 
     def test_zero_vector_never_emitted(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=1000)
-        for vec in kernel_candidates(cfg, kernel5.kernel):
+        for vec in candidate_vectors(cfg, kernel5.kernel):
             assert any(vec)
 
     def test_content_one_and_sign_canonical(self, kernel5):
@@ -66,7 +72,7 @@ class TestEnumeration:
 
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=1000)
         seen = set()
-        for vec in kernel_candidates(cfg, kernel5.kernel):
+        for vec in candidate_vectors(cfg, kernel5.kernel):
             content = 0
             for v in vec:
                 content = gcd(content, v)
@@ -77,7 +83,7 @@ class TestEnumeration:
 
     def test_budget_respected(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=7)
-        assert len(list(kernel_candidates(cfg, kernel5.kernel))) == 7
+        assert len(list(candidate_vectors(cfg, kernel5.kernel))) == 7
 
     def test_coefficient_tuples_follow_product_order(self):
         # oracle: itertools.product over the listed ranges; of the one-entry
@@ -93,19 +99,19 @@ class TestEnumeration:
 
     def test_empty_kernel_yields_nothing(self):
         cfg = SearchConfig()
-        assert list(kernel_candidates(cfg, [])) == []
+        assert list(candidate_vectors(cfg, [])) == []
 
     def test_deterministic(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=2, budget=200)
-        a = list(kernel_candidates(cfg, kernel5.kernel))
-        b = list(kernel_candidates(cfg, kernel5.kernel))
+        a = list(candidate_vectors(cfg, kernel5.kernel))
+        b = list(candidate_vectors(cfg, kernel5.kernel))
         assert a == b
 
     def test_known_relation_in_span_of_candidates(self, kernel5):
         # the direction pairing the two breakdown commutators +1/-1 lies in
         # the span of the emitted candidates
         cfg = SearchConfig(coeff_bound=1, support_bound=2, budget=1000)
-        emitted = list(kernel_candidates(cfg, kernel5.kernel))
+        emitted = list(candidate_vectors(cfg, kernel5.kernel))
         labels = list(kernel5.row_labels)
         i1 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[0]))
         i2 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[1]))
@@ -194,7 +200,7 @@ class TestDriverConsistency:
         )
         report = run_search(cfg)
         by_coeffs = {r.coefficients: r for r in report.candidates}
-        for vec in kernel_candidates(cfg, kernel5.kernel):
+        for vec in candidate_vectors(cfg, kernel5.kernel):
             word = vector_to_word(vec, 4, 5)
             product = _candidate_matrix(vec, 4, 5, 6)
             assert product == minus_identity(evaluate_truncated(word, 6))
@@ -240,7 +246,7 @@ class TestKernelScreen:
             )
             if index % product_stride == 0:
                 product = _candidate_matrix(vector, n, w, depth)
-                assert first == min(graded_parts(product), default=None)
+                assert first == first_degree(product)
 
     def test_default_search_builds_no_image_past_degree_six(self, monkeypatch):
         # every default candidate is decided at degree 6, so the screen
@@ -259,6 +265,34 @@ class TestKernelScreen:
         assert len(report.candidates) == 152
         assert max(depths) == 6
 
+    @pytest.mark.parametrize("n, w", [(4, 5), (5, 5), (4, 6)])
+    def test_kernel_columns_vanish_in_degree_w(self, n, w):
+        # K_w[k] is the weight-w class of a kernel vector, zero by the
+        # definition of the kernel; this is why the screen starts at w + 1
+        report = kernel_report(n, w)
+        screen = _LinearScreen(report.row_labels, report.kernel, n, w, w)
+        assert report.kernel
+        for k in range(len(report.kernel)):
+            assert screen._column(k, w) == {}
+
+    def test_probe_at_weight_reads_no_kernel_column(self, monkeypatch):
+        # with --degree-probe w the screen has no degree to read, and every
+        # candidate goes up the specialization ladder
+        reads = []
+        original = _LinearScreen._column
+
+        def recording(self, k, d):
+            reads.append((k, d))
+            return original(self, k, d)
+
+        monkeypatch.setattr(_LinearScreen, "_column", recording)
+        report = run_search(SearchConfig(degree_probe=5, budget=12))
+        assert len(report.candidates) == 12
+        assert reads == []
+        for result in report.candidates:
+            assert result.first_nonvanishing_degree is None
+            assert not result.is_identity
+
     @pytest.mark.parametrize(
         "coeff_bound, budget", [(2, 5), (2, 17), (2, 100), (3, 60)]
     )
@@ -271,7 +305,7 @@ class TestKernelScreen:
         labels = [str(t) for t in kernel5.row_labels]
         expected = [
             tuple((labels[i], m) for i, m in enumerate(vector) if m)
-            for vector in kernel_candidates(cfg, kernel5.kernel)
+            for vector in candidate_vectors(cfg, kernel5.kernel)
         ]
         got = [r.coefficients for r in run_search(cfg).candidates]
         assert len(got) == budget
@@ -357,20 +391,49 @@ class TestSpecialization:
     def test_specialized_inverse_fold_inverts(self):
         from gassner.search import (
             _SPECIALIZATION_COUNT,
-            _SPECIALIZATION_PRIME,
             _mod_identity,
             _mod_matmul,
             _specialized_commutator,
         )
 
-        p = _SPECIALIZATION_PRIME
         basis = basic_commutators(3, 5)
         assert len(basis) == 48
         for term in basis:
             for index in range(_SPECIALIZATION_COUNT):
                 image = _specialized_commutator(term, 4, index, 20041101, 1)
                 inverse = _specialized_commutator(term, 4, index, 20041101, -1)
-                assert _mod_matmul(image, inverse, p) == _mod_identity(4)
+                assert _mod_matmul(image, inverse) == _mod_identity(4)
+
+    @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
+    def test_specialized_power_is_repeated_product(self, m):
+        # a signed power is one cached entry; the |m|-fold product of the
+        # sign image and, at weights 1 and 2, the specialized exact word
+        # power are the independent routes
+        from gassner.search import (
+            _SPECIALIZATION_COUNT,
+            _SPECIALIZATION_PRIME,
+            _mod_matmul,
+            _specialization_points,
+            _specialize_matrix,
+            _specialized_commutator,
+        )
+
+        sign = 1 if m > 0 else -1
+        points = _specialization_points(4, 20041101)
+        for w in (1, 2, 3, 5):
+            for term in basic_commutators(3, w):
+                for index in range(_SPECIALIZATION_COUNT):
+                    image = _specialized_commutator(term, 4, index, 20041101, sign)
+                    expected = image
+                    for _ in range(abs(m) - 1):
+                        expected = _mod_matmul(expected, image)
+                    power = _specialized_commutator(term, 4, index, 20041101, m)
+                    assert power == expected
+                    if w <= 2:
+                        word = commutator_to_word(term, 4) ** m
+                        assert power == _specialize_matrix(
+                            evaluate_exact(word), points[index], _SPECIALIZATION_PRIME
+                        )
 
     def test_specialized_identity_detector(self):
         from gassner.search import _specialized_candidate_is_identity
@@ -390,7 +453,7 @@ class TestSearch:
         # class vanishes; checked through the flat word evaluation
         cfg = SearchConfig(coeff_bound=1, support_bound=2, budget=4)
         rng = random.Random(11)
-        vectors = list(kernel_candidates(cfg, kernel5.kernel))
+        vectors = list(candidate_vectors(cfg, kernel5.kernel))
         for vec in rng.sample(vectors, 2):
             word = vector_to_word(vec, 4, 5)
             x = minus_identity(evaluate_truncated(word, 5))
