@@ -76,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_search = sub.add_parser("search", help="bounded kernel-candidate search")
-    p_search.add_argument("--n", type=int, default=4)
-    p_search.add_argument("--weight", type=int, default=5)
-    p_search.add_argument("--coeff-bound", type=int, default=2)
-    p_search.add_argument("--support", type=int, default=3)
-    p_search.add_argument("--budget", type=int, default=10_000)
-    p_search.add_argument("--degree-probe", type=int, default=8)
-    p_search.add_argument("--seed", type=int, default=20041101)
+    p_search.add_argument("--n", type=int, default=SearchConfig.n)
+    p_search.add_argument("--weight", type=int, default=SearchConfig.weight)
+    p_search.add_argument("--coeff-bound", type=int, default=SearchConfig.coeff_bound)
+    p_search.add_argument("--support", type=int, default=SearchConfig.support_bound)
+    p_search.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p_search.add_argument("--degree-probe", type=int, default=SearchConfig.degree_probe)
+    p_search.add_argument("--seed", type=int, default=SearchConfig.seed)
     add_common(p_search)
 
     return parser

@@ -11,20 +11,21 @@ quotient of the free subgroup into the degree-i graded piece of the
 congruence filtration.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
-into one integer matrix.  One exact fraction-free elimination of that matrix
-augmented with the identity yields both its rank and a primitive integer
-basis of its left kernel (``integer_kernel``); ``integer_rank`` runs the same
-elimination without the augmentation.  The elimination works on sparse rows
-and divides each updated row by its content; it takes the same pivots as
-Bareiss elimination and returns the same rank and kernel basis, without the
-dense rescaling and growing minors.  ``verify_tables`` and
-``sfold_property_check`` compare computed classes against the embedded
-reference tables and the left-normed contribution law.
+into one sparse integer matrix, each row a map from column index to nonzero
+entry, and the elimination works on those rows as they are.  One exact
+fraction-free elimination of that matrix augmented with the identity yields
+both its rank and a primitive integer basis of its left kernel
+(``integer_kernel``); ``integer_rank`` runs the same elimination without the
+augmentation.  The elimination divides each updated row by its content; it
+takes the same pivots as Bareiss elimination and returns the same rank and
+kernel basis, without the dense rescaling and growing minors.
+``verify_tables`` and ``sfold_property_check`` compare computed classes
+against the embedded reference tables and the left-normed contribution law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -319,11 +320,14 @@ def phi(term: CommutatorTerm, n: int) -> GradedClass:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix with commutator row labels and coordinate columns."""
+    """Sparse integer matrix with commutator row labels and coordinate columns.
+
+    Each row maps a column index to its nonzero entry; absent columns are 0.
+    """
 
     row_labels: tuple[CommutatorTerm, ...]
     col_labels: tuple[Coord, ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, int], ...]
 
     @property
     def row_count(self) -> int:
@@ -348,24 +352,25 @@ def _stack(
     labels: tuple[CommutatorTerm, ...] | list[CommutatorTerm],
     classes: list[GradedClass],
 ) -> IntMatrix:
-    """Dense rows of ``classes`` over the sorted coordinates that occur."""
+    """Sparse rows of ``classes`` over the sorted coordinates that occur."""
     col_labels = tuple(sorted({key for cls in classes for key in cls.coords}))
     index = {key: k for k, key in enumerate(col_labels)}
-    rows = []
-    for cls in classes:
-        row = [0] * len(col_labels)
-        for key, value in cls.coords.items():
-            row[index[key]] = value
-        rows.append(tuple(row))
-    return IntMatrix(tuple(labels), col_labels, tuple(rows))
+    rows = tuple(
+        {index[key]: value for key, value in cls.coords.items()} for cls in classes
+    )
+    return IntMatrix(tuple(labels), col_labels, rows)
 
 
 def integer_rank(m: IntMatrix | list) -> int:
-    """Rank over the rationals by exact fraction-free sparse elimination."""
-    rows = m.rows if isinstance(m, IntMatrix) else m
+    """Rank over the rationals by exact fraction-free sparse elimination.
+
+    Takes an ``IntMatrix`` or a list of dense rows.
+    """
+    if isinstance(m, IntMatrix):
+        return _bareiss(list(m.rows), m.col_count)
     return _bareiss(
-        [{j: v for j, v in enumerate(row) if v} for row in rows],
-        len(rows[0]) if rows else 0,
+        [{j: v for j, v in enumerate(row) if v} for row in m],
+        len(m[0]) if m else 0,
     )
 
 
@@ -380,11 +385,7 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """
     n_rows = m.row_count
     n_cols = m.col_count
-    rows = []
-    for i, row in enumerate(m.rows):
-        sparse = {j: v for j, v in enumerate(row) if v}
-        sparse[n_cols + i] = 1
-        rows.append(sparse)
+    rows = [{**row, n_cols + i: 1} for i, row in enumerate(m.rows)]
     rank = _bareiss(rows, n_cols)
     return [
         _primitive([row.get(n_cols + i, 0) for i in range(n_rows)])
@@ -397,7 +398,9 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
 
     Pivots are sought in columns ``0..pivot_cols-1`` only; every later
     column is carried along by the same row operations.  Returns the rank
-    of the first ``pivot_cols`` columns.
+    of the first ``pivot_cols`` columns.  Only the list's slots are
+    reassigned and no row dict is mutated, so the list may hold rows that
+    the caller keeps.
 
     The pivot rule is Bareiss's: the first row at or below ``r`` with a
     nonzero entry in column ``c`` is swapped into row ``r``.  Each later row
@@ -560,28 +563,7 @@ class TablesReport:
         return {
             "n": self.n,
             "duplicate_resolution": self.duplicate_resolution(),
-            "checks": [
-                {
-                    "shape": c.shape,
-                    "commutators_checked": c.commutators_checked,
-                    "cells_checked": c.cells_checked,
-                    "mismatches": {
-                        variant: [
-                            {
-                                "commutator": mm.commutator,
-                                "mono": list(mm.mono),
-                                "row": mm.row,
-                                "col": mm.col,
-                                "expected": mm.expected,
-                                "computed": mm.computed,
-                            }
-                            for mm in items
-                        ]
-                        for variant, items in c.mismatches.items()
-                    },
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -649,7 +631,7 @@ class SFoldReport:
     """
 
     n: int
-    s: int
+    weight: int
     left_normed_count: int
     other_count: int
     failures_a: list[str]
@@ -665,17 +647,7 @@ class SFoldReport:
         return not self.failures_a and not self.failures_b and self.full_rank
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "weight": self.s,
-            "left_normed_count": self.left_normed_count,
-            "other_count": self.other_count,
-            "failures_a": self.failures_a,
-            "failures_b": self.failures_b,
-            "submatrix_rank": self.submatrix_rank,
-            "full_rank": self.full_rank,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "full_rank": self.full_rank, "ok": self.ok}
 
 
 def sfold_property_check(n: int, s: int) -> SFoldReport:
@@ -703,7 +675,7 @@ def sfold_property_check(n: int, s: int) -> SFoldReport:
     rank = integer_rank(_stack(left_terms, left_rows))
     return SFoldReport(
         n=n,
-        s=s,
+        weight=s,
         left_normed_count=len(left_rows),
         other_count=len(basis) - len(left_rows),
         failures_a=failures_a,

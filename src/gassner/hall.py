@@ -255,7 +255,9 @@ def parse_commutator(text: str) -> CommutatorTerm:
 def _parse_commutator(tokens: _Tokens) -> CommutatorTerm:
     kind = tokens.peek()
     if kind == "alias":
-        j, _ = tokens.take()
+        j, pos = tokens.take()
+        if j < 1:
+            raise WordSyntaxError(f"generator index must be positive, got {j}", pos)
         return CommutatorTerm.leaf(j)
     if kind == "open":
         left, right, _ = tokens.bracket(lambda: _parse_commutator(tokens))

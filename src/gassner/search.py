@@ -38,7 +38,7 @@ without evaluating either word.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import gcd
@@ -363,15 +363,7 @@ class SearchReport:
 
         yield json.dumps(
             {
-                "config": {
-                    "n": self.config.n,
-                    "weight": self.config.weight,
-                    "coeff_bound": self.config.coeff_bound,
-                    "support_bound": self.config.support_bound,
-                    "degree_probe": self.config.degree_probe,
-                    "budget": self.config.budget,
-                    "seed": self.config.seed,
-                },
+                "config": asdict(self.config),
                 "kernel_dimension": self.kernel_dimension,
                 **({"notice": self.notice} if self.notice else {}),
             },

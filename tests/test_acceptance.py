@@ -140,7 +140,7 @@ def test_06_weight_five_breakdown():
         relation = [0] * 48
         relation[i1], relation[i2] = 1, -1
         for c in range(matrix.col_count):
-            assert sum(relation[r] * matrix.rows[r][c] for r in range(48)) == 0
+            assert sum(relation[r] * matrix.rows[r].get(c, 0) for r in range(48)) == 0
         # the relation lies in the span of the kernel basis
         base = integer_rank([list(v) for v in kernel])
         assert integer_rank([list(v) for v in kernel] + [relation]) == base

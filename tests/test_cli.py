@@ -382,6 +382,22 @@ class TestSearch:
         assert "tested 5 candidates, 0 identities" in out
         assert peak < 32 << 20
 
+    def test_default_flags_build_default_config(self, capsys, monkeypatch):
+        from gassner import cli
+        from gassner.search import SearchConfig
+
+        seen = []
+        run_search = cli.run_search
+
+        def capture(cfg):
+            seen.append(cfg)
+            return run_search(SearchConfig(budget=0))
+
+        monkeypatch.setattr(cli, "run_search", capture)
+        code, _, _ = run(capsys, "search")
+        assert code == 0
+        assert seen == [SearchConfig()]
+
     def test_degree_probe_past_series_cap_exit_two(self, capsys):
         # the linear screen stops below degree 2w, so the probe bound must
         # be checked where the configuration enters

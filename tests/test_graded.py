@@ -119,8 +119,12 @@ def _int_matrix(rows):
     return IntMatrix(
         tuple(range(len(rows))),
         tuple(range(len(rows[0]))),
-        tuple(tuple(r) for r in rows),
+        tuple({j: v for j, v in enumerate(r) if v} for r in rows),
     )
+
+
+def _dense_rows(m):
+    return [[row.get(c, 0) for c in range(m.col_count)] for row in m.rows]
 
 
 def _rank_mod_2(vectors):
@@ -426,7 +430,39 @@ class TestIntMatrix:
         m = assemble_phi_matrix(4, 2)
         assert m.row_count == 3
         for row in m.rows:
-            assert sum(1 for v in row if v) == 6
+            assert sum(1 for c in range(m.col_count) if row.get(c, 0)) == 6
+
+    @pytest.mark.parametrize("n,w", [(4, 5), (5, 5)])
+    def test_rows_are_sparse_phi_coordinates(self, n, w):
+        m = assemble_phi_matrix(n, w)
+        for term, row in zip(m.row_labels, m.rows, strict=True):
+            assert isinstance(row, dict)
+            assert all(row.values())
+            assert all(c in range(m.col_count) for c in row)
+            assert {m.col_labels[c]: v for c, v in row.items()} == phi(term, n).coords
+
+    def test_elimination_leaves_rows_unchanged(self):
+        m = assemble_phi_matrix(4, 5)
+        before = [dict(row) for row in m.rows]
+        rank, kernel = integer_rank(m), integer_kernel(m)
+        assert list(m.rows) == before
+        assert (integer_rank(m), integer_kernel(m)) == (rank, kernel)
+        assert list(m.rows) == before
+
+    def test_assembly_memory_with_images_cached(self):
+        # rows hold only the nonzeros (5,218 of 204 x 1,117 cells at (5,5)).
+        # Measured peak 1.06 MB on Python 3.11; dense rows peaked at 2.62 MB.
+        # The bound leaves 40% headroom over the sparse peak.
+        import tracemalloc
+
+        assemble_phi_matrix(5, 5)
+        tracemalloc.start()
+        try:
+            assemble_phi_matrix(5, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_row_counts(self):
         assert assemble_phi_matrix(4, 3).row_count == 8
@@ -471,7 +507,7 @@ class TestIntMatrix:
     @pytest.mark.parametrize("n,w", [(4, 5), (4, 6)])
     def test_class_matrix_kernel_matches_dense_bareiss(self, n, w):
         m = assemble_phi_matrix(n, w)
-        assert integer_kernel(m) == _oracle_kernel(m.rows)
+        assert integer_kernel(m) == _oracle_kernel(_dense_rows(m))
 
     def test_kernel_report_rank_matches_integer_rank(self):
         assert (
@@ -497,7 +533,7 @@ class TestIntMatrix:
             leading = next(v for v in vec if v)
             assert leading > 0
             for c in range(m.col_count):
-                assert sum(vec[r] * m.rows[r][c] for r in range(48)) == 0
+                assert sum(vec[r] * m.rows[r].get(c, 0) for r in range(48)) == 0
 
     def test_kernel_contains_known_relation(self):
         m = assemble_phi_matrix(4, 5)
@@ -507,7 +543,7 @@ class TestIntMatrix:
         vec = [0] * 48
         vec[i1], vec[i2] = 1, -1
         for c in range(m.col_count):
-            assert sum(vec[r] * m.rows[r][c] for r in range(48)) == 0
+            assert sum(vec[r] * m.rows[r].get(c, 0) for r in range(48)) == 0
 
     def test_kernel_report_consistency(self):
         report = kernel_report(4, 5)

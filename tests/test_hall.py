@@ -181,7 +181,14 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text, position",
-        [("A(1,2)", 0), ("[x1,x2]^2", 7), ("[x1,A(1,4)]", 4), ("[x2,x1] x1", 8)],
+        [
+            ("A(1,2)", 0),
+            ("[x1,x2]^2", 7),
+            ("[x1,A(1,4)]", 4),
+            ("[x2,x1] x1", 8),
+            ("x0", 0),
+            ("[x1,x0]", 4),
+        ],
     )
     def test_word_only_syntax_rejected_with_position(self, text, position):
         # commutator text shares the word grammar's tokens but admits only
