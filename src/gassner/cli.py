@@ -178,8 +178,7 @@ def _cmd_verify(args) -> int:
         print(json.dumps(results, sort_keys=True))
     else:
         for name, data in results.items():
-            ok = data.get("ok", data.get("full_rank"))
-            print(f"{name}: {'pass' if ok else 'MISMATCH'}")
+            print(f"{name}: {'pass' if data['ok'] else 'MISMATCH'}")
             if name == "tables":
                 print(
                     "  repeated-term reading: "
@@ -190,7 +189,7 @@ def _cmd_verify(args) -> int:
                     f"  left-normed rows {data['left_normed_count']}, "
                     f"submatrix rank {data['submatrix_rank']}"
                 )
-            if name == "breakdown" and data.get("ok"):
+            if name == "breakdown" and data["ok"]:
                 print(
                     "  first difference degree: "
                     f"{data['report']['first_difference_degree']}"

@@ -79,6 +79,9 @@ class GradedClass:
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
 
+    def __reduce__(self):
+        return GradedClass, (self.n, self.degree, self.coords)
+
     def _check_compat(self, other: "GradedClass") -> None:
         if self.n != other.n or self.degree != other.degree:
             raise UsageError(

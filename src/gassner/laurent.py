@@ -14,7 +14,8 @@ geometric-series inverses for series matrices congruent to the identity.
 (Exact generator inverses have a closed form; see ``braid``.)
 
 All values are immutable after construction and every operation is a pure
-function, so instances may be shared freely between threads or processes.
+function, so instances may be shared freely between threads or processes;
+copies and pickles rebuild each value without passing through its guard.
 Coefficients are Python ints throughout: word evaluation multiplies many
 matrices and coefficient growth is unbounded, so fixed-width arithmetic
 would silently corrupt downstream rank computations.
@@ -69,6 +70,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return _raw_laurent, (self.n_vars, self.terms)
 
     # -- constructors
 
@@ -323,6 +327,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return _raw_series, (self.n_vars, self.max_deg, self._terms)
+
     # -- constructors
 
     @classmethod
@@ -568,6 +575,9 @@ class SquareMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
+
+    def __reduce__(self):
+        return SquareMatrix, (self.rows,)
 
     @classmethod
     def identity_series(cls, size: int, n_vars: int, max_deg: int) -> "SquareMatrix":

@@ -30,9 +30,9 @@ negative one of the inverse image, so no matrix is ever inverted.  Every
 reported conclusion is exact.
 
 The weight-5 breakdown regression is certified from the same truncated
-images: the composed deviation of the first commutator and the inverse of
-the second is nonzero in degree 6, which proves their exact matrices differ
-without evaluating either word.
+images by the same fact: below degree 2w their quotient minus I is the
+difference of their deviations, nonzero in degree 6, which proves their
+exact matrices differ without an inverse image, a product or a word.
 """
 
 from __future__ import annotations
@@ -480,14 +480,13 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
 
     Asserts that the two fixed commutators agree modulo degree 5, have
     identical weight-5 classes, and first differ in degree 6; any failure
-    raises ``RegressionError``.  Both truncations are read from the
-    commutator images ``phi`` has already cached; the tests compare them
-    with the flat words ``BREAKDOWN_WORD_TEXTS`` evaluated letter by letter.
-    The exact matrices are never built: their quotient's truncation to
-    degree 8 is nonzero in degree 6, and because truncation is a ring
-    homomorphism that certifies the exact matrices differ.  Returns the
-    report with the degree-6 difference class of the first commutator times
-    the inverse of the second.
+    raises ``RegressionError``.  The two images are read one depth at a
+    time from 5, which ``phi`` has cached, up to the probe 8.  Below 2w =
+    10 their quotient minus I is the difference of their deviations, so
+    nothing is inverted or multiplied, and as truncation is a ring
+    homomorphism a nonzero difference certifies the exact matrices differ
+    without building them.  Returns the report with its degree-6 class;
+    the tests check both images against ``BREAKDOWN_WORD_TEXTS``.
     """
     from .hall import parse_commutator
 
@@ -496,15 +495,16 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     c1 = parse_commutator(BREAKDOWN_COMMUTATORS[0])
     c2 = parse_commutator(BREAKDOWN_COMMUTATORS[1])
     classes_equal = phi(c1, n) == phi(c2, n)
-    truncations_equal = _commutator_matrix(c1, n, 5, 1) == _commutator_matrix(
-        c2, n, 5, 1
-    )
 
     probe = max(EXPECTED_FIRST_DIFFERENCE_DEGREE + 2, 8)
-    quotient = _compose(
-        _commutator_matrix(c1, n, probe, 1), _commutator_matrix(c2, n, probe, -1)
-    )
-    first = first_degree(quotient)
+    assert probe < 10, "cross terms of weight-5 images start in degree 10"
+    for depth in range(5, probe + 1):
+        x1, x2 = (_commutator_matrix(c, n, depth, 1) for c in (c1, c2))
+        difference = x1 - x2
+        first = first_degree(difference)
+        if first is not None:
+            break
+    truncations_equal = first is None or first > 5
     exact_equal = first is None
 
     if not truncations_equal:
@@ -515,7 +515,7 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
         raise RegressionError(
             f"first difference degree {first} != {EXPECTED_FIRST_DIFFERENCE_DEGREE}"
         )
-    difference_class = pi(quotient, first)
+    difference_class = pi(difference, first)
     return BreakdownReport(
         truncations_equal=truncations_equal,
         exact_equal=exact_equal,

@@ -328,6 +328,20 @@ class TestVerifyMismatchPath:
         assert weight1["mismatches"]["corrected"]
 
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_breakdown_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        # a pinned degree the images do not reproduce is a mismatch, exit 1
+        monkeypatch.setattr("gassner.search.EXPECTED_FIRST_DIFFERENCE_DEGREE", 7)
+        code, out, _ = run(capsys, "verify", "--suite", "breakdown", "--format", fmt)
+        assert code == 1
+        if fmt == "pretty":
+            assert out == "breakdown: MISMATCH\n"
+        else:
+            assert json.loads(out) == {
+                "breakdown": {"ok": False, "error": "first difference degree 6 != 7"}
+            }
+
+
 class TestSearch:
     def test_small_search_pretty(self, capsys):
         code, out, _ = run(

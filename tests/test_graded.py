@@ -37,6 +37,7 @@ from gassner.laurent import (
     series_matrix_inverse,
 )
 from oracle import minus_identity
+from test_laurent import COPIES
 
 
 def _dense_bareiss(rows, pivot_cols):
@@ -423,6 +424,15 @@ class TestGradedClass:
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):
             GradedClass(3, 1) + GradedClass(3, 2)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copy_and_pickle_round_trip(self, how):
+        value = GradedClass(3, 2, {((1, 2), 1, 3): -4, ((2, 2), 2, 1): 10**30})
+        got = COPIES[how](value)
+        assert type(got) is GradedClass
+        assert got == value and hash(got) == hash(value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            got.degree = 0
 
 
 class TestIntMatrix:

@@ -1,5 +1,7 @@
 """Ring arithmetic, series conversion, and matrix operations."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -330,3 +332,28 @@ class TestJson:
             "max_deg": 4,
             "terms": [{"e": [0, 0], "c": "1"}, {"e": [1, 2], "c": "7"}],
         }
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+class TestCopyAndPickle:
+    # the immutability guard refuses __setattr__, so copies and pickles
+    # must rebuild a value rather than restore its slots through it
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("kind", ["laurent", "series", "matrix"])
+    def test_round_trip_to_an_equal_immutable_value(self, kind, how):
+        value = {
+            "laurent": LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)}),
+            "series": TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1}),
+            "matrix": SquareMatrix(identity_rows(2, u(1, 2, 3))),
+        }[kind]
+        got = COPIES[how](value)
+        assert type(got) is type(value)
+        assert got == value and hash(got) == hash(value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            got.n_vars = 0

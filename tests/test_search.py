@@ -1,11 +1,22 @@
 """Kernel-candidate enumeration, testing, and the breakdown regression."""
 
+import pickle
 import random
+from dataclasses import asdict
+from itertools import combinations
 
 import pytest
 
 from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
-from gassner.graded import first_degree, integer_rank, kernel_report, phi, pi
+from gassner.graded import (
+    _commutator_matrix,
+    _compose,
+    first_degree,
+    integer_rank,
+    kernel_report,
+    phi,
+    pi,
+)
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
 from gassner.laurent import SquareMatrix
 from gassner.search import (
@@ -533,6 +544,54 @@ class TestBreakdownRegression:
             if degree == 6
         }
         assert got == report.difference_class.coords
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    def test_quotient_is_difference_below_twice_the_weight(self, w):
+        # the fact the breakdown rests on: weight-w images are I mod J^w, so
+        # below degree 2w the quotient X_a * X_b^-1 minus I is X_a - X_b;
+        # at 2w the cross terms arrive, so the bound is tight
+        pairs = list(combinations(basic_commutators(3, w), 2))
+        pairs = random.Random(1000 + w).sample(pairs, min(8, len(pairs)))
+
+        def quotient(a, b, d):
+            return _compose(
+                _commutator_matrix(a, 4, d, 1), _commutator_matrix(b, 4, d, -1)
+            )
+
+        def difference(a, b, d):
+            return _commutator_matrix(a, 4, d, 1) - _commutator_matrix(b, 4, d, 1)
+
+        for a, b in pairs:
+            for d in range(w, 2 * w):
+                assert quotient(a, b, d) == difference(a, b, d), (a, b, d)
+        assert any(
+            quotient(a, b, 2 * w) != difference(a, b, 2 * w) for a, b in pairs
+        )
+
+    def test_reads_positive_images_no_deeper_than_degree_six(self, monkeypatch):
+        import gassner.search as search
+
+        requests = []
+
+        def record(term, n, max_deg, sign):
+            requests.append((max_deg, sign))
+            return _commutator_matrix(term, n, max_deg, sign)
+
+        def refuse(*args):
+            raise AssertionError("the breakdown composes no images")
+
+        monkeypatch.setattr(search, "_commutator_matrix", record)
+        monkeypatch.setattr(search, "_compose", refuse)
+        report = breakdown_regression()
+        assert report.first_difference_degree == 6
+        assert requests
+        assert all(sign == 1 and max_deg <= 6 for max_deg, sign in requests)
+
+    def test_report_converts_and_pickles(self):
+        report = breakdown_regression()
+        data = asdict(report)
+        assert data["difference_class"] == report.difference_class
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_phi_classes_of_breakdown_pair_agree(self):
         c1 = parse_commutator(BREAKDOWN_COMMUTATORS[0])
