@@ -14,7 +14,6 @@ Subpackages:
 from .braid import (
     BraidLetter,
     BraidWord,
-    delete_strand_reduction,
     evaluate_exact,
     evaluate_truncated,
     gassner_generator,
@@ -48,7 +47,6 @@ from .laurent import (
     TruncatedSeries,
     UsageError,
     series_matrix_inverse,
-    specialize,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .laurent import (
     TruncatedSeries,
     UsageError,
     identity_rows,
-    specialize,
 )
 
 MAX_STRANDS = 64
@@ -231,23 +230,6 @@ def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
     for l in word.letters:
         acc = acc * _letter_matrix_truncated(word.n, l.r, l.s, l.exponent, max_deg)
     return acc
-
-
-def delete_strand_reduction(m: SquareMatrix, n: int) -> SquareMatrix:
-    """Project an n x n Gassner image to n-1 strands.
-
-    Sets t_n = 1 and deletes the last row and column (and the now-unused
-    last variable).  Images of words avoiding the last strand commute with
-    this projection, and free-subgroup words collapse to the identity.
-    """
-    if m.size != n:
-        raise UsageError(f"expected a {n}x{n} matrix, got size {m.size}")
-    reduced = specialize(m, n)
-    rows = [
-        [reduced.rows[i][j].drop_var(n) for j in range(n - 1)]
-        for i in range(n - 1)
-    ]
-    return SquareMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -364,17 +364,9 @@ def _stack(
     return IntMatrix(tuple(labels), col_labels, rows)
 
 
-def integer_rank(m: IntMatrix | list) -> int:
-    """Rank over the rationals by exact fraction-free sparse elimination.
-
-    Takes an ``IntMatrix`` or a list of dense rows.
-    """
-    if isinstance(m, IntMatrix):
-        return _bareiss(list(m.rows), m.col_count)
-    return _bareiss(
-        [{j: v for j, v in enumerate(row) if v} for row in m],
-        len(m[0]) if m else 0,
-    )
+def integer_rank(m: IntMatrix) -> int:
+    """Rank over the rationals by exact fraction-free sparse elimination."""
+    return _bareiss(list(m.rows), m.col_count)
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -570,7 +562,7 @@ class TablesReport:
         }
 
 
-def verify_tables(n: int, weights: tuple[int, ...] = (1, 2, 3, 4)) -> TablesReport:
+def verify_tables(n: int) -> TablesReport:
     """Compare computed classes of weights 1..4 against the reference tables.
 
     Every listed factor is instantiated with its Kronecker deltas evaluated
@@ -583,7 +575,7 @@ def verify_tables(n: int, weights: tuple[int, ...] = (1, 2, 3, 4)) -> TablesRepo
     if n not in (4, 5):
         raise UsageError("table verification is defined for n in {4, 5}")
     checks = []
-    for w in weights:
+    for w in (1, 2, 3, 4):
         for shape in tables.shapes_for_weight(w):
             commutators = [
                 c for c in basic_commutators(n - 1, w) if tables.shape_of(c) == shape

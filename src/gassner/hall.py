@@ -110,20 +110,6 @@ def is_left_normed(term: CommutatorTerm) -> bool:
     return term.right.is_leaf and is_left_normed(term.left)
 
 
-def is_basic(term: CommutatorTerm, m: int) -> bool:
-    """Check the admissibility conditions over generators x_1..x_m."""
-    if term.is_leaf:
-        return 1 <= term.gen <= m
-    left, right = term.left, term.right
-    if not (is_basic(left, m) and is_basic(right, m)):
-        return False
-    if not left > right:
-        return False
-    if not left.is_leaf and not right >= left.right:
-        return False
-    return True
-
-
 def _check_caps(m: int, w: int) -> None:
     if m < 1 or w < 1:
         raise UsageError("generator count and weight must be positive")

@@ -9,9 +9,10 @@
   generated by all the u_i.
 
 ``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
-operations the representation needs: products, sums, specialization, and
-geometric-series inverses for series matrices congruent to the identity.
-(Exact generator inverses have a closed form; see ``braid``.)
+operations the representation needs: products, sums and entrywise maps.
+No runtime path inverts a series matrix (exact generator inverses have a
+closed form; see ``braid``); the geometric-series ``series_matrix_inverse``
+stays here because the benchmark's tracer names it.
 
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
@@ -163,35 +164,10 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.n_vars: 1}
 
-    # -- queries and transforms
+    # -- queries
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())
-
-    def specialize(self, var: int) -> "LaurentPoly":
-        """Substitute t_var = 1 (``var`` is 1-based)."""
-        if not 1 <= var <= self.n_vars:
-            raise UsageError(f"variable index {var} out of range 1..{self.n_vars}")
-        i = var - 1
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            key = exps[:i] + (0,) + exps[i + 1 :]
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _raw_laurent(self.n_vars, out)
-
-    def drop_var(self, var: int) -> "LaurentPoly":
-        """Remove variable ``var`` (1-based); it must not occur in any term."""
-        i = var - 1
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] != 0:
-                raise UsageError(f"variable t{var} still occurs in {self}")
-            out[exps[:i] + exps[i + 1 :]] = coeff
-        return _raw_laurent(self.n_vars - 1, out)
 
     # -- serialization and display
 
@@ -682,13 +658,6 @@ class SquareMatrix:
 
 # ---------------------------------------------------------------------------
 # Matrix-level operations
-
-
-def specialize(m: SquareMatrix, var: int) -> SquareMatrix:
-    """Substitute t_var = 1 in every entry of a Laurent matrix."""
-    if not isinstance(m.rows[0][0], LaurentPoly):
-        raise UsageError("specialization is defined for Laurent matrices")
-    return m.map_entries(lambda e: e.specialize(var))
 
 
 def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:

@@ -1,10 +1,20 @@
-"""Independent exact routes that the tests check the library against."""
+"""Independent exact routes that the tests check the library against.
+
+None of these has a caller in ``gassner`` itself, so they live here rather
+than in the package: exact determinants, deviations ``M - I`` of full
+matrices, the per-commutator screen the search used before it worked in
+kernel coordinates, the substitution t_var = 1 with last-strand deletion
+(``specialize_poly``, ``drop_var``, ``specialize``,
+``delete_strand_reduction``), the admissibility test for basic commutators
+(``is_basic``), and the rank of dense integer rows (``dense_rank``).
+"""
 
 from functools import lru_cache
 from itertools import combinations
 
-from gassner.graded import _commutator_matrix, congruent_parts
-from gassner.laurent import LaurentPoly, SquareMatrix
+from gassner.graded import _bareiss, _commutator_matrix, congruent_parts
+from gassner.hall import CommutatorTerm
+from gassner.laurent import LaurentPoly, SquareMatrix, UsageError
 
 
 def minus_identity(m: SquareMatrix) -> SquareMatrix:
@@ -65,3 +75,80 @@ def per_commutator_first_degree(vector, basis, n: int, w: int, depth: int):
         if any(acc.values()):
             return d
     return None
+
+
+def specialize_poly(p: LaurentPoly, var: int) -> LaurentPoly:
+    """Substitute t_var = 1 (``var`` is 1-based)."""
+    if not 1 <= var <= p.n_vars:
+        raise UsageError(f"variable index {var} out of range 1..{p.n_vars}")
+    i = var - 1
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in p.terms.items():
+        key = exps[:i] + (0,) + exps[i + 1 :]
+        new = out.get(key, 0) + coeff
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return LaurentPoly(p.n_vars, out)
+
+
+def drop_var(p: LaurentPoly, var: int) -> LaurentPoly:
+    """Remove variable ``var`` (1-based); it must not occur in any term."""
+    i = var - 1
+    out = {}
+    for exps, coeff in p.terms.items():
+        if exps[i] != 0:
+            raise UsageError(f"variable t{var} still occurs in {p}")
+        out[exps[:i] + exps[i + 1 :]] = coeff
+    return LaurentPoly(p.n_vars - 1, out)
+
+
+def specialize(m: SquareMatrix, var: int) -> SquareMatrix:
+    """Substitute t_var = 1 in every entry of a Laurent matrix."""
+    if not isinstance(m.rows[0][0], LaurentPoly):
+        raise UsageError("specialization is defined for Laurent matrices")
+    return m.map_entries(lambda e: specialize_poly(e, var))
+
+
+def delete_strand_reduction(m: SquareMatrix, n: int) -> SquareMatrix:
+    """Project an n x n Gassner image to n-1 strands.
+
+    Sets t_n = 1 and deletes the last row and column (and the now-unused
+    last variable).  Images of words avoiding the last strand commute with
+    this projection, and free-subgroup words collapse to the identity.
+    """
+    if m.size != n:
+        raise UsageError(f"expected a {n}x{n} matrix, got size {m.size}")
+    reduced = specialize(m, n)
+    rows = [
+        [drop_var(reduced.rows[i][j], n) for j in range(n - 1)]
+        for i in range(n - 1)
+    ]
+    return SquareMatrix(rows)
+
+
+def is_basic(term: CommutatorTerm, m: int) -> bool:
+    """Check the admissibility conditions over generators x_1..x_m."""
+    if term.is_leaf:
+        return 1 <= term.gen <= m
+    left, right = term.left, term.right
+    if not (is_basic(left, m) and is_basic(right, m)):
+        return False
+    if not left > right:
+        return False
+    if not left.is_leaf and not right >= left.right:
+        return False
+    return True
+
+
+def dense_rank(rows: list[list[int]]) -> int:
+    """Rational rank of dense integer rows, by the library's one elimination.
+
+    ``graded.integer_rank`` takes only an ``IntMatrix``; the tests that
+    hold plain vectors (kernel bases, candidate lists) pass them here.
+    """
+    return _bareiss(
+        [{j: v for j, v in enumerate(row) if v} for row in rows],
+        len(rows[0]) if rows else 0,
+    )

@@ -9,7 +9,6 @@ from gassner.braid import (
     BraidLetter,
     BraidWord,
     WordSyntaxError,
-    delete_strand_reduction,
     evaluate_exact,
     evaluate_truncated,
     gassner_generator,
@@ -21,9 +20,8 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     series_matrix_inverse,
-    specialize,
 )
-from oracle import laurent_determinant
+from oracle import delete_strand_reduction, laurent_determinant, specialize
 
 
 def random_word(rng, n, length):

@@ -8,7 +8,6 @@ from gassner.hall import (
     CommutatorTerm,
     basic_commutators,
     commutator_to_word,
-    is_basic,
     is_left_normed,
     check_basis_size,
     leaf_sequence,
@@ -17,6 +16,7 @@ from gassner.hall import (
     witt_rank,
 )
 from gassner.laurent import UsageError
+from oracle import is_basic
 
 L = CommutatorTerm.leaf
 B = CommutatorTerm.bracket

@@ -17,9 +17,8 @@ from gassner.laurent import (
     identity_rows,
     retruncate,
     series_matrix_inverse,
-    specialize,
 )
-from oracle import laurent_determinant
+from oracle import laurent_determinant, specialize, specialize_poly
 
 
 def t(i, n=2):
@@ -58,9 +57,9 @@ class TestLaurentArithmetic:
 
     def test_specialize(self):
         t1, t2 = t(1), t(2)
-        assert (t1 * t2).specialize(2) == t1
+        assert specialize_poly(t1 * t2, 2) == t1
         p = LaurentPoly(2, {(1, 1): 1, (1, 0): 1})  # t1*t2 + t1
-        assert p.specialize(2) == t1 + t1
+        assert specialize_poly(p, 2) == t1 + t1
 
 
 _small_polys = st.builds(

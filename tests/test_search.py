@@ -12,7 +12,6 @@ from gassner.graded import (
     _commutator_matrix,
     _compose,
     first_degree,
-    integer_rank,
     kernel_report,
     phi,
     pi,
@@ -35,7 +34,7 @@ from gassner.search import (
     run_search,
     vector_to_word,
 )
-from oracle import minus_identity, per_commutator_first_degree
+from oracle import dense_rank, minus_identity, per_commutator_first_degree
 
 
 def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
@@ -128,8 +127,8 @@ class TestEnumeration:
         i2 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[1]))
         target = [0] * 48
         target[i1], target[i2] = 1, -1
-        base_rank = integer_rank([list(v) for v in emitted])
-        joined = integer_rank([list(v) for v in emitted] + [target])
+        base_rank = dense_rank([list(v) for v in emitted])
+        joined = dense_rank([list(v) for v in emitted] + [target])
         assert joined == base_rank
         assert tuple(target) in emitted
 
@@ -343,9 +342,11 @@ class TestNoSeriesInverse:
     def test_runtime_paths_never_invert_a_series_matrix(self, monkeypatch, refused):
         # every runtime inverse comes from [a, b]^-1 = [b, a] over
         # closed-form letters, and images are carried as M - I, so no
-        # runtime path builds a series identity either.  Probe 10 runs the
-        # product fallback and probe 5 the specialization ladder; caches are
-        # cleared so nothing computed earlier hides a call
+        # runtime path builds a series identity either.  Probe 5 runs the
+        # specialization ladder.  At probe 10 every default candidate is
+        # decided by the screen at degree 6, so the product fallback is
+        # called directly at depth 10, as run_search would call it there;
+        # caches are cleared so nothing computed earlier hides a call
         import sys
 
         from gassner.graded import _commutator_matrix
@@ -368,7 +369,7 @@ class TestNoSeriesInverse:
         run_search(SearchConfig(budget=3, degree_probe=10))
         run_search(SearchConfig(budget=3, degree_probe=5))
         vector = next(v for v in report.kernel if min(v) < 0)
-        assert not _candidate_matrix(vector, 4, 5, 6).is_zero()
+        assert not _candidate_matrix(vector, 4, 5, 10).is_zero()
 
 
 class TestSpecialization:
