@@ -17,8 +17,13 @@ and has a closed form of the same shape; with u = t_r^-1 * t_s^-1,
     (s,r) = (t_s - 1)*u              (s,s) = 1 - t_s^-1 + u
     (k,r) = (t_k - 1)*(1 - t_s)*u    (k,s) = (t_k - 1)*(t_r - 1)*u
 
-for r < k < s.  Truncated letters are these exact matrices expanded in
-u_i = t_i - 1, inverse letters included.  Strand counts above MAX_STRANDS
+for r < k < s.  Both tables are written once, over any ring, and only
+ring operations act on t_i^{±1}.  Exact letters are the closed forms over
+Z[t^{±1}]; truncated letters are the closed forms instantiated in the
+series ring, with t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k for
+u_i = t_i - 1; the search's mod-p letters instantiate them at a point.
+Truncation and evaluation at a point are ring homomorphisms, so each
+equals the image of the exact letter.  Strand counts above MAX_STRANDS
 are rejected where they enter, before any n x n matrix is built.
 
 Words in the free subgroup generated by x_j = A(j,n) (the strands linking
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import NamedTuple
 
@@ -152,44 +157,60 @@ def _check_generator(n: int, r: int, s: int) -> None:
         raise UsageError(f"generator indices must satisfy 1 <= r < s <= n, got ({r},{s})")
 
 
-@lru_cache(maxsize=None)
-def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
-    """The Gassner matrix of A(r,s) on n strands."""
-    _check_generator(n, r, s)
-    one = LaurentPoly.one(n)
-    tr = LaurentPoly.var(n, r)
-    ts = LaurentPoly.var(n, s)
-    rows = identity_rows(n, one)
-    rows[r - 1][r - 1] = one - tr + tr * ts
-    rows[r - 1][s - 1] = tr * (one - tr)
-    rows[s - 1][r - 1] = one - ts
-    rows[s - 1][s - 1] = tr
-    for k in range(r + 1, s):
-        tk = LaurentPoly.var(n, k)
-        rows[k - 1][r - 1] = (one - tk) * (one - ts)
-        rows[k - 1][s - 1] = (one - tk) * (tr - one)
-    return SquareMatrix(rows)
+def _letter_rows(n: int, r: int, s: int, exponent: int, ring) -> list[list]:
+    """Rows of the Gassner matrix of A(r,s)^exponent in any ring.
 
-
-@lru_cache(maxsize=None)
-def gassner_generator_inverse(n: int, r: int, s: int) -> SquareMatrix:
-    """Exact inverse of the Gassner matrix of A(r,s), in closed form."""
+    Both tables of the module docstring, written once; any exponent but 1
+    selects the inverse.  ``ring()`` returns the ring's one and t(i, e),
+    which is t_i^e for e = ±1; it is called after the indices are checked,
+    so a rejected letter builds nothing.  Only +, -, * follow, so a ring
+    homomorphism out of Z[t^{±1}] maps the exact letter to this one.
+    """
     _check_generator(n, r, s)
-    one = LaurentPoly.one(n)
-    tr = LaurentPoly.var(n, r)
-    ts = LaurentPoly.var(n, s)
-    ts_inv = LaurentPoly.var(n, s, -1)
-    u = LaurentPoly.var(n, r, -1) * ts_inv
+    one, t = ring()
+    tr, ts = t(r, 1), t(s, 1)
     rows = identity_rows(n, one)
+    if exponent == 1:
+        rows[r - 1][r - 1] = one - tr + tr * ts
+        rows[r - 1][s - 1] = tr * (one - tr)
+        rows[s - 1][r - 1] = one - ts
+        rows[s - 1][s - 1] = tr
+        for k in range(r + 1, s):
+            tk = t(k, 1)
+            rows[k - 1][r - 1] = (one - tk) * (one - ts)
+            rows[k - 1][s - 1] = (one - tk) * (tr - one)
+        return rows
+    ts_inv = t(s, -1)
+    u = t(r, -1) * ts_inv
     rows[r - 1][r - 1] = ts_inv
     rows[r - 1][s - 1] = (tr - one) * ts_inv
     rows[s - 1][r - 1] = (ts - one) * u
     rows[s - 1][s - 1] = one - ts_inv + u
     for k in range(r + 1, s):
-        tk = LaurentPoly.var(n, k)
+        tk = t(k, 1)
         rows[k - 1][r - 1] = (tk - one) * (one - ts) * u
         rows[k - 1][s - 1] = (tk - one) * (tr - one) * u
-    return SquareMatrix(rows)
+    return rows
+
+
+def _laurent_ring(n: int):
+    return LaurentPoly.one(n), partial(LaurentPoly.var, n)
+
+
+def _series_ring(n: int, max_deg: int):
+    return TruncatedSeries.one(n, max_deg), partial(TruncatedSeries.var, n, max_deg)
+
+
+@lru_cache(maxsize=None)
+def gassner_generator(n: int, r: int, s: int) -> SquareMatrix:
+    """The Gassner matrix of A(r,s) on n strands."""
+    return SquareMatrix(_letter_rows(n, r, s, 1, partial(_laurent_ring, n)))
+
+
+@lru_cache(maxsize=None)
+def gassner_generator_inverse(n: int, r: int, s: int) -> SquareMatrix:
+    """Exact inverse of the Gassner matrix of A(r,s), in closed form."""
+    return SquareMatrix(_letter_rows(n, r, s, -1, partial(_laurent_ring, n)))
 
 
 @lru_cache(maxsize=None)
@@ -203,9 +224,8 @@ def _letter_matrix(n: int, r: int, s: int, exponent: int) -> SquareMatrix:
 def _letter_matrix_truncated(
     n: int, r: int, s: int, exponent: int, max_deg: int
 ) -> SquareMatrix:
-    return _letter_matrix(n, r, s, exponent).map_entries(
-        lambda e: TruncatedSeries.from_laurent(e, max_deg)
-    )
+    ring = partial(_series_ring, n, max_deg)
+    return SquareMatrix(_letter_rows(n, r, s, exponent, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +243,9 @@ def evaluate_exact(word: BraidWord) -> SquareMatrix:
 def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
     """Product of the word's letters in the truncated ring.
 
-    Equals ``TruncatedSeries.from_laurent`` applied entrywise to the exact
-    evaluation, but multiplies only truncated letter matrices.
+    Truncation is a ring homomorphism, so this is the exact evaluation
+    truncated at ``max_deg``; it multiplies only closed-form truncated
+    letters and never builds an exact matrix.
     """
     acc = SquareMatrix(identity_rows(word.n, TruncatedSeries.one(word.n, max_deg)))
     for l in word.letters:
@@ -239,6 +260,8 @@ def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
 #   term := atom ("^" signed-int)?
 #   atom := "A(" int "," int ")" | "x" int | "[" word "," word "]"
 #
+# An int is ASCII digits and whitespace is ASCII whitespace: other Unicode
+# digits and spaces are rejected with their position.
 # Exponents other than ±1 expand by repetition; brackets expand with the
 # convention [a, b] = a b a^-1 b^-1.  An expansion longer than
 # MAX_WORD_LENGTH letters is rejected before it is built, so a large
@@ -270,7 +293,7 @@ _TOKEN_RE = re.compile(
   | (?P<caret>\^(?P<exp>[+-]?\d+))
   | (?P<space>\s+)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

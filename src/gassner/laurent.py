@@ -6,13 +6,15 @@
 * ``TruncatedSeries`` is a polynomial in the shifted variables u_i = t_i - 1
   with every term of total degree greater than ``max_deg`` discarded.  This
   is the ring of residues modulo the (max_deg+1)-th power of the ideal
-  generated by all the u_i.
+  generated by all the u_i.  No Laurent polynomial is converted into it:
+  ``TruncatedSeries.var`` gives t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k,
+  and ``braid`` writes its letters in closed form over those.
 
 ``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
 operations the representation needs: products, sums and entrywise maps.
-No runtime path inverts a series matrix (exact generator inverses have a
-closed form; see ``braid``); the geometric-series ``series_matrix_inverse``
-stays here because the benchmark's tracer names it.
+No runtime path inverts a series matrix (generator inverses have a closed
+form in every ring; see ``braid``); the geometric-series
+``series_matrix_inverse`` stays here because the benchmark's tracer names it.
 
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
@@ -24,7 +26,6 @@ would silently corrupt downstream rank computations.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Union
 
 
@@ -317,49 +318,19 @@ class TruncatedSeries:
         return cls(n_vars, max_deg, {(0,) * n_vars: 1})
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly, max_deg: int) -> "TruncatedSeries":
-        """Expand a Laurent polynomial in powers of u_i = t_i - 1.
+    def var(cls, n_vars: int, max_deg: int, i: int, power: int) -> "TruncatedSeries":
+        """t_i^power for power = ±1; ``i`` is 1-based.
 
-        Negative exponents expand through the binomial series of
-        (1+u)^e, which for e < 0 has the integer coefficients
-        binom(e, k) = (-1)^k * binom(-e+k-1, k); truncation makes the
-        expansion finite.  The map is a ring homomorphism onto the
-        truncated ring.
+        t_i = 1 + u_i, and t_i^-1 = sum_k (-u_i)^k is a geometric series
+        that the truncation makes finite.
         """
-        _check_max_deg(max_deg)
-        n = p.n_vars
-        shift = 8 * n
-        cutoff = (max_deg + 1) << shift
-        acc: dict[int, int] = {}
-        for exps, coeff in p.terms.items():
-            term: dict[int, int] = {0: coeff}
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                expansion = _binomial_expansion(e, max_deg)
-                step = 1 << (8 * i)
-                new: dict[int, int] = {}
-                for key, val in term.items():
-                    for k, b in expansion:
-                        nk = key + k * (step + (1 << shift))
-                        if nk >= cutoff:
-                            break
-                        cur = new.get(nk, 0) + val * b
-                        if cur:
-                            new[nk] = cur
-                        else:
-                            del new[nk]
-                    # expansion is ordered by k, so later k only increase nk
-                term = new
-                if not term:
-                    break
-            for key, val in term.items():
-                cur = acc.get(key, 0) + val
-                if cur:
-                    acc[key] = cur
-                else:
-                    del acc[key]
-        return _raw_series(n, max_deg, acc)
+        if power not in (1, -1):
+            raise UsageError(f"series variable power must be ±1, got {power}")
+        head, tail = (0,) * (i - 1), (0,) * (n_vars - i)
+        top = max_deg if power == -1 else min(1, max_deg)
+        return cls(
+            n_vars, max_deg, {head + (k,) + tail: power**k for k in range(top + 1)}
+        )
 
     # -- ring structure
 
@@ -481,16 +452,6 @@ def _raw_series(n_vars: int, max_deg: int, packed: dict) -> TruncatedSeries:
     return s
 
 
-def _binomial_expansion(e: int, max_deg: int) -> list[tuple[int, int]]:
-    """Coefficients [(k, binom(e, k))] of (1+u)^e up to degree max_deg."""
-    if e >= 0:
-        top = min(e, max_deg)
-        return [(k, math.comb(e, k)) for k in range(top + 1)]
-    return [
-        (k, (-1) ** k * math.comb(-e + k - 1, k)) for k in range(max_deg + 1)
-    ]
-
-
 def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
     """The series ``s`` under truncation degree ``max_deg``.
 
@@ -513,9 +474,12 @@ def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
 RingElement = Union[LaurentPoly, TruncatedSeries]
 
 
-def identity_rows(size: int, one: RingElement) -> list[list[RingElement]]:
-    """The identity grid over the ring of ``one``, as lists callers may fill."""
-    zero = one.zero_like()
+def identity_rows(size: int, one: RingElement | int) -> list[list]:
+    """The identity grid over the ring of ``one``, as lists callers may fill.
+
+    ``one`` may also be a plain int, for letters specialized mod p.
+    """
+    zero = one - one
     return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
 

@@ -44,7 +44,7 @@ from itertools import chain, combinations
 from math import gcd
 from typing import Iterator
 
-from .braid import BraidWord, _letter_matrix, evaluate_exact
+from .braid import BraidWord, _letter_rows, evaluate_exact
 from .graded import (
     GradedClass,
     Part,
@@ -272,25 +272,6 @@ def _specialization_points(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _specialize_matrix(
-    mat: SquareMatrix, point: tuple[int, ...], p: int
-) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in mat.rows:
-        out_row = []
-        for e in row:
-            total = 0
-            for exps, c in e.terms.items():
-                v = c % p
-                for t, k in zip(point, exps):
-                    if k:
-                        v = v * pow(t, k, p) % p
-                total = (total + v) % p
-            out_row.append(total)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def _mod_matmul(a, b):
     p, size = _SPECIALIZATION_PRIME, len(a)
     return tuple(
@@ -314,16 +295,22 @@ def _specialized_commutator(
     """The term's image to the power m != 0 mod p; m < 0 uses the inverse.
 
     At m = ±1, the bracket recursion of ``graded._commutator_matrix`` over
-    the specialized exact letters and their closed-form inverses; other
-    powers multiply cached ones, as ``_commutator_power`` does.
+    the closed-form letters and their inverses instantiated at the point,
+    with t_i^{±1} = point[i]^{±1} mod p; other powers multiply cached ones,
+    as ``_commutator_power`` does.
     """
     sign = 1 if m > 0 else -1
     if m != sign:
         factors = ((term, m - sign), (term, sign))
     elif term.is_leaf:
         point = _specialization_points(n, seed)[point_index]
-        letter = _letter_matrix(n, term.gen, n, sign)
-        return _specialize_matrix(letter, point, _SPECIALIZATION_PRIME)
+        p = _SPECIALIZATION_PRIME
+
+        def ring():
+            return 1, lambda i, e: pow(point[i - 1], e, p)
+
+        rows = _letter_rows(n, term.gen, n, sign, ring)
+        return tuple(tuple(x % p for x in row) for row in rows)
     else:
         a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
         factors = ((a, 1), (b, 1), (a, -1), (b, -1))

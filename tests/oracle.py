@@ -7,14 +7,29 @@ kernel coordinates, the substitution t_var = 1 with last-strand deletion
 (``specialize_poly``, ``drop_var``, ``specialize``,
 ``delete_strand_reduction``), the admissibility test for basic commutators
 (``is_basic``), and the rank of dense integer rows (``dense_rank``).
+
+The library writes the Gassner letters once in closed form and
+instantiates them in each ring.  The two conversions of exact Laurent
+matrices it used before are kept here as the routes those letters are
+checked against: ``from_laurent`` expands a Laurent polynomial in
+u_i = t_i - 1 by binomial series, and ``_specialize_matrix`` evaluates
+every Laurent term at a point mod p.
 """
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
 from gassner.graded import _bareiss, _commutator_matrix, congruent_parts
 from gassner.hall import CommutatorTerm
-from gassner.laurent import LaurentPoly, SquareMatrix, UsageError
+from gassner.laurent import (
+    LaurentPoly,
+    SquareMatrix,
+    TruncatedSeries,
+    UsageError,
+    _check_max_deg,
+    _raw_series,
+)
 
 
 def minus_identity(m: SquareMatrix) -> SquareMatrix:
@@ -152,3 +167,79 @@ def dense_rank(rows: list[list[int]]) -> int:
         [{j: v for j, v in enumerate(row) if v} for row in rows],
         len(rows[0]) if rows else 0,
     )
+
+
+def from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
+    """Expand a Laurent polynomial in powers of u_i = t_i - 1.
+
+    Negative exponents expand through the binomial series of
+    (1+u)^e, which for e < 0 has the integer coefficients
+    binom(e, k) = (-1)^k * binom(-e+k-1, k); truncation makes the
+    expansion finite.  The map is a ring homomorphism onto the
+    truncated ring.  Terms use the series' packed keys: one byte per
+    exponent, with the total degree above them.
+    """
+    _check_max_deg(max_deg)
+    n = p.n_vars
+    shift = 8 * n
+    cutoff = (max_deg + 1) << shift
+    acc: dict[int, int] = {}
+    for exps, coeff in p.terms.items():
+        term: dict[int, int] = {0: coeff}
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            expansion = _binomial_expansion(e, max_deg)
+            step = 1 << (8 * i)
+            new: dict[int, int] = {}
+            for key, val in term.items():
+                for k, b in expansion:
+                    nk = key + k * (step + (1 << shift))
+                    if nk >= cutoff:
+                        break
+                    cur = new.get(nk, 0) + val * b
+                    if cur:
+                        new[nk] = cur
+                    else:
+                        del new[nk]
+                # expansion is ordered by k, so later k only increase nk
+            term = new
+            if not term:
+                break
+        for key, val in term.items():
+            cur = acc.get(key, 0) + val
+            if cur:
+                acc[key] = cur
+            else:
+                del acc[key]
+    return _raw_series(n, max_deg, acc)
+
+
+def _binomial_expansion(e: int, max_deg: int) -> list[tuple[int, int]]:
+    """Coefficients [(k, binom(e, k))] of (1+u)^e up to degree max_deg."""
+    if e >= 0:
+        top = min(e, max_deg)
+        return [(k, math.comb(e, k)) for k in range(top + 1)]
+    return [
+        (k, (-1) ** k * math.comb(-e + k - 1, k)) for k in range(max_deg + 1)
+    ]
+
+
+def _specialize_matrix(
+    mat: SquareMatrix, point: tuple[int, ...], p: int
+) -> tuple[tuple[int, ...], ...]:
+    """A Laurent matrix evaluated at t = point, entry by entry mod p."""
+    out = []
+    for row in mat.rows:
+        out_row = []
+        for e in row:
+            total = 0
+            for exps, c in e.terms.items():
+                v = c % p
+                for t, k in zip(point, exps):
+                    if k:
+                        v = v * pow(t, k, p) % p
+                total = (total + v) % p
+            out_row.append(total)
+        out.append(tuple(out_row))
+    return tuple(out)

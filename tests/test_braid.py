@@ -9,19 +9,20 @@ from gassner.braid import (
     BraidLetter,
     BraidWord,
     WordSyntaxError,
+    _letter_matrix_truncated,
     evaluate_exact,
     evaluate_truncated,
     gassner_generator,
     gassner_generator_inverse,
     parse_word,
 )
-from gassner.laurent import (
-    LaurentPoly,
-    TruncatedSeries,
-    UsageError,
-    series_matrix_inverse,
+from gassner.laurent import LaurentPoly, UsageError, series_matrix_inverse
+from oracle import (
+    delete_strand_reduction,
+    from_laurent,
+    laurent_determinant,
+    specialize,
 )
-from oracle import delete_strand_reduction, laurent_determinant, specialize
 
 
 def random_word(rng, n, length):
@@ -95,21 +96,35 @@ class TestGenerators:
         with pytest.raises(UsageError, match=f"cap of {MAX_STRANDS}"):
             build(MAX_STRANDS + 1, 1, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_inverse_commutes_with_truncation(self, n):
-        # exact inverse then truncate == truncate then series-invert; the
-        # left side is how truncated inverse letters are built
+        # the closed forms instantiated in the series ring equal the exact
+        # letters expanded by the oracle's binomial series, both exponents,
+        # and multiply to I; through n = 5, exact inverse then truncate ==
+        # truncate then series-invert
         for s in range(2, n + 1):
             for r in range(1, s):
-                exact_inverse = gassner_generator_inverse(n, r, s)
+                exact = {
+                    1: gassner_generator(n, r, s),
+                    -1: gassner_generator_inverse(n, r, s),
+                }
+                for d in (0, 1, 2, 5, 12):
+                    for exponent, letter in exact.items():
+                        assert _letter_matrix_truncated(
+                            n, r, s, exponent, d
+                        ) == letter.map_entries(lambda e: from_laurent(e, d))
+                    assert (
+                        _letter_matrix_truncated(n, r, s, 1, d)
+                        * _letter_matrix_truncated(n, r, s, -1, d)
+                    ).is_identity()
+                if n > 5:
+                    continue
                 for d in range(0, 11):
                     truncated = gassner_generator(n, r, s).map_entries(
-                        lambda e: TruncatedSeries.from_laurent(e, d)
+                        lambda e: from_laurent(e, d)
                     )
                     assert series_matrix_inverse(truncated) == (
-                        exact_inverse.map_entries(
-                            lambda e: TruncatedSeries.from_laurent(e, d)
-                        )
+                        exact[-1].map_entries(lambda e: from_laurent(e, d))
                     )
 
 
@@ -202,14 +217,24 @@ class TestEvaluation:
             assert det == LaurentPoly(n, {tuple(exps): 1})
 
     def test_truncated_matches_exact(self):
+        # every one-letter word, then random words: truncated evaluation
+        # against the exact one expanded by the oracle's binomial series
+        for n in range(2, 8):
+            for s in range(2, n + 1):
+                for r in range(1, s):
+                    for exponent in (1, -1):
+                        w = BraidWord(n, (BraidLetter(r, s, exponent),))
+                        exact = evaluate_exact(w)
+                        for d in (0, 1, 2, 5, 12):
+                            assert evaluate_truncated(w, d) == exact.map_entries(
+                                lambda e: from_laurent(e, d)
+                            )
         rng = random.Random(0xCAFE)
         for _ in range(40):
             n = rng.choice((3, 4))
             d = rng.randint(0, 6)
             w = random_word(rng, n, rng.randint(0, 5))
-            exact = evaluate_exact(w).map_entries(
-                lambda e: TruncatedSeries.from_laurent(e, d)
-            )
+            exact = evaluate_exact(w).map_entries(lambda e: from_laurent(e, d))
             assert evaluate_truncated(w, d) == exact
 
     def test_truncated_generator_at_degree_zero(self):

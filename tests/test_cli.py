@@ -95,6 +95,29 @@ class TestEval:
         assert "position" in err
 
     @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("A(\u0661,\u0664)", 0),
+            ("x1^\u0662", 2),
+            ("x1\u3000x2", 2),
+            ("x\uff11", 0),
+        ],
+        ids=[
+            "arabic-indic-indices",
+            "arabic-indic-exponent",
+            "ideographic-space",
+            "fullwidth-digit",
+        ],
+    )
+    def test_non_ascii_digits_and_spaces_exit_two(self, capsys, text, position):
+        # an int in the word grammar is ASCII digits; these used to read as
+        # A(1,4), x1^2 and x1 x2
+        code, out, err = run(capsys, "eval", "--n", "4", text)
+        assert code == 2
+        assert out == ""
+        assert f"(at position {position})" in err
+
+    @pytest.mark.parametrize(
         "text",
         ["x1^1000000000", "[" * 40 + "x1" + ",x2]" * 40],
         ids=["giant-exponent", "nested-brackets"],

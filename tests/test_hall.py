@@ -188,11 +188,13 @@ class TestParsing:
             ("[x2,x1] x1", 8),
             ("x0", 0),
             ("[x1,x0]", 4),
+            ("[x\u0662,x\u0661]", 1),
         ],
     )
     def test_word_only_syntax_rejected_with_position(self, text, position):
-        # commutator text shares the word grammar's tokens but admits only
-        # generators and brackets
+        # commutator text shares the word grammar's tokens, whose digits are
+        # ASCII only ("[x2,x1]" in Arabic-Indic digits used to parse), but
+        # admits only generators and brackets
         with pytest.raises(WordSyntaxError) as info:
             parse_commutator(text)
         assert info.value.position == position

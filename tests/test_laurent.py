@@ -1,4 +1,9 @@
-"""Ring arithmetic, series conversion, and matrix operations."""
+"""Ring arithmetic, the series variables, and matrix operations.
+
+The tests reach the series ring from Laurent polynomials through the
+oracle's binomial expansion ``from_laurent``; the package has no such
+conversion.
+"""
 
 import copy
 import pickle
@@ -18,7 +23,7 @@ from gassner.laurent import (
     retruncate,
     series_matrix_inverse,
 )
-from oracle import laurent_determinant, specialize, specialize_poly
+from oracle import from_laurent, laurent_determinant, specialize, specialize_poly
 
 
 def t(i, n=2):
@@ -26,7 +31,7 @@ def t(i, n=2):
 
 
 def u(i, n, d):
-    return TruncatedSeries.from_laurent(t(i, n) - LaurentPoly.one(n), d)
+    return from_laurent(t(i, n) - LaurentPoly.one(n), d)
 
 
 class TestLaurentArithmetic:
@@ -87,9 +92,9 @@ class TestRingLaws:
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, st.integers(0, 6))
     def test_series_conversion_is_ring_homomorphism(self, a, b, d):
-        fa, fb = TruncatedSeries.from_laurent(a, d), TruncatedSeries.from_laurent(b, d)
-        assert TruncatedSeries.from_laurent(a * b, d) == fa * fb
-        assert TruncatedSeries.from_laurent(a + b, d) == fa + fb
+        fa, fb = from_laurent(a, d), from_laurent(b, d)
+        assert from_laurent(a * b, d) == fa * fb
+        assert from_laurent(a + b, d) == fa + fb
 
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys)
@@ -104,9 +109,9 @@ class TestRingLaws:
     def test_series_subtraction_matches_negated_sum(self, a, b, d):
         # subtraction runs its own loop; a + (-b) and the Laurent
         # difference converted are the independent routes
-        fa, fb = TruncatedSeries.from_laurent(a, d), TruncatedSeries.from_laurent(b, d)
+        fa, fb = from_laurent(a, d), from_laurent(b, d)
         assert fa - fb == fa + (-fb)
-        assert fa - fb == TruncatedSeries.from_laurent(a - b, d)
+        assert fa - fb == from_laurent(a - b, d)
         assert (fa - fa).is_zero()
 
     @settings(max_examples=60, deadline=None)
@@ -118,12 +123,12 @@ class TestRingLaws:
     def test_unit_monomial_inverse_maps_to_one(self, exps, sign, d):
         p = LaurentPoly(2, {exps: sign})
         p_inv = LaurentPoly(2, {tuple(-e for e in exps): sign})
-        assert TruncatedSeries.from_laurent(p * p_inv, d).is_one()
+        assert from_laurent(p * p_inv, d).is_one()
 
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, _small_polys, st.integers(0, 5))
     def test_series_ring_laws(self, pa, pb, pc, d):
-        a, b, c = (TruncatedSeries.from_laurent(p, d) for p in (pa, pb, pc))
+        a, b, c = (from_laurent(p, d) for p in (pa, pb, pc))
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
@@ -136,9 +141,9 @@ class TestRetruncate:
     @given(_small_polys, st.integers(0, 6), st.integers(0, 6), st.integers(0, 3))
     def test_lower_truncates_and_lift_round_trips(self, p, top, low, extra):
         low = min(low, top)
-        s = TruncatedSeries.from_laurent(p, top)
+        s = from_laurent(p, top)
         lowered = retruncate(s, low)
-        assert lowered == TruncatedSeries.from_laurent(p, low)
+        assert lowered == from_laurent(p, low)
         assert lowered == TruncatedSeries(
             2, low, {e: c for e, c in s.terms().items() if sum(e) <= low}
         )
@@ -152,8 +157,8 @@ class TestRetruncate:
         # x known through degree top - gap times y with no terms below
         # degree gap is known through degree top
         gap = min(gap, top)
-        x = TruncatedSeries.from_laurent(p, top)
-        y = TruncatedSeries.from_laurent(q, top)
+        x = from_laurent(p, top)
+        y = from_laurent(q, top)
         y = TruncatedSeries(
             2, top, {e: c for e, c in y.terms().items() if sum(e) >= gap}
         )
@@ -166,19 +171,35 @@ class TestRetruncate:
 
 class TestSeries:
     def test_from_laurent_variable(self):
-        s = TruncatedSeries.from_laurent(t(1), 2)
+        s = from_laurent(t(1), 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 1})
 
     def test_from_laurent_negative_exponent(self):
-        s = TruncatedSeries.from_laurent(LaurentPoly.var(2, 1, -1), 2)
+        s = from_laurent(LaurentPoly.var(2, 1, -1), 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
 
     def test_from_laurent_generator_entry(self):
         # 1 - t_r + t_r*t_s expands to 1 + u_s + u_r*u_s
         one = LaurentPoly.one(2)
         t1, t2 = t(1), t(2)
-        s = TruncatedSeries.from_laurent(one - t1 + t1 * t2, 2)
+        s = from_laurent(one - t1 + t1 * t2, 2)
         assert s == TruncatedSeries(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 12])
+    def test_var_is_the_expanded_laurent_variable(self, d):
+        # t_i = 1 + u_i and t_i^-1 = sum (-u_i)^k, checked against the
+        # oracle's binomial expansion and against each other
+        for i in (1, 2, 3):
+            for power in (1, -1):
+                s = TruncatedSeries.var(3, d, i, power)
+                assert s == from_laurent(LaurentPoly.var(3, i, power), d)
+            product = TruncatedSeries.var(3, d, i, 1) * TruncatedSeries.var(3, d, i, -1)
+            assert product.is_one()
+
+    @pytest.mark.parametrize("power", [0, 2, -2, 3])
+    def test_var_rejects_powers_other_than_plus_minus_one(self, power):
+        with pytest.raises(UsageError, match="must be ±1"):
+            TruncatedSeries.var(2, 3, 1, power)
 
     def test_inverse_pair_truncates_to_one(self):
         one = TruncatedSeries.one(2, 2)
@@ -240,6 +261,8 @@ class TestMatrices:
             assert SquareMatrix(rows).is_identity()
             rows[0][1] = one
             assert SquareMatrix(identity_rows(3, one)).is_identity()
+        # and plain ints, for the letters the search specializes mod p
+        assert identity_rows(2, 1) == [[1, 0], [0, 1]]
         assert SquareMatrix.identity_series(3, 2, 3) == SquareMatrix(
             identity_rows(3, TruncatedSeries.one(2, 3))
         )

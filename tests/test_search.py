@@ -34,7 +34,13 @@ from gassner.search import (
     run_search,
     vector_to_word,
 )
-from oracle import dense_rank, minus_identity, per_commutator_first_degree
+from oracle import (
+    _specialize_matrix,
+    dense_rank,
+    from_laurent,
+    minus_identity,
+    per_commutator_first_degree,
+)
 
 
 def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
@@ -372,18 +378,70 @@ class TestNoSeriesInverse:
         assert not _candidate_matrix(vector, 4, 5, 10).is_zero()
 
 
+class TestNoExactRing:
+    @pytest.mark.parametrize("refused", ["__mul__", "__add__", "__sub__"])
+    def test_runtime_paths_never_compute_in_the_exact_ring(
+        self, monkeypatch, refused
+    ):
+        # truncated and mod-p letters are the closed forms written in their
+        # own rings, not conversions of exact letters, so classes, the
+        # breakdown and both search ladders run without Laurent arithmetic;
+        # every cache is cleared so no exact letter computed earlier hides
+        # a call
+        import sys
+
+        from gassner.laurent import LaurentPoly
+
+        def refuse(*args):
+            raise AssertionError(f"LaurentPoly.{refused} called at runtime")
+
+        monkeypatch.setattr(LaurentPoly, refused, refuse)
+        for name, module in list(sys.modules.items()):
+            if name == "gassner" or name.startswith("gassner."):
+                for value in list(vars(module).values()):
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+
+        kernel_report(4, 5)
+        breakdown_regression()
+        assert run_search(SearchConfig(budget=3)).candidates
+        assert run_search(SearchConfig(budget=3, degree_probe=5)).candidates
+
+
 class TestSpecialization:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_specialized_fold_matches_specialized_exact(self, sign):
         # the bracket recursion over specialized letters equals specializing
-        # the exact product of the expanded word; sign -1 is the inverse word
+        # the exact product of the expanded word; sign -1 is the inverse word.
+        # The leaves, the closed forms instantiated mod p, are checked
+        # first against the oracle's evaluation of every exact letter x_j
+        # on 2..7 strands at each point, and against the opposite leaf
+        from gassner.braid import _letter_matrix
+        from gassner.hall import CommutatorTerm
         from gassner.search import (
             _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
+            _mod_identity,
+            _mod_matmul,
             _specialization_points,
-            _specialize_matrix,
             _specialized_commutator,
         )
+
+        for n in range(2, 8):
+            points = _specialization_points(n, 20041101)
+            for j in range(1, n):
+                letter = _letter_matrix(n, j, n, sign)
+                for index, point in enumerate(points):
+                    leaf, opposite = (
+                        _specialized_commutator(
+                            CommutatorTerm.leaf(j), n, index, 20041101, e
+                        )
+                        for e in (sign, -sign)
+                    )
+                    assert leaf == _specialize_matrix(
+                        letter, point, _SPECIALIZATION_PRIME
+                    )
+                    assert _mod_matmul(leaf, opposite) == _mod_identity(n)
 
         points = _specialization_points(4, 20041101)
         assert len(points) == _SPECIALIZATION_COUNT
@@ -426,7 +484,6 @@ class TestSpecialization:
             _SPECIALIZATION_PRIME,
             _mod_matmul,
             _specialization_points,
-            _specialize_matrix,
             _specialized_commutator,
         )
 
@@ -522,13 +579,11 @@ class TestBreakdownRegression:
     def test_degree_six_difference_matches_exact_route(self):
         # independent oracle: convert the exact evaluations and compare the
         # leading parts of W1 - W2, which equal those of W1*W2^-1 - I
-        from gassner.laurent import TruncatedSeries
-
         report = breakdown_regression()
         w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
         w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
         s1, s2 = (
-            evaluate_exact(w).map_entries(lambda e: TruncatedSeries.from_laurent(e, 6))
+            evaluate_exact(w).map_entries(lambda e: from_laurent(e, 6))
             for w in (w1, w2)
         )
         diff = s1 - s2
