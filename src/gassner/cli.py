@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .braid import _letter_matrix, _letter_matrix_truncated, check_series_budget, evaluate_exact, evaluate_truncated, parse_word
@@ -29,6 +30,20 @@ from .search import SearchConfig, breakdown_regression, RegressionError, run_sea
 USAGE_ERROR = 2
 MISMATCH = 1
 BROKEN_PIPE = 141
+
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer flag value: an optional minus and ASCII digits, nothing else.
+
+    Python's ``int`` also reads other Unicode decimal digits, surrounding
+    whitespace and ``_`` separators; flags take the ASCII digits that word
+    text takes, and argparse exits 2 with usage on anything else.
+    """
+    if not _ASCII_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,27 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     p_gen = sub.add_parser("gen", help="print a generator matrix")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--r", type=int, required=True)
-    p_gen.add_argument("--s", type=int, required=True)
+    p_gen.add_argument("--n", type=_ascii_int, required=True)
+    p_gen.add_argument("--r", type=_ascii_int, required=True)
+    p_gen.add_argument("--s", type=_ascii_int, required=True)
     p_gen.add_argument("--inverse", action="store_true")
-    p_gen.add_argument("--truncate", type=int, default=None, metavar="D")
+    p_gen.add_argument("--truncate", type=_ascii_int, default=None, metavar="D")
     add_common(p_gen)
 
     p_eval = sub.add_parser("eval", help="evaluate a word")
     p_eval.add_argument("word", help="word text, e.g. 'x1 x2^-1' or '[x2,x1]'")
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--truncate", type=int, default=None, metavar="D")
+    p_eval.add_argument("--n", type=_ascii_int, required=True)
+    p_eval.add_argument("--truncate", type=_ascii_int, default=None, metavar="D")
     add_common(p_eval)
 
     p_rank = sub.add_parser("rank", help="rank of the weight-w class matrix")
-    p_rank.add_argument("--n", type=int, required=True)
-    p_rank.add_argument("--weight", type=int, required=True)
+    p_rank.add_argument("--n", type=_ascii_int, required=True)
+    p_rank.add_argument("--weight", type=_ascii_int, required=True)
     add_common(p_rank)
 
     p_kernel = sub.add_parser("kernel", help="left kernel of the class matrix")
-    p_kernel.add_argument("--n", type=int, required=True)
-    p_kernel.add_argument("--weight", type=int, required=True)
+    p_kernel.add_argument("--n", type=_ascii_int, required=True)
+    p_kernel.add_argument("--weight", type=_ascii_int, required=True)
     add_common(p_kernel)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -71,18 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("tables", "sfold", "breakdown", "all"),
         default="all",
     )
-    p_verify.add_argument("--n", type=int, default=4)
-    p_verify.add_argument("--weight", type=int, default=5, help="weight for the sfold suite")
+    p_verify.add_argument("--n", type=_ascii_int, default=4)
+    p_verify.add_argument("--weight", type=_ascii_int, default=5, help="weight for the sfold suite")
     add_common(p_verify)
 
     p_search = sub.add_parser("search", help="bounded kernel-candidate search")
-    p_search.add_argument("--n", type=int, default=SearchConfig.n)
-    p_search.add_argument("--weight", type=int, default=SearchConfig.weight)
-    p_search.add_argument("--coeff-bound", type=int, default=SearchConfig.coeff_bound)
-    p_search.add_argument("--support", type=int, default=SearchConfig.support_bound)
-    p_search.add_argument("--budget", type=int, default=SearchConfig.budget)
-    p_search.add_argument("--degree-probe", type=int, default=SearchConfig.degree_probe)
-    p_search.add_argument("--seed", type=int, default=SearchConfig.seed)
+    p_search.add_argument("--n", type=_ascii_int, default=SearchConfig.n)
+    p_search.add_argument("--weight", type=_ascii_int, default=SearchConfig.weight)
+    p_search.add_argument("--coeff-bound", type=_ascii_int, default=SearchConfig.coeff_bound)
+    p_search.add_argument("--support", type=_ascii_int, default=SearchConfig.support_bound)
+    p_search.add_argument("--budget", type=_ascii_int, default=SearchConfig.budget)
+    p_search.add_argument("--degree-probe", type=_ascii_int, default=SearchConfig.degree_probe)
+    p_search.add_argument("--seed", type=_ascii_int, default=SearchConfig.seed)
     add_common(p_search)
 
     return parser

@@ -4,11 +4,11 @@ A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
-X = M - I, so no identity matrix is built or subtracted.  ``pi`` extracts
-the degree-i data as a ``GradedClass``; ``phi`` composes it with the image
-of a commutator, giving the induced map from the weight-i lower-central
-quotient of the free subgroup into the degree-i graded piece of the
-congruence filtration.
+X = M - I, so no identity matrix is built or subtracted.  ``pi`` reads the
+degree-i data straight from the entries' packed series keys as a
+``GradedClass``; ``phi`` composes it with the image of a commutator,
+giving the induced map from the weight-i lower-central quotient of the
+free subgroup into the degree-i graded piece of the congruence filtration.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
 into one sparse integer matrix, each row a map from column index to nonzero
@@ -45,6 +45,8 @@ from .laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    _raw_matrix,
+    _unpack,
     retruncate,
 )
 
@@ -147,6 +149,15 @@ class GradedClass:
         return f"GradedClass(n={self.n}, degree={self.degree}, {len(self.coords)} coords)"
 
 
+def _raw_class(n: int, degree: int, coords: dict[Coord, int]) -> GradedClass:
+    # Internal fast path: coords are valid, sorted-monomial and nonzero.
+    cls = object.__new__(GradedClass)
+    object.__setattr__(cls, "n", n)
+    object.__setattr__(cls, "degree", degree)
+    object.__setattr__(cls, "coords", coords)
+    return cls
+
+
 def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(exps) for _ in range(e))
 
@@ -185,18 +196,27 @@ def congruent_parts(x: SquareMatrix, i: int) -> dict[int, Part]:
     d = min(parts, default=i)
     if d < i:
         row, col, exps = min(parts[d])
-        raise DomainError(
-            f"matrix is not congruent to I mod J^{i}: entry ({row + 1},{col + 1}) "
-            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
-        )
+        raise DomainError(_not_congruent(i, row + 1, col + 1, d, exps))
     return parts
+
+
+def _not_congruent(i: int, row: int, col: int, d: int, exps: tuple[int, ...]) -> str:
+    """The message naming entry (row, col), 1-based, and its degree-d term."""
+    return (
+        f"matrix is not congruent to I mod J^{i}: entry ({row},{col}) "
+        f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+    )
 
 
 def pi(x: SquareMatrix, i: int) -> GradedClass:
     """Degree-i coefficient data of X = M - I (given X, not M) for M = I mod J^i.
 
-    Raises ``DomainError`` as ``congruent_parts`` does when M is not
-    congruent to the identity modulo J^i.
+    Reads each entry's packed series keys directly: a key's total degree
+    is ``key >> 8*n_vars``, and only degree-i keys have their exponent
+    bytes decoded into a monomial (once per distinct key).  Raises
+    ``DomainError`` with the same text as ``congruent_parts`` when some
+    key has degree below i, that is when M is not congruent to the
+    identity modulo J^i.
     """
     if i < 1:
         raise UsageError("degree must be positive")
@@ -207,11 +227,26 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
         raise UsageError(
             f"matrix truncation degree {sample.max_deg} is below {i}"
         )
-    coords = {
-        (_monomial_of(exps), row + 1, col + 1): coeff
-        for (row, col, exps), coeff in congruent_parts(x, i).get(i, {}).items()
-    }
-    return GradedClass(x.size, i, coords)
+    n_vars = sample.n_vars
+    shift = 8 * n_vars
+    monomials: dict[int, tuple[int, ...]] = {}
+    coords: dict[Coord, int] = {}
+    low = []
+    for row, entries in enumerate(x.rows, 1):
+        for col, e in enumerate(entries, 1):
+            for key, coeff in e._terms.items():
+                d = key >> shift
+                if d == i:
+                    mono = monomials.get(key)
+                    if mono is None:
+                        mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
+                    coords[(mono, row, col)] = coeff
+                elif d < i:
+                    low.append((d, row, col, _unpack(key, n_vars)))
+    if low:
+        d, row, col, exps = min(low)
+        raise DomainError(_not_congruent(i, row, col, d, exps))
+    return _raw_class(x.size, i, coords)
 
 
 def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
@@ -266,15 +301,15 @@ def _commutator_matrix(
     # letters minus I: nothing is inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
         zero = TruncatedSeries.zero(n, max_deg)
-        return SquareMatrix([[zero] * n for _ in range(n)])
+        return _raw_matrix(((zero,) * n,) * n)
     if term.is_leaf:
         letter = _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
         one = TruncatedSeries.one(n, max_deg)
-        return SquareMatrix(
-            [
-                [e - one if i == j else e for j, e in enumerate(row)]
+        return _raw_matrix(
+            tuple(
+                tuple(e - one if i == j else e for j, e in enumerate(row))
                 for i, row in enumerate(letter.rows)
-            ]
+            )
         )
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
@@ -297,7 +332,9 @@ def _compose(p: SquareMatrix, x: SquareMatrix) -> SquareMatrix:
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
     """``m`` with every entry raised to truncation degree ``max_deg``."""
-    return m.map_entries(lambda e: retruncate(e, max_deg))
+    return _raw_matrix(
+        tuple(tuple(retruncate(e, max_deg) for e in row) for row in m.rows)
+    )
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:

@@ -12,6 +12,9 @@
 
 ``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
 operations the representation needs: products, sums and entrywise maps.
+Its public constructor and ``map_entries`` validate every entry; products,
+sums and differences check their two operands once and build the result
+through ``_raw_matrix``, since entries computed in one ring stay in it.
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -492,7 +495,10 @@ class SquareMatrix:
 
     Entries are either all ``LaurentPoly`` over a common variable count or
     all ``TruncatedSeries`` over a common variable count and truncation
-    degree; the constructor enforces this.
+    degree; the constructor enforces this.  Ring operations check their
+    operands and build the result unchecked through ``_raw_matrix``: each
+    entry is a ring operation on compatible entries, so it lies in the
+    operands' ring.  ``rows`` is always a tuple of tuples.
     """
 
     __slots__ = ("size", "rows")
@@ -532,42 +538,44 @@ class SquareMatrix:
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        n = self.size
         zero = self.rows[0][0].zero_like()
+        # each column's nonzero entries once, and each row with its zeros
+        # as None, so no entry is tested for zero more than once; a sum
+        # starts from its first product rather than from zero
+        columns = [
+            [(k, b) for k, b in enumerate(col) if not b.is_zero()]
+            for col in zip(*other.rows)
+        ]
         out = []
-        for i in range(n):
-            arow = self.rows[i]
+        for arow in self.rows:
+            arow = [None if a.is_zero() else a for a in arow]
             row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
+            for column in columns:
+                acc = None
+                for k, b in column:
                     a = arow[k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return SquareMatrix(out)
+                    if a is not None:
+                        acc = a * b if acc is None else acc + a * b
+                row.append(zero if acc is None else acc)
+            out.append(tuple(row))
+        return _raw_matrix(tuple(out))
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        return SquareMatrix(
-            [
-                [a + b for a, b in zip(arow, brow)]
+        return _raw_matrix(
+            tuple(
+                tuple(a + b for a, b in zip(arow, brow))
                 for arow, brow in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        return SquareMatrix(
-            [
-                [a - b for a, b in zip(arow, brow)]
+        return _raw_matrix(
+            tuple(
+                tuple(a - b for a, b in zip(arow, brow))
                 for arow, brow in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def __eq__(self, other) -> bool:
@@ -618,6 +626,15 @@ class SquareMatrix:
 
     def __repr__(self) -> str:
         return f"SquareMatrix(size={self.size})"
+
+
+def _raw_matrix(grid: tuple[tuple[RingElement, ...], ...]) -> SquareMatrix:
+    # Internal fast path: a square tuple of tuples over one ring, as the
+    # ring operations build it; nothing is rechecked.
+    m = object.__new__(SquareMatrix)
+    object.__setattr__(m, "size", len(grid))
+    object.__setattr__(m, "rows", grid)
+    return m
 
 
 # ---------------------------------------------------------------------------

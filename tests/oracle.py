@@ -8,6 +8,14 @@ kernel coordinates, the substitution t_var = 1 with last-strand deletion
 ``delete_strand_reduction``), the admissibility test for basic commutators
 (``is_basic``), and the rank of dense integer rows (``dense_rank``).
 
+``SquareMatrix`` ring operations and ``graded.pi`` build their results
+without rechecking them.  The routes they replaced are kept here:
+``matrix_product`` sums every entry product ``acc + a*b`` from zero over
+all n³ index triples and ``matrix_entrywise`` applies ``+`` or ``-``, both
+rebuilding through the validating constructor; ``pi_from_parts`` reads the
+degree-i part from ``graded.congruent_parts`` and decodes each exponent
+vector with ``graded._monomial_of`` into a validated ``GradedClass``.
+
 The library writes the Gassner letters once in closed form and
 instantiates them in each ring.  The two conversions of exact Laurent
 matrices it used before are kept here as the routes those letters are
@@ -20,7 +28,13 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from gassner.graded import _bareiss, _commutator_matrix, congruent_parts
+from gassner.graded import (
+    GradedClass,
+    _bareiss,
+    _commutator_matrix,
+    _monomial_of,
+    congruent_parts,
+)
 from gassner.hall import CommutatorTerm
 from gassner.laurent import (
     LaurentPoly,
@@ -40,6 +54,42 @@ def minus_identity(m: SquareMatrix) -> SquareMatrix:
     """
     sample = m.rows[0][0]
     return m - SquareMatrix.identity_series(m.size, sample.n_vars, sample.max_deg)
+
+
+def matrix_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """a·b with every entry summed as ``acc + a_ik * b_kj`` from zero."""
+    n = a.size
+    zero = a.rows[0][0].zero_like()
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return SquareMatrix(out)
+
+
+def matrix_entrywise(a: SquareMatrix, b: SquareMatrix, op) -> SquareMatrix:
+    """The matrix of ``op(a_ij, b_ij)``, through the validating constructor."""
+    return SquareMatrix(
+        [[op(x, y) for x, y in zip(arow, brow)] for arow, brow in zip(a.rows, b.rows)]
+    )
+
+
+def pi_from_parts(x: SquareMatrix, i: int) -> GradedClass:
+    """Degree-i class of X = M - I read from its homogeneous parts.
+
+    Raises ``congruent_parts``'s ``DomainError`` when X has a term below
+    degree i.
+    """
+    coords = {
+        (_monomial_of(exps), row + 1, col + 1): coeff
+        for (row, col, exps), coeff in congruent_parts(x, i).get(i, {}).items()
+    }
+    return GradedClass(x.size, i, coords)
 
 
 def laurent_determinant(m: SquareMatrix) -> LaurentPoly:

@@ -475,3 +475,43 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
         assert proc.stderr == b""
         assert proc.returncode == 141
+
+
+class TestIntegerFlags:
+    # Python's int reads these as 4, 4, 4 and 10
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--n", "٤", "--r", "١", "--s", "٤"),
+            ("rank", "--n", "４", "--weight", "2"),
+            ("rank", "--n", " 4 ", "--weight", "2"),
+            ("gen", "--n", "1_0", "--r", "1", "--s", "2"),
+        ],
+        ids=["arabic-indic", "fullwidth", "surrounding-spaces", "underscore"],
+    )
+    def test_non_ascii_or_padded_integer_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid int value" in captured.err
+        assert "usage:" in captured.err
+
+    def test_every_integer_flag_is_strict(self, capsys):
+        from gassner import cli
+
+        flags = [
+            (command, action.option_strings[0])
+            for command, sub in next(
+                a for a in cli._build_parser()._actions if a.choices
+            ).choices.items()
+            for action in sub._actions
+            if action.type is not None
+        ]
+        assert ("search", "--seed") in flags and ("gen", "--truncate") in flags
+        for command, flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "٤"])
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid int value" in capsys.readouterr().err

@@ -36,7 +36,7 @@ from gassner.laurent import (
     UsageError,
     series_matrix_inverse,
 )
-from oracle import dense_rank, minus_identity
+from oracle import dense_rank, minus_identity, pi_from_parts
 from test_laurent import COPIES
 
 
@@ -259,11 +259,38 @@ class TestGradedParts:
                 }
                 assert pi(m, i).coords == expected
             else:
-                with pytest.raises(DomainError, match=f"degree-{min(parts)} term"):
+                with pytest.raises(DomainError, match=f"degree-{min(parts)} term") as err:
                     pi(m, i)
+                with pytest.raises(DomainError) as want:
+                    pi_from_parts(m, i)
+                assert str(err.value) == str(want.value)
 
     def test_identity_has_no_parts(self):
         assert graded_parts(zero_series_matrix(3, 4)) == {}
+
+
+class TestPiAgainstParts:
+    # pi reads packed keys and builds its class unchecked; the oracle reads
+    # the homogeneous parts and rebuilds through the validating constructor
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_basic_commutator_images_up_to_weight_five(self, n):
+        for w in range(1, 6):
+            for term in basic_commutators(n - 1, w):
+                for depth in (w, w + 1):
+                    x = _commutator_matrix(term, n, depth, 1)
+                    cls = pi(x, w)
+                    assert cls == pi_from_parts(x, w), (str(term), depth)
+                    assert cls == GradedClass(cls.n, cls.degree, cls.coords)
+
+    def test_image_read_above_its_weight_raises_the_parts_error(self):
+        term = parse_commutator("[[x2,x1],x1]")
+        x = _commutator_matrix(term, 4, 4, 1)
+        with pytest.raises(DomainError) as want:
+            pi_from_parts(x, 4)
+        with pytest.raises(DomainError) as got:
+            pi(x, 4)
+        assert str(got.value) == str(want.value)
+        assert "not congruent to I mod J^4" in str(got.value)
 
 
 class TestPhi:

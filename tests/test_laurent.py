@@ -6,6 +6,7 @@ conversion.
 """
 
 import copy
+import operator
 import pickle
 import random
 
@@ -23,7 +24,14 @@ from gassner.laurent import (
     retruncate,
     series_matrix_inverse,
 )
-from oracle import from_laurent, laurent_determinant, specialize, specialize_poly
+from oracle import (
+    from_laurent,
+    laurent_determinant,
+    matrix_entrywise,
+    matrix_product,
+    specialize,
+    specialize_poly,
+)
 
 
 def t(i, n=2):
@@ -338,6 +346,87 @@ class TestMatrices:
         assert reduced.entry(1, 2) == t1 * (one - t1)
         assert reduced.entry(2, 1).is_zero()
         assert reduced.entry(2, 2) == t1
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of one size over one ring, most entries zero.
+
+    Laurent entries take exponents in -2..2; series entries have total
+    degree at most the truncation degree.
+    """
+    size = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        make = lambda terms: LaurentPoly(2, terms)
+    else:
+        max_deg = draw(st.integers(0, 4))
+        exps = st.integers(0, max_deg).flatmap(
+            lambda d: st.integers(0, d).map(lambda a: (a, d - a))
+        )
+        make = lambda terms: TruncatedSeries(2, max_deg, terms)
+    entry = st.one_of(
+        st.just({}), st.dictionaries(exps, st.integers(-3, 3), max_size=3)
+    ).map(make)
+
+    def matrix():
+        return SquareMatrix(
+            [[draw(entry) for _ in range(size)] for _ in range(size)]
+        )
+
+    return matrix(), matrix()
+
+
+_MATRIX_OPS = {
+    "mul": (operator.mul, matrix_product),
+    "add": (operator.add, lambda a, b: matrix_entrywise(a, b, operator.add)),
+    "sub": (operator.sub, lambda a, b: matrix_entrywise(a, b, operator.sub)),
+}
+
+
+class TestMatrixFastPath:
+    # products, sums and differences build their result without the
+    # constructor's checks; the oracle rebuilds through it
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_pairs(), st.sampled_from(sorted(_MATRIX_OPS)))
+    def test_ring_ops_match_the_validated_route(self, pair, op):
+        a, b = pair
+        fast, slow = _MATRIX_OPS[op]
+        got = fast(a, b)
+        assert got == slow(a, b)
+        assert got == SquareMatrix(got.rows)
+        assert type(got.rows) is tuple
+        assert all(type(row) is tuple for row in got.rows)
+        assert got.size == len(got.rows) == a.size
+        assert hash(got) == hash(slow(a, b))
+        for how in COPIES.values():
+            assert how(got) == got
+
+    @pytest.mark.parametrize("op", sorted(_MATRIX_OPS))
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (TruncatedSeries.one(2, 3), TruncatedSeries.one(2, 4)),
+            (LaurentPoly.one(2), TruncatedSeries.one(2, 3)),
+            (TruncatedSeries.one(2, 3), LaurentPoly.one(2)),
+        ],
+        ids=["max-deg", "laurent-series", "series-laurent"],
+    )
+    def test_mismatched_rings_rejected(self, op, left, right):
+        a = SquareMatrix(identity_rows(2, left))
+        b = SquareMatrix(identity_rows(2, right))
+        with pytest.raises(UsageError):
+            _MATRIX_OPS[op][0](a, b)
+
+    @pytest.mark.parametrize("op", sorted(_MATRIX_OPS))
+    def test_mismatched_sizes_rejected(self, op):
+        one = TruncatedSeries.one(2, 3)
+        a = SquareMatrix(identity_rows(2, one))
+        b = SquareMatrix(identity_rows(3, one))
+        with pytest.raises(UsageError, match="size mismatch"):
+            _MATRIX_OPS[op][0](a, b)
+        with pytest.raises(UsageError, match="size mismatch"):
+            _MATRIX_OPS[op][0](b, a)
 
 
 class TestJson:
