@@ -23,7 +23,7 @@ and [a, b] is a b a^-1 b^-1 (``braid.bracket_letters``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braid import BraidLetter, BraidWord, WordSyntaxError, _Tokens, bracket_letters
@@ -34,13 +34,29 @@ MAX_WEIGHT = 8
 MAX_BASIS_SIZE = 3000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommutatorTerm:
-    """A leaf generator x_j or a bracket of two commutator terms."""
+    """A leaf generator x_j or a bracket of two commutator terms.
+
+    The hash of (gen, left, right) is computed once, from the children's
+    cached hashes, so a cache keyed by a term does not walk its tree.  A
+    copy or pickle rebuilds the term from its three fields and so
+    recomputes the hash in the process that loads it.
+    """
 
     gen: int | None = None
     left: "CommutatorTerm | None" = None
     right: "CommutatorTerm | None" = None
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.gen, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CommutatorTerm, (self.gen, self.left, self.right)
 
     @classmethod
     def leaf(cls, j: int) -> "CommutatorTerm":

@@ -11,10 +11,10 @@
   and ``braid`` writes its letters in closed form over those.
 
 ``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
-operations the representation needs: products, sums and entrywise maps.
-Its public constructor and ``map_entries`` validate every entry; products,
-sums and differences check their two operands once and build the result
-through ``_raw_matrix``, since entries computed in one ring stay in it.
+operations the representation needs: products, sums and differences.
+Its public constructor validates every entry; products, sums and
+differences check their two operands once and build the result through
+``_raw_matrix``, since entries computed in one ring stay in it.
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -29,7 +29,7 @@ would silently corrupt downstream rank computations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 
 class UsageError(ValueError):
@@ -597,9 +597,6 @@ class SquareMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
-
-    def map_entries(self, fn: Callable[[RingElement], RingElement]) -> "SquareMatrix":
-        return SquareMatrix([[fn(e) for e in row] for row in self.rows])
 
     def entry(self, i: int, j: int) -> RingElement:
         """1-based entry access."""

@@ -25,9 +25,12 @@ trivial to the probed degree escalate to integer specializations of the
 variables and finally to full exact evaluation.  Specialized images are
 A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
 commutator by [a, b]^-1 = [b, a] over closed-form letters and their
-inverses, and both rungs multiply one cached power per commutator, a
-negative one of the inverse image, so no matrix is ever inverted.  Every
-reported conclusion is exact.
+inverses, and both rungs use one cached power per commutator, a negative
+one of the inverse image, so no matrix is ever inverted.  The mod-p rung
+multiplies no powers together: it pushes probe row vectors through them,
+u <- u P mod p, first u = (1, ..., n) and then the unit vectors.  A probe
+that comes back changed proves the product is not I; every unit vector
+coming back unchanged proves it is.  Every reported conclusion is exact.
 
 The weight-5 breakdown regression is certified from the same truncated
 images by the same fact: below degree 2w their quotient minus I is the
@@ -42,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import gcd
+from operator import mul
 from typing import Iterator
 
 from .braid import BraidWord, _letter_rows, evaluate_exact
@@ -273,19 +277,9 @@ def _specialization_points(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _mod_matmul(a, b):
-    p, size = _SPECIALIZATION_PRIME, len(a)
-    return tuple(
-        tuple(
-            sum(a[i][k] * b[k][j] for k in range(size)) % p for j in range(size)
-        )
-        for i in range(size)
-    )
-
-
-def _mod_identity(size):
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
+    """a·b mod p, each entry one pass over a row of a and a column of b."""
+    p, cols = _SPECIALIZATION_PRIME, tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
 
 
 @lru_cache(maxsize=None)
@@ -320,19 +314,44 @@ def _specialized_commutator(
     )
 
 
+def _probes(n: int) -> Iterator[tuple[int, ...]]:
+    """Probe row vectors, all fixed by M exactly when M = I.
+
+    First (1, ..., n), whose distinct entries a matrix other than I
+    rarely fixes; then e_1 ... e_n, needed only when it is fixed: e_i M is
+    row i of M, so M fixes every e_i only if it is I.
+    """
+    yield tuple(range(1, n + 1))
+    for i in range(n):
+        yield tuple(int(i == j) for j in range(n))
+
+
+def _fixes(u: tuple[int, ...], factors) -> bool:
+    """True when u P_1 ... P_k = u mod p, at n² work per factor."""
+    p, v = _SPECIALIZATION_PRIME, u
+    for m in factors:
+        v = tuple(sum(map(mul, v, col)) % p for col in zip(*m))
+    return v == u
+
+
 def _specialized_candidate_is_identity(
     vector: tuple[int, ...], n: int, w: int, seed: int
 ) -> bool:
-    """True when every specialization of the candidate gives the identity."""
+    """True when every specialization of the candidate gives the identity.
+
+    At each point the probe row vectors (``_probes``) are pushed through
+    the candidate's cached powers one factor at a time, and no product
+    matrix is built.  u M != u proves M != I, so False is exact; True
+    means every unit vector is fixed at every point, which is M = I there.
+    """
     basis = basic_commutators(n - 1, w)
-    identity = _mod_identity(n)
     for point_index in range(_SPECIALIZATION_COUNT):
-        powers = (
+        factors = [
             _specialized_commutator(t, n, point_index, seed, m)
             for t, m in zip(basis, vector)
             if m
-        )
-        if reduce(_mod_matmul, powers, identity) != identity:
+        ]
+        if not all(_fixes(u, factors) for u in _probes(n)):
             return False
     return True
 

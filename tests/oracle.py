@@ -21,11 +21,17 @@ instantiates them in each ring.  The two conversions of exact Laurent
 matrices it used before are kept here as the routes those letters are
 checked against: ``from_laurent`` expands a Laurent polynomial in
 u_i = t_i - 1 by binomial series, and ``_specialize_matrix`` evaluates
-every Laurent term at a point mod p.
+every Laurent term at a point mod p.  ``map_entries`` applies such a
+conversion to every entry of a matrix through the validating constructor.
+
+The mod-p rung of the search pushes probe row vectors through a
+candidate's specialized powers.  The route it replaced, which multiplies
+those powers into one matrix at each point and compares it with I, is kept
+as ``specialized_products``, with its ``_mod_identity``.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from gassner.graded import (
@@ -35,7 +41,7 @@ from gassner.graded import (
     _monomial_of,
     congruent_parts,
 )
-from gassner.hall import CommutatorTerm
+from gassner.hall import CommutatorTerm, basic_commutators
 from gassner.laurent import (
     LaurentPoly,
     SquareMatrix,
@@ -43,6 +49,11 @@ from gassner.laurent import (
     UsageError,
     _check_max_deg,
     _raw_series,
+)
+from gassner.search import (
+    _SPECIALIZATION_COUNT,
+    _mod_matmul,
+    _specialized_commutator,
 )
 
 
@@ -70,6 +81,11 @@ def matrix_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
             row.append(acc)
         out.append(row)
     return SquareMatrix(out)
+
+
+def map_entries(m: SquareMatrix, fn) -> SquareMatrix:
+    """The matrix of ``fn(m_ij)``, through the validating constructor."""
+    return SquareMatrix([[fn(e) for e in row] for row in m.rows])
 
 
 def matrix_entrywise(a: SquareMatrix, b: SquareMatrix, op) -> SquareMatrix:
@@ -173,7 +189,7 @@ def specialize(m: SquareMatrix, var: int) -> SquareMatrix:
     """Substitute t_var = 1 in every entry of a Laurent matrix."""
     if not isinstance(m.rows[0][0], LaurentPoly):
         raise UsageError("specialization is defined for Laurent matrices")
-    return m.map_entries(lambda e: specialize_poly(e, var))
+    return map_entries(m, lambda e: specialize_poly(e, var))
 
 
 def delete_strand_reduction(m: SquareMatrix, n: int) -> SquareMatrix:
@@ -293,3 +309,30 @@ def _specialize_matrix(
             out_row.append(total)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def _mod_identity(size):
+    return tuple(
+        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
+    )
+
+
+def specialized_products(vector, n: int, w: int, seed: int):
+    """The candidate's product matrix mod p at each specialization point.
+
+    One ``_mod_matmul`` per power in the support, from the identity; the
+    zero vector gives I at every point.
+    """
+    basis = basic_commutators(n - 1, w)
+    return [
+        reduce(
+            _mod_matmul,
+            (
+                _specialized_commutator(t, n, point_index, seed, m)
+                for t, m in zip(basis, vector)
+                if m
+            ),
+            _mod_identity(n),
+        )
+        for point_index in range(_SPECIALIZATION_COUNT)
+    ]

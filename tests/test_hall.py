@@ -1,5 +1,9 @@
 """Basic commutator generation, ordering, and the Witt count oracle."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from gassner.braid import MAX_BRACKET_DEPTH, WordSyntaxError
@@ -112,6 +116,63 @@ class TestGeneration:
                 check_basis_size(m, w)
         with pytest.raises(UsageError, match="capped"):
             check_basis_size(7, 2)
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+class TestTermHash:
+    # a term's hash is computed once from (gen, left, right); copies and
+    # pickles rebuild the term, so the hash is recomputed where it is loaded
+    def test_hash_is_the_hash_of_the_fields(self):
+        for term in basic_commutators(3, 5):
+            assert hash(term) == hash((term.gen, term.left, term.right))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            L(1).gen = 2
+
+    def test_hashing_does_not_walk_the_tree(self):
+        # one Python-level __hash__ call for a weight-8 term, however deep
+        import sys
+
+        term = basic_commutators(3, 8)[-1]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                calls.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            hash(term)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_round_trip_hits_an_existing_cache_entry(self, how):
+        from gassner.graded import _commutator_matrix
+
+        term = basic_commutators(3, 5)[17]
+        image = _commutator_matrix(term, 4, 5, 1)
+        before = _commutator_matrix.cache_info()
+        got = COPIES[how](term)
+        assert got == term and hash(got) == hash(term) and str(got) == str(term)
+        assert _commutator_matrix(got, 4, 5, 1) is image
+        after = _commutator_matrix.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_round_trip_does_not_carry_the_stored_hash(self, how):
+        # a stored hash from elsewhere (here forged) is not restored
+        term = B(B(L(2), L(1)), L(1))
+        fresh = hash(B(B(L(2), L(1)), L(1)))
+        object.__setattr__(term, "_hash", fresh + 1)
+        got = COPIES[how](term)
+        assert got == term and hash(got) == fresh
 
 
 class TestWords:

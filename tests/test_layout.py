@@ -22,6 +22,8 @@ TEST_ONLY = (
     "from_laurent",
     "_binomial_expansion",
     "_specialize_matrix",
+    "map_entries",
+    "_mod_identity",
 )
 
 

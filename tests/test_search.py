@@ -35,11 +35,14 @@ from gassner.search import (
     vector_to_word,
 )
 from oracle import (
+    _mod_identity,
     _specialize_matrix,
     dense_rank,
     from_laurent,
+    map_entries,
     minus_identity,
     per_commutator_first_degree,
+    specialized_products,
 )
 
 
@@ -421,7 +424,6 @@ class TestSpecialization:
         from gassner.search import (
             _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
-            _mod_identity,
             _mod_matmul,
             _specialization_points,
             _specialized_commutator,
@@ -461,7 +463,6 @@ class TestSpecialization:
     def test_specialized_inverse_fold_inverts(self):
         from gassner.search import (
             _SPECIALIZATION_COUNT,
-            _mod_identity,
             _mod_matmul,
             _specialized_commutator,
         )
@@ -514,6 +515,137 @@ class TestSpecialization:
         assert not _specialized_candidate_is_identity(
             report.kernel[0], 4, 5, 20041101
         )
+
+
+class TestProbeRung:
+    """The mod-p rung pushes probe row vectors, not product matrices.
+
+    ``specialized_products`` in the oracle multiplies each point's powers
+    into one matrix, as the rung did before; u M != u proves M != I, and
+    M fixes e_1 ... e_n only when M = I, so the two give the same verdict.
+    """
+
+    def _factors(self, vector, point_index):
+        from gassner.search import _specialized_commutator
+
+        basis = basic_commutators(3, 5)
+        return [
+            _specialized_commutator(t, 4, point_index, 20041101, m)
+            for t, m in zip(basis, vector)
+            if m
+        ]
+
+    def test_probes_match_full_products_on_every_ladder_candidate(self):
+        # every candidate of the default probe-5 search, at each of the
+        # three points: the probes are all fixed exactly when the oracle's
+        # product is I, and the rung's verdict is the oracle's
+        from gassner.search import (
+            _SPECIALIZATION_COUNT,
+            _fixes,
+            _kernel_combinations,
+            _probes,
+            _specialized_candidate_is_identity,
+        )
+
+        cfg = SearchConfig(degree_probe=5)
+        kernel = kernel_report(4, 5).kernel
+        vectors = [_combine(c, kernel) for c in _kernel_combinations(cfg, len(kernel))]
+        assert len(vectors) == 152
+        assert _SPECIALIZATION_COUNT == 3
+        for vector in vectors:
+            identities = [
+                product == _mod_identity(4)
+                for product in specialized_products(vector, 4, 5, cfg.seed)
+            ]
+            for point_index, identity in enumerate(identities):
+                factors = self._factors(vector, point_index)
+                assert all(_fixes(u, factors) for u in _probes(4)) == identity
+            assert _specialized_candidate_is_identity(vector, 4, 5, cfg.seed) == all(
+                identities
+            )
+
+    def _rung_with(self, monkeypatch, matrices):
+        # the rung on a vector whose support is the first len(matrices)
+        # basis terms, each specialized to the given matrix at every point
+        import gassner.search as search
+
+        basis = basic_commutators(3, 5)
+        table = dict(zip(basis, matrices))
+        monkeypatch.setattr(
+            search, "_specialized_commutator", lambda t, n, i, seed, m: table[t]
+        )
+        vector = (1,) * len(matrices) + (0,) * (len(basis) - len(matrices))
+        return search._specialized_candidate_is_identity(vector, 4, 5, 20041101)
+
+    def test_a_product_fixing_the_first_probe_is_caught_by_unit_vectors(
+        self, monkeypatch
+    ):
+        # M = I + N with N = v e_1^T and u v = 0 for u = (1, 2, 3, 4), so
+        # u M = u although M != I; the factor list [M, M] has product
+        # I + 4N, and only the unit vector e_1 finds it
+        from gassner.search import (
+            _SPECIALIZATION_PRIME as p,
+            _fixes,
+            _mod_matmul,
+            _probes,
+        )
+
+        v = (2, -1, 0, 0)
+        m = tuple(
+            tuple((int(i == j) + (v[i] if j == 0 else 0)) % p for j in range(4))
+            for i in range(4)
+        )
+        probes = list(_probes(4))
+        assert probes[0] == (1, 2, 3, 4)
+        assert _fixes(probes[0], [m, m])
+        assert not _fixes(probes[1], [m, m])
+        assert _mod_matmul(m, m) != _mod_identity(4)
+        assert self._rung_with(monkeypatch, [m, m]) is False
+
+    def test_a_matrix_then_its_inverse_is_the_identity(self, monkeypatch):
+        # a real letter image P, which moves u, followed by its inverse
+        # image: the product is I, so every probe is fixed
+        from gassner.hall import CommutatorTerm
+        from gassner.search import _fixes, _mod_matmul, _specialized_commutator
+
+        leaf = CommutatorTerm.leaf(2)
+        image, inverse = (
+            _specialized_commutator(leaf, 4, 0, 20041101, e) for e in (1, -1)
+        )
+        assert _mod_matmul(image, inverse) == _mod_identity(4)
+        assert not _fixes((1, 2, 3, 4), [image])
+        assert self._rung_with(monkeypatch, [image, inverse]) is True
+
+    def test_ladder_needs_only_the_first_probe_and_builds_no_product(
+        self, monkeypatch
+    ):
+        # counted on the default probe-5 search: every one of the 152
+        # candidates is decided by (1, 2, 3, 4) at the first point, and
+        # every mod-p matrix product is made inside _specialized_commutator
+        # while it builds a cached image or power
+        import sys
+
+        import gassner.search as search
+
+        pushed = []
+        fixes, matmul = search._fixes, search._mod_matmul
+
+        def counting_fixes(u, factors):
+            pushed.append(u)
+            return fixes(u, factors)
+
+        def checked_matmul(a, b):
+            caller = sys._getframe(1).f_code.co_name
+            assert caller == "_specialized_commutator", caller
+            return matmul(a, b)
+
+        monkeypatch.setattr(search, "_fixes", counting_fixes)
+        monkeypatch.setattr(search, "_mod_matmul", checked_matmul)
+        search._specialized_commutator.cache_clear()
+        report = run_search(SearchConfig(degree_probe=5))
+        assert len(report.candidates) == 152
+        assert not any(c.is_identity for c in report.candidates)
+        assert pushed == [(1, 2, 3, 4)] * 152
 
 
 class TestSearch:
@@ -583,7 +715,7 @@ class TestBreakdownRegression:
         w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
         w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
         s1, s2 = (
-            evaluate_exact(w).map_entries(lambda e: from_laurent(e, 6))
+            map_entries(evaluate_exact(w), lambda e: from_laurent(e, 6))
             for w in (w1, w2)
         )
         diff = s1 - s2
