@@ -53,6 +53,12 @@ MAX_STRANDS = 64
 MAX_SERIES_COEFFICIENTS = 10**6
 
 
+def check_strand_count(n: int) -> None:
+    """Reject fewer than two strands, which carry no pure braid generator."""
+    if n < 2:
+        raise UsageError("strand count must be at least 2")
+
+
 def _check_strands(n: int) -> None:
     if n > MAX_STRANDS:
         raise UsageError(f"strand count {n} exceeds the cap of {MAX_STRANDS}")
@@ -256,7 +262,7 @@ def evaluate_truncated(word: BraidWord, max_deg: int) -> SquareMatrix:
 # ---------------------------------------------------------------------------
 # Word grammar
 #
-#   word := term+
+#   word := term*
 #   term := atom ("^" signed-int)?
 #   atom := "A(" int "," int ")" | "x" int | "[" word "," word "]"
 #
@@ -427,8 +433,7 @@ def _power(
 
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse word text over n strands; see the module grammar."""
-    if n < 2:
-        raise UsageError("strand count must be at least 2")
+    check_strand_count(n)
     _check_strands(n)
     parser = _WordParser(text, n)
     letters = parser.parse_word()

@@ -4,11 +4,13 @@ A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
-X = M - I, so no identity matrix is built or subtracted.  ``pi`` reads the
-degree-i data straight from the entries' packed series keys as a
-``GradedClass``; ``phi`` composes it with the image of a commutator,
-giving the induced map from the weight-i lower-central quotient of the
-free subgroup into the degree-i graded piece of the congruence filtration.
+X = M - I, so no identity matrix is built or subtracted.  One reader,
+``_degree_coords``, decodes the degree-i data of X from the entries' packed
+series keys; ``pi`` returns it as a ``GradedClass``, and ``phi`` composes
+that with the image of a commutator, giving the induced map from the
+weight-i lower-central quotient of the free subgroup into the degree-i
+graded piece of the congruence filtration.  ``first_degree`` reads only
+the least packed degree.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
 into one sparse integer matrix, each row a map from column index to nonzero
@@ -29,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .braid import _letter_matrix_truncated
+from .braid import _letter_matrix_truncated, check_strand_count
 from .hall import (
     CommutatorTerm,
     basic_commutators,
@@ -162,60 +164,59 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(exps) for _ in range(e))
 
 
-Part = dict[tuple[int, int, tuple[int, ...]], int]
+def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
+    """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
 
-
-def graded_parts(x: SquareMatrix) -> dict[int, Part]:
-    """Homogeneous parts of the deviation X = M - I of a series matrix M.
-
-    Keyed by degree; each part maps (row, col, exponents), with 0-based row
-    and column, to a nonzero coefficient.  Degrees without a nonzero
-    coefficient are absent.
+    Reads each entry's packed series keys directly: a key's total degree
+    is ``key >> 8*n_vars``, and only degree-i keys have their exponent
+    bytes decoded into a monomial (once per distinct key).  Raises
+    ``DomainError`` naming the least offending term, by degree, 1-based
+    row and column, then exponents, when some key has degree below
+    ``low``, that is when M is not congruent to the identity modulo
+    J^low.
     """
-    parts: dict[int, Part] = {}
-    for row, entries in enumerate(x.rows):
-        for col, e in enumerate(entries):
-            for exps, coeff in e.terms().items():
-                parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
-    return parts
+    n_vars = x.rows[0][0].n_vars
+    shift = 8 * n_vars
+    monomials: dict[int, tuple[int, ...]] = {}
+    coords: dict[Coord, int] = {}
+    below = []
+    for row, entries in enumerate(x.rows, 1):
+        for col, e in enumerate(entries, 1):
+            for key, coeff in e._terms.items():
+                d = key >> shift
+                if d == i:
+                    mono = monomials.get(key)
+                    if mono is None:
+                        mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
+                    coords[(mono, row, col)] = coeff
+                elif d < low:
+                    below.append((d, row, col, _unpack(key, n_vars)))
+    if below:
+        d, row, col, exps = min(below)
+        raise DomainError(
+            f"matrix is not congruent to I mod J^{low}: entry ({row},{col}) "
+            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+        )
+    return coords
 
 
 def first_degree(x: SquareMatrix) -> int | None:
-    """First degree where M = I + X differs from I; None where it does not."""
-    return min(graded_parts(x), default=None)
+    """First degree where M = I + X differs from I; None where it does not.
 
-
-def congruent_parts(x: SquareMatrix, i: int) -> dict[int, Part]:
-    """``graded_parts(x)`` for X = M - I with M = I mod J^i.
-
-    Raises ``DomainError`` naming the first offending term when X carries
-    a nonzero coefficient in some degree below i (i.e. M is not congruent
-    to the identity modulo J^i).
+    The least packed key of an entry carries its least degree.
     """
-    parts = graded_parts(x)
-    d = min(parts, default=i)
-    if d < i:
-        row, col, exps = min(parts[d])
-        raise DomainError(_not_congruent(i, row + 1, col + 1, d, exps))
-    return parts
-
-
-def _not_congruent(i: int, row: int, col: int, d: int, exps: tuple[int, ...]) -> str:
-    """The message naming entry (row, col), 1-based, and its degree-d term."""
-    return (
-        f"matrix is not congruent to I mod J^{i}: entry ({row},{col}) "
-        f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+    shift = 8 * x.rows[0][0].n_vars
+    return min(
+        (min(e._terms) >> shift for row in x.rows for e in row if e._terms),
+        default=None,
     )
 
 
 def pi(x: SquareMatrix, i: int) -> GradedClass:
     """Degree-i coefficient data of X = M - I (given X, not M) for M = I mod J^i.
 
-    Reads each entry's packed series keys directly: a key's total degree
-    is ``key >> 8*n_vars``, and only degree-i keys have their exponent
-    bytes decoded into a monomial (once per distinct key).  Raises
-    ``DomainError`` with the same text as ``congruent_parts`` when some
-    key has degree below i, that is when M is not congruent to the
+    The usage checks, then ``_degree_coords(x, i, i)``: its ``DomainError``
+    names the least term below degree i when M is not congruent to the
     identity modulo J^i.
     """
     if i < 1:
@@ -227,26 +228,7 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
         raise UsageError(
             f"matrix truncation degree {sample.max_deg} is below {i}"
         )
-    n_vars = sample.n_vars
-    shift = 8 * n_vars
-    monomials: dict[int, tuple[int, ...]] = {}
-    coords: dict[Coord, int] = {}
-    low = []
-    for row, entries in enumerate(x.rows, 1):
-        for col, e in enumerate(entries, 1):
-            for key, coeff in e._terms.items():
-                d = key >> shift
-                if d == i:
-                    mono = monomials.get(key)
-                    if mono is None:
-                        mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
-                    coords[(mono, row, col)] = coeff
-                elif d < i:
-                    low.append((d, row, col, _unpack(key, n_vars)))
-    if low:
-        d, row, col, exps = min(low)
-        raise DomainError(_not_congruent(i, row, col, d, exps))
-    return _raw_class(x.size, i, coords)
+    return _raw_class(x.size, i, _degree_coords(x, i, i))
 
 
 def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
@@ -521,6 +503,7 @@ class KernelReport:
 
 
 def kernel_report(n: int, w: int) -> KernelReport:
+    check_strand_count(n)
     check_basis_size(n - 1, w)
     matrix = assemble_phi_matrix(n, w)
     kernel = integer_kernel(matrix)
@@ -683,6 +666,7 @@ class SFoldReport:
 
 
 def sfold_property_check(n: int, s: int) -> SFoldReport:
+    check_strand_count(n)
     if s < 3:
         raise UsageError("the left-normed law is checked for weights >= 3")
     check_basis_size(n - 1, s)

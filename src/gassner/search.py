@@ -19,8 +19,10 @@ weight-w class, zero in the kernel).  Truncated matrix products run only
 when the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Truncated images are deviations X = M - I
-(``graded._commutator_matrix``); products compose them (``graded._compose``)
-and both routes read X through ``graded.graded_parts``.  Only candidates
+(``graded._commutator_matrix``); products compose them (``graded._compose``).
+The screen reads (g_i - I)_d through ``graded._degree_coords`` and the
+product route its first degree through ``graded.first_degree``, both from
+the packed series keys.  Only candidates
 trivial to the probed degree escalate to integer specializations of the
 variables and finally to full exact evaluation.  Specialized images are
 A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
@@ -32,10 +34,10 @@ u <- u P mod p, first u = (1, ..., n) and then the unit vectors.  A probe
 that comes back changed proves the product is not I; every unit vector
 coming back unchanged proves it is.  Every reported conclusion is exact.
 
-The weight-5 breakdown regression is certified from the same truncated
-images by the same fact: below degree 2w their quotient minus I is the
-difference of their deviations, nonzero in degree 6, which proves their
-exact matrices differ without an inverse image, a product or a word.
+The weight-5 breakdown regression is the same screen on two terms: below
+degree 2w the quotient of the pair's images minus I is the combination
+(g_1 - I) - (g_2 - I), nonzero in degree 6, which proves their exact
+matrices differ without an inverse image, a product or a word.
 """
 
 from __future__ import annotations
@@ -50,16 +52,15 @@ from typing import Iterator
 
 from .braid import BraidWord, _letter_rows, evaluate_exact
 from .graded import (
+    Coord,
     GradedClass,
-    Part,
     _commutator_matrix,
     _compose,
+    _degree_coords,
     _primitive,
-    congruent_parts,
     first_degree,
     kernel_report,
     phi,
-    pi,
 )
 from .hall import CommutatorTerm, basic_commutators, commutator_to_word
 from .laurent import _MAX_TRUNC_DEG, SquareMatrix, UsageError
@@ -228,23 +229,22 @@ class _LinearScreen:
     ):
         self.basis, self.kernel = basis, kernel
         self.n, self.w, self.depth = n, w, depth
-        self._parts: dict[tuple[int, int], Part] = {}
-        self._columns: dict[tuple[int, int], Part] = {}
+        self._parts: dict[tuple[int, int], dict[Coord, int]] = {}
+        self._columns: dict[tuple[int, int], dict[Coord, int]] = {}
 
-    def _part(self, index: int, d: int) -> Part:
+    def _part(self, index: int, d: int) -> dict[Coord, int]:
         """(g_index - I)_d, read from the image truncated at degree d."""
         part = self._parts.get((index, d))
         if part is None:
             image = _commutator_matrix(self.basis[index], self.n, d, 1)
-            part = congruent_parts(image, self.w).get(d, {})
-            self._parts[(index, d)] = part
+            part = self._parts[(index, d)] = _degree_coords(image, d, self.w)
         return part
 
-    def _column(self, k: int, d: int) -> Part:
+    def _column(self, k: int, d: int) -> dict[Coord, int]:
         """K_d[k] = sum_i K_k[i] (g_i - I)_d, without zero entries."""
         column = self._columns.get((k, d))
         if column is None:
-            acc: Part = {}
+            acc: dict[Coord, int] = {}
             for index, m in enumerate(self.kernel[k]):
                 if m:
                     for key, c in self._part(index, d).items():
@@ -258,7 +258,7 @@ class _LinearScreen:
     ) -> int | None:
         """Smallest degree in w+1..depth where sum c_k K_k is nonzero."""
         for d in range(self.w + 1, self.depth + 1):
-            acc: Part = {}
+            acc: dict[Coord, int] = {}
             for k, c in combination:
                 for key, v in self._column(k, d).items():
                     acc[key] = acc.get(key, 0) + c * v
@@ -484,15 +484,17 @@ class BreakdownReport:
 def breakdown_regression(n: int = 4) -> BreakdownReport:
     """Reproduce the weight-5 collision: equal truncations, unequal matrices.
 
-    Asserts that the two fixed commutators agree modulo degree 5, have
-    identical weight-5 classes, and first differ in degree 6; any failure
-    raises ``RegressionError``.  The two images are read one depth at a
-    time from 5, which ``phi`` has cached, up to the probe 8.  Below 2w =
-    10 their quotient minus I is the difference of their deviations, so
-    nothing is inverted or multiplied, and as truncation is a ring
-    homomorphism a nonzero difference certifies the exact matrices differ
-    without building them.  Returns the report with its degree-6 class;
-    the tests check both images against ``BREAKDOWN_WORD_TEXTS``.
+    Both commutators are I mod J^5, so their truncations at degree 5 agree
+    exactly when their weight-5 classes do; the pair must then first differ
+    in degree 6.  Any failure raises ``RegressionError``.  The pair is read
+    as a two-term ``_LinearScreen``, basis (c1, c2) and kernel vector
+    (1, -1), probed to degree 8: below 2w = 10 the quotient of the images
+    minus I is the difference of their deviations, so no matrix is
+    inverted, multiplied or subtracted.  The screen's first nonvanishing
+    degree is the first difference degree, and its column there is the
+    difference class.  As truncation is a ring homomorphism, a nonzero
+    difference certifies that the exact matrices differ without building
+    them.  The tests check both images against ``BREAKDOWN_WORD_TEXTS``.
     """
     from .hall import parse_commutator
 
@@ -500,32 +502,19 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
         raise UsageError("the breakdown regression is specific to 4 strands")
     c1 = parse_commutator(BREAKDOWN_COMMUTATORS[0])
     c2 = parse_commutator(BREAKDOWN_COMMUTATORS[1])
-    classes_equal = phi(c1, n) == phi(c2, n)
-
-    probe = max(EXPECTED_FIRST_DIFFERENCE_DEGREE + 2, 8)
-    assert probe < 10, "cross terms of weight-5 images start in degree 10"
-    for depth in range(5, probe + 1):
-        x1, x2 = (_commutator_matrix(c, n, depth, 1) for c in (c1, c2))
-        difference = x1 - x2
-        first = first_degree(difference)
-        if first is not None:
-            break
-    truncations_equal = first is None or first > 5
-    exact_equal = first is None
-
-    if not truncations_equal:
+    if phi(c1, n) != phi(c2, n):
         raise RegressionError("weight-5 truncations no longer agree")
-    if not classes_equal:
-        raise RegressionError("weight-5 classes no longer agree")
+
+    screen = _LinearScreen((c1, c2), [(1, -1)], n, 5, 8)
+    first = screen.first_nonvanishing_degree(((0, 1),))
     if first != EXPECTED_FIRST_DIFFERENCE_DEGREE:
         raise RegressionError(
             f"first difference degree {first} != {EXPECTED_FIRST_DIFFERENCE_DEGREE}"
         )
-    difference_class = pi(difference, first)
     return BreakdownReport(
-        truncations_equal=truncations_equal,
-        exact_equal=exact_equal,
-        classes_equal=classes_equal,
+        truncations_equal=True,
+        exact_equal=False,
+        classes_equal=True,
         first_difference_degree=first,
-        difference_class=difference_class,
+        difference_class=GradedClass(n, first, screen._column(0, first)),
     )

@@ -13,8 +13,18 @@ without rechecking them.  The routes they replaced are kept here:
 ``matrix_product`` sums every entry product ``acc + a*b`` from zero over
 all n³ index triples and ``matrix_entrywise`` applies ``+`` or ``-``, both
 rebuilding through the validating constructor; ``pi_from_parts`` reads the
-degree-i part from ``graded.congruent_parts`` and decodes each exponent
-vector with ``graded._monomial_of`` into a validated ``GradedClass``.
+degree-i part from ``congruent_parts`` and decodes each exponent vector
+with ``graded._monomial_of`` into a validated ``GradedClass``.
+
+The library reads the degree-d data of a deviation X = M - I through one
+routine, ``graded._degree_coords``, straight from the packed series keys.
+The readers it replaced split X into homogeneous parts through the public
+``terms()`` of each entry, keyed by 0-based (row, col, exponents):
+``graded_parts`` all of them, ``congruent_parts`` after checking that none
+lies below a given degree.  They are kept here as the reference the one
+reader, ``pi`` and ``first_degree`` are checked against, and the old
+breakdown route, ``pi`` of the difference of the two images, is checked
+against the breakdown's difference class in the tests.
 
 The library writes the Gassner letters once in closed form and
 instantiates them in each ring.  The two conversions of exact Laurent
@@ -39,10 +49,10 @@ from gassner.graded import (
     _bareiss,
     _commutator_matrix,
     _monomial_of,
-    congruent_parts,
 )
 from gassner.hall import CommutatorTerm, basic_commutators
 from gassner.laurent import (
+    DomainError,
     LaurentPoly,
     SquareMatrix,
     TruncatedSeries,
@@ -93,6 +103,42 @@ def matrix_entrywise(a: SquareMatrix, b: SquareMatrix, op) -> SquareMatrix:
     return SquareMatrix(
         [[op(x, y) for x, y in zip(arow, brow)] for arow, brow in zip(a.rows, b.rows)]
     )
+
+
+Part = dict[tuple[int, int, tuple[int, ...]], int]
+
+
+def graded_parts(x: SquareMatrix) -> dict[int, Part]:
+    """Homogeneous parts of the deviation X = M - I of a series matrix M.
+
+    Keyed by degree; each part maps (row, col, exponents), with 0-based row
+    and column, to a nonzero coefficient.  Degrees without a nonzero
+    coefficient are absent.
+    """
+    parts: dict[int, Part] = {}
+    for row, entries in enumerate(x.rows):
+        for col, e in enumerate(entries):
+            for exps, coeff in e.terms().items():
+                parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
+    return parts
+
+
+def congruent_parts(x: SquareMatrix, i: int) -> dict[int, Part]:
+    """``graded_parts(x)`` for X = M - I with M = I mod J^i.
+
+    Raises ``DomainError`` naming the first offending term when X carries
+    a nonzero coefficient in some degree below i (i.e. M is not congruent
+    to the identity modulo J^i).
+    """
+    parts = graded_parts(x)
+    d = min(parts, default=i)
+    if d < i:
+        row, col, exps = min(parts[d])
+        raise DomainError(
+            f"matrix is not congruent to I mod J^{i}: entry ({row + 1},{col + 1}) "
+            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+        )
+    return parts
 
 
 def pi_from_parts(x: SquareMatrix, i: int) -> GradedClass:

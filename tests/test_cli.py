@@ -89,6 +89,16 @@ class TestEval:
                 terms = entries[i][j]["terms"]
                 assert terms == ([{"e": [0, 0, 0, 0], "c": "1"}] if i == j else [])
 
+    @pytest.mark.parametrize("text", ["", "[,]", "[x1,]"])
+    def test_empty_word_and_empty_bracket_side_are_identity(self, capsys, text):
+        # word := term*, so the empty word is I and [a, e] = a a^-1 = e
+        code, out, err = run(capsys, "eval", "--n", "4", text, "--format", "json")
+        _, identity, _ = run(
+            capsys, "eval", "--n", "4", "x1 x1^-1", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == identity
+
     def test_syntax_error_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "4", "x9")
         assert code == 2
@@ -320,6 +330,25 @@ class TestVerify:
         data = json.loads(out)
         assert data["tables"]["ok"] is True
         assert data["tables"]["duplicate_resolution"] == "-1"
+
+
+class TestStrandCount:
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--weight", "3"],
+            ["kernel", "--weight", "3"],
+            ["search"],
+            ["verify", "--suite", "sfold"],
+            ["eval", "x1"],
+        ],
+        ids=["rank", "kernel", "search", "verify-sfold", "eval"],
+    )
+    def test_fewer_than_two_strands_exit_two(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "error: strand count must be at least 2\n"
 
 
 class TestVerifyMismatchPath:

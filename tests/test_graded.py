@@ -14,9 +14,10 @@ from gassner.graded import (
     IntMatrix,
     _commutator_matrix,
     _compose,
+    _degree_coords,
     assemble_phi_matrix,
     bracket,
-    graded_parts,
+    first_degree,
     integer_kernel,
     integer_rank,
     kernel_report,
@@ -36,7 +37,13 @@ from gassner.laurent import (
     UsageError,
     series_matrix_inverse,
 )
-from oracle import dense_rank, minus_identity, pi_from_parts
+from oracle import (
+    congruent_parts,
+    dense_rank,
+    graded_parts,
+    minus_identity,
+    pi_from_parts,
+)
 from test_laurent import COPIES
 
 
@@ -267,6 +274,33 @@ class TestGradedParts:
 
     def test_identity_has_no_parts(self):
         assert graded_parts(zero_series_matrix(3, 4)) == {}
+        assert first_degree(zero_series_matrix(3, 4)) is None
+
+
+class TestDegreeCoords:
+    # the one reader of packed keys against the oracle's homogeneous parts
+    @settings(max_examples=150, deadline=None)
+    @given(near_identity_series_matrices(), st.integers(1, 4))
+    def test_reader_matches_parts_rekeyed(self, m, low):
+        max_deg = m.rows[0][0].max_deg
+        low = min(low, max_deg)
+        parts = graded_parts(m)
+        assert first_degree(m) == min(parts, default=None)
+        try:
+            congruent_parts(m, low)
+        except DomainError as want:
+            for i in range(low, max_deg + 1):
+                with pytest.raises(DomainError) as got:
+                    _degree_coords(m, i, low)
+                assert str(got.value) == str(want)
+            return
+        for i in range(low, max_deg + 1):
+            expected = {
+                (tuple(k + 1 for k, x in enumerate(exps) for _ in range(x)),
+                 row + 1, col + 1): c
+                for (row, col, exps), c in parts.get(i, {}).items()
+            }
+            assert _degree_coords(m, i, low) == expected
 
 
 class TestPiAgainstParts:

@@ -5,6 +5,10 @@ command runs them.  The package source is read with ``ast`` (as
 ``test_benchmark_names.py`` reads the benchmark's files), so one put back
 into any module, as a function, a method or an import, fails here even if
 nothing calls it.
+
+The packed-key layout of ``TruncatedSeries._terms`` is known to two
+modules: ``laurent``, which defines it, and ``graded``, whose one reader
+decodes it.  Any other module reading ``._terms`` fails here.
 """
 
 import ast
@@ -24,6 +28,8 @@ TEST_ONLY = (
     "_specialize_matrix",
     "map_entries",
     "_mod_identity",
+    "graded_parts",
+    "congruent_parts",
 )
 
 
@@ -47,3 +53,20 @@ def test_no_module_defines_or_imports_a_test_only_route(path):
 def test_package_does_not_export_a_test_only_route():
     gassner = importlib.import_module("gassner")
     assert not [name for name in TEST_ONLY if hasattr(gassner, name)]
+
+
+PACKED_KEY_READERS = ("laurent.py", "graded.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name not in PACKED_KEY_READERS],
+    ids=lambda p: p.name,
+)
+def test_only_laurent_and_graded_read_packed_terms(path):
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+    assert not reads, f"{path.name} reads ._terms at lines {reads}"

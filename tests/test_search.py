@@ -733,6 +733,17 @@ class TestBreakdownRegression:
         }
         assert got == report.difference_class.coords
 
+    def test_difference_class_matches_pi_of_image_difference(self):
+        # a route with no screen: subtract the two depth-6 images as
+        # matrices and read degree 6 with pi
+        report = breakdown_regression()
+        x1, x2 = (
+            _commutator_matrix(parse_commutator(c), 4, 6, 1)
+            for c in BREAKDOWN_COMMUTATORS
+        )
+        assert first_degree(x1 - x2) == 6
+        assert report.difference_class == pi(x1 - x2, 6)
+
     @pytest.mark.parametrize("w", [2, 3, 4])
     def test_quotient_is_difference_below_twice_the_weight(self, w):
         # the fact the breakdown rests on: weight-w images are I mod J^w, so
