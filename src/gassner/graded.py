@@ -4,9 +4,11 @@ A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
-X = M - I, so no identity matrix is built or subtracted.  One reader,
-``_degree_coords``, decodes the degree-i data of X from the entries' packed
-series keys; ``pi`` returns it as a ``GradedClass``, and ``phi`` composes
+X = M - I, so no identity matrix is built or subtracted; each child image
+is raised to its parent's truncation degree once (``_lifted``).  One
+reader, ``_degree_coords``, decodes the degree-i data of X from the
+entries' packed series keys, each key once per command (``_monomials``);
+``pi`` returns it as a ``GradedClass``, and ``phi`` composes
 that with the image of a commutator, giving the induced map from the
 weight-i lower-central quotient of the free subgroup into the degree-i
 graded piece of the congruence filtration.  ``first_degree`` reads only
@@ -19,8 +21,9 @@ fraction-free elimination of that matrix augmented with the identity yields
 both its rank and a primitive integer basis of its left kernel
 (``integer_kernel``); ``integer_rank`` runs the same elimination without the
 augmentation.  The elimination divides each updated row by its content; it
-takes the same pivots as Bareiss elimination and returns the same rank and
-kernel basis, without the dense rescaling and growing minors.
+takes the same pivots as Bareiss elimination, found through an index of
+the rows holding each column, and returns the same rank and kernel basis,
+without the dense rescaling and growing minors.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
 """
@@ -151,12 +154,18 @@ class GradedClass:
         return f"GradedClass(n={self.n}, degree={self.degree}, {len(self.coords)} coords)"
 
 
+_set_class_n = GradedClass.n.__set__
+_set_class_degree = GradedClass.degree.__set__
+_set_class_coords = GradedClass.coords.__set__
+
+
 def _raw_class(n: int, degree: int, coords: dict[Coord, int]) -> GradedClass:
-    # Internal fast path: coords are valid, sorted-monomial and nonzero.
+    # Internal fast path: coords are valid, sorted-monomial and nonzero;
+    # slots are set as in ``laurent._raw_series``.
     cls = object.__new__(GradedClass)
-    object.__setattr__(cls, "n", n)
-    object.__setattr__(cls, "degree", degree)
-    object.__setattr__(cls, "coords", coords)
+    _set_class_n(cls, n)
+    _set_class_degree(cls, degree)
+    _set_class_coords(cls, coords)
     return cls
 
 
@@ -164,12 +173,21 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(exps) for _ in range(e))
 
 
+@lru_cache(maxsize=None)
+def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
+    # The monomial of each packed key decoded so far, filled by
+    # ``_degree_coords``.  A functools cache rather than a module dict, so
+    # it is cleared with the image caches and holds no state across them.
+    return {}
+
+
 def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
     """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
 
     Reads each entry's packed series keys directly: a key's total degree
-    is ``key >> 8*n_vars``, and only degree-i keys have their exponent
-    bytes decoded into a monomial (once per distinct key).  Raises
+    is ``key >> 8*n_vars``, and only degree-i keys are decoded into a
+    monomial, through the table ``_monomials(n_vars)`` that keeps each
+    decoded key until the caches are cleared.  Raises
     ``DomainError`` naming the least offending term, by degree, 1-based
     row and column, then exponents, when some key has degree below
     ``low``, that is when M is not congruent to the identity modulo
@@ -177,7 +195,7 @@ def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
     """
     n_vars = x.rows[0][0].n_vars
     shift = 8 * n_vars
-    monomials: dict[int, tuple[int, ...]] = {}
+    monomials = _monomials(n_vars)
     coords: dict[Coord, int] = {}
     below = []
     for row, entries in enumerate(x.rows, 1):
@@ -279,8 +297,9 @@ def _commutator_matrix(
     # max_deg - weight(b), y through max_deg - weight(a), and E through
     # max_deg - weight(term), where E is zero if that is below both child
     # weights.  Children are lifted back to max_deg, sound because each
-    # partner vanishes below the gap.  Leaves are truncated closed-form
-    # letters minus I: nothing is inverted, and I + X truncates the flat word.
+    # partner vanishes below the gap; ``_lifted`` caches each child's lift,
+    # which many parents share.  Leaves are truncated closed-form letters
+    # minus I: nothing is inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
         zero = TruncatedSeries.zero(n, max_deg)
         return _raw_matrix(((zero,) * n,) * n)
@@ -295,8 +314,8 @@ def _commutator_matrix(
         )
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
-    x = _lift(_commutator_matrix(a, n, max_deg - j, 1), max_deg)
-    y = _lift(_commutator_matrix(b, n, max_deg - i, 1), max_deg)
+    x = _lifted(a, n, max_deg - j, max_deg)
+    y = _lifted(b, n, max_deg - i, max_deg)
     c = x * y - y * x
     rest = max_deg - i - j
     if rest >= min(i, j):
@@ -310,6 +329,14 @@ def _commutator_matrix(
 def _compose(p: SquareMatrix, x: SquareMatrix) -> SquareMatrix:
     """(I + P)(I + X) - I = P + X + P X: the product of two deviations."""
     return p + x + p * x
+
+
+@lru_cache(maxsize=None)
+def _lifted(
+    term: CommutatorTerm, n: int, known: int, max_deg: int
+) -> SquareMatrix:
+    """The sign 1 deviation of ``term`` known through ``known``, at ``max_deg``."""
+    return _lift(_commutator_matrix(term, n, known, 1), max_deg)
 
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
@@ -396,13 +423,15 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     their identity part, normalized to content 1 with positive leading
     entry, is a kernel vector.  Each such row is a rational multiple of the
     row dense Bareiss elimination leaves there, so the basis is the same.
+    Only a row's nonzero entries are read; all of them lie in the identity
+    part.
     """
     n_rows = m.row_count
     n_cols = m.col_count
     rows = [{**row, n_cols + i: 1} for i, row in enumerate(m.rows)]
     rank = _bareiss(rows, n_cols)
     return [
-        _primitive([row.get(n_cols + i, 0) for i in range(n_rows)])
+        _primitive({j - n_cols: v for j, v in row.items()}, n_rows)
         for row in rows[rank:]
     ]
 
@@ -424,23 +453,43 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
     has at the same position, so the zero pattern, the pivots, the swaps
     and the rank agree with it, while entries stay as small as the
     content allows.
+
+    ``holding`` maps each pivot column to the positions of the rows not yet
+    used as pivots that are nonzero there, kept through swaps and row
+    updates, so the pivot row is the least position in it.
     """
     n_rows = len(rows)
+    holding: dict[int, set[int]] = {c: set() for c in range(pivot_cols)}
+
+    def place(row: dict[int, int], i: int) -> None:
+        for j in row:
+            if j < pivot_cols:
+                holding[j].add(i)
+
+    def remove(row: dict[int, int], i: int) -> None:
+        for j in row:
+            if j < pivot_cols:
+                holding[j].discard(i)
+
+    for i, row in enumerate(rows):
+        place(row, i)
     r = 0
     for c in range(pivot_cols):
         if r == n_rows:
             break
-        pivot_row = next((i for i in range(r, n_rows) if c in rows[i]), None)
-        if pivot_row is None:
+        if not holding[c]:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        row_r = rows[r]
+        pivot_row = min(holding[c])
+        row_r = rows[pivot_row]
+        remove(row_r, pivot_row)
+        if pivot_row != r:
+            remove(rows[r], r)
+            place(rows[r], pivot_row)
+            rows[r], rows[pivot_row] = row_r, rows[r]
         pivot = row_r[c]
-        for i in range(r + 1, n_rows):
+        for i in list(holding[c]):
             row_i = rows[i]
-            factor = row_i.get(c)
-            if factor is None:
-                continue
+            factor = row_i[c]
             g = gcd(pivot, factor)
             a, b = pivot // g, factor // g
             new = {j: a * v for j, v in row_i.items()}
@@ -453,20 +502,28 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
             content = gcd(*new.values())
             if content > 1:
                 new = {j: v // content for j, v in new.items()}
+            remove(row_i, i)
+            place(new, i)
             rows[i] = new
         r += 1
     return r
 
 
-def _primitive(vector: list[int]) -> tuple[int, ...]:
-    content = 0
-    for v in vector:
-        content = gcd(content, v)
+def _primitive(entries: dict[int, int], length: int) -> tuple[int, ...]:
+    """The vector with these nonzero entries (position -> value), made primitive.
+
+    Divided by its content, with a positive leading entry; only the
+    nonzero entries are read.
+    """
+    content = gcd(*entries.values())
     if content == 0:
         raise UsageError("zero vector has no primitive form")
-    leading = next(v for v in vector if v)
-    sign = 1 if leading > 0 else -1
-    return tuple(sign * v // content for v in vector)
+    if entries[min(entries)] < 0:
+        content = -content
+    vector = [0] * length
+    for k, v in entries.items():
+        vector[k] = v // content
+    return tuple(vector)
 
 
 @dataclass

@@ -22,6 +22,9 @@ form in every ring; see ``braid``); the geometric-series
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
 copies and pickles rebuild each value without passing through its guard.
+So a series sum or difference with a zero operand returns the other
+operand itself, and the internal builders (``_raw_series`` and its
+siblings) set slots through member descriptors captured once.
 Coefficients are Python ints throughout: word evaluation multiplies many
 matrices and coefficient growth is unbounded, so fixed-width arithmetic
 would silently corrupt downstream rank computations.
@@ -190,11 +193,19 @@ class LaurentPoly:
         return f"LaurentPoly({self.n_vars}, {self})"
 
 
+# The internal fast paths set slots through member descriptors captured once
+# (``_raw_laurent``, ``_raw_series``, ``_raw_matrix``): this bypasses the
+# immutability guard without the by-name lookup of ``object.__setattr__``.
+_new = object.__new__
+_set_poly_vars = LaurentPoly.n_vars.__set__
+_set_poly_terms = LaurentPoly.terms.__set__
+
+
 def _raw_laurent(n_vars: int, terms: dict) -> LaurentPoly:
     # Internal fast path: terms are already validated and pruned.
-    p = object.__new__(LaurentPoly)
-    object.__setattr__(p, "n_vars", n_vars)
-    object.__setattr__(p, "terms", terms)
+    p = _new(LaurentPoly)
+    _set_poly_vars(p, n_vars)
+    _set_poly_terms(p, terms)
     return p
 
 
@@ -354,6 +365,11 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compat(other)
+        # values are immutable, so a zero operand returns the other one
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             new = out.get(key, 0) + coeff
@@ -370,6 +386,8 @@ class TruncatedSeries:
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compat(other)
+        if not other._terms:
+            return self
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             new = out.get(key, 0) - coeff
@@ -447,11 +465,16 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.n_vars}, D={self.max_deg}, {self})"
 
 
+_set_series_vars = TruncatedSeries.n_vars.__set__
+_set_series_deg = TruncatedSeries.max_deg.__set__
+_set_series_terms = TruncatedSeries._terms.__set__
+
+
 def _raw_series(n_vars: int, max_deg: int, packed: dict) -> TruncatedSeries:
-    s = object.__new__(TruncatedSeries)
-    object.__setattr__(s, "n_vars", n_vars)
-    object.__setattr__(s, "max_deg", max_deg)
-    object.__setattr__(s, "_terms", packed)
+    s = _new(TruncatedSeries)
+    _set_series_vars(s, n_vars)
+    _set_series_deg(s, max_deg)
+    _set_series_terms(s, packed)
     return s
 
 
@@ -625,12 +648,16 @@ class SquareMatrix:
         return f"SquareMatrix(size={self.size})"
 
 
+_set_matrix_size = SquareMatrix.size.__set__
+_set_matrix_rows = SquareMatrix.rows.__set__
+
+
 def _raw_matrix(grid: tuple[tuple[RingElement, ...], ...]) -> SquareMatrix:
     # Internal fast path: a square tuple of tuples over one ring, as the
     # ring operations build it; nothing is rechecked.
-    m = object.__new__(SquareMatrix)
-    object.__setattr__(m, "size", len(grid))
-    object.__setattr__(m, "rows", grid)
+    m = _new(SquareMatrix)
+    _set_matrix_size(m, len(grid))
+    _set_matrix_rows(m, grid)
     return m
 
 

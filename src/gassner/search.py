@@ -138,12 +138,12 @@ def _combine(
     combination: tuple[tuple[int, int], ...], kernel_basis: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The primitive basis-coordinate vector of sum c_k K_k."""
-    vector = [0] * len(kernel_basis[0])
+    sums: dict[int, int] = {}
     for index, c in combination:
         for k, v in enumerate(kernel_basis[index]):
             if v:
-                vector[k] += c * v
-    return _primitive(vector)
+                sums[k] = sums.get(k, 0) + c * v
+    return _primitive({k: v for k, v in sums.items() if v}, len(kernel_basis[0]))
 
 
 def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:

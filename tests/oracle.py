@@ -6,7 +6,9 @@ matrices, the per-commutator screen the search used before it worked in
 kernel coordinates, the substitution t_var = 1 with last-strand deletion
 (``specialize_poly``, ``drop_var``, ``specialize``,
 ``delete_strand_reduction``), the admissibility test for basic commutators
-(``is_basic``), and the rank of dense integer rows (``dense_rank``).
+(``is_basic``), the rank of dense integer rows (``dense_rank``), and dense
+Bareiss elimination (``dense_bareiss``), the reference for the pivots,
+swaps and rows of ``graded._bareiss``.
 
 ``SquareMatrix`` ring operations and ``graded.pi`` build their results
 without rechecking them.  The routes they replaced are kept here:
@@ -279,6 +281,37 @@ def dense_rank(rows: list[list[int]]) -> int:
         [{j: v for j, v in enumerate(row) if v} for row in rows],
         len(rows[0]) if rows else 0,
     )
+
+
+def dense_bareiss(rows, pivot_cols):
+    """Dense fraction-free (Bareiss) elimination in place; the test oracle.
+
+    Same pivot rule as ``graded._bareiss``: the first row at or below ``r``
+    with a nonzero entry in column ``c`` is swapped into row ``r``; every
+    row below is rescaled and divided by the previous pivot.
+    """
+    n_rows = len(rows)
+    width = len(rows[0]) if rows else 0
+    prev = 1
+    r = 0
+    for c in range(pivot_cols):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        row_r = rows[r]
+        for i in range(r + 1, n_rows):
+            factor = rows[i][c]
+            row_i = rows[i]
+            for j in range(c + 1, width):
+                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+    return r
 
 
 def from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:

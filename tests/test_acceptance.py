@@ -133,7 +133,7 @@ def test_05_injectivity_ranks():
                 assert integer_rank(matrix) == witt_rank(n - 1, w)
 
 
-def test_06_weight_five_breakdown():
+def test_06_weight_five_breakdown(breakdown_exact):
     with _Timer("6 weight-5 breakdown"):
         matrix = assemble_phi_matrix(4, 5)
         rank = integer_rank(matrix)
@@ -154,7 +154,8 @@ def test_06_weight_five_breakdown():
         w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
         w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
         assert evaluate_truncated(w1, 5) == evaluate_truncated(w2, 5)
-        assert evaluate_exact(w1) != evaluate_exact(w2)
+        exact1, exact2 = breakdown_exact
+        assert exact1 != exact2
         from gassner.search import breakdown_regression
 
         report = breakdown_regression()

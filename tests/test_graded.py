@@ -1,6 +1,7 @@
 """Coefficient extraction, graded classes, and exact rank/kernel."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -39,6 +40,7 @@ from gassner.laurent import (
 )
 from oracle import (
     congruent_parts,
+    dense_bareiss,
     dense_rank,
     graded_parts,
     minus_identity,
@@ -47,40 +49,9 @@ from oracle import (
 from test_laurent import COPIES
 
 
-def _dense_bareiss(rows, pivot_cols):
-    """Dense fraction-free (Bareiss) elimination in place; the test oracle.
-
-    Same pivot rule as ``graded._bareiss``: the first row at or below ``r``
-    with a nonzero entry in column ``c`` is swapped into row ``r``; every
-    row below is rescaled and divided by the previous pivot.
-    """
-    n_rows = len(rows)
-    width = len(rows[0]) if rows else 0
-    prev = 1
-    r = 0
-    for c in range(pivot_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            row_i = rows[i]
-            for j in range(c + 1, width):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-    return r
-
-
 def _oracle_rank(rows):
     rows = [list(r) for r in rows]
-    return _dense_bareiss(rows, len(rows[0]) if rows else 0)
+    return dense_bareiss(rows, len(rows[0]) if rows else 0)
 
 
 def _oracle_kernel(rows):
@@ -88,7 +59,7 @@ def _oracle_kernel(rows):
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     aug = [list(r) + [int(i == k) for k in range(n_rows)] for i, r in enumerate(rows)]
-    rank = _dense_bareiss(aug, n_cols)
+    rank = dense_bareiss(aug, n_cols)
     kernel = []
     for row in aug[rank:]:
         vec = row[n_cols:]
@@ -120,6 +91,32 @@ def degenerate_int_matrices(draw):
         at = draw(st.integers(0, n_cols))
         rows = [row[:at] + [0] + row[at:] for row in rows]
         n_cols += 1
+    return rows
+
+
+@st.composite
+def swap_forcing_int_matrices(draw):
+    """Integer matrices whose pivots lie below their step, so rows swap.
+
+    Row i starts with at least ``n_rows - 1 - i`` zeros, an upside-down
+    staircase: the first row is zero in column 0 and the last row is not,
+    so column 0 takes its pivot from below, and later columns tend to.
+    Scaled copies of earlier rows make some rows dependent.
+    """
+    n_rows = draw(st.integers(2, 7))
+    n_cols = draw(st.integers(1, 7))
+    entries = st.integers(-5, 5)
+    rows = []
+    for i in range(n_rows):
+        lead = min(n_cols, n_rows - 1 - i)
+        if rows and draw(st.integers(0, 3)) == 0:
+            source = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, -1, 2, -3)))
+            row = [scale * v for v in source]
+        else:
+            row = [draw(entries) for _ in range(n_cols)]
+        rows.append([0] * lead + row[lead:])
+    rows[-1][0] = draw(entries.filter(bool))
     return rows
 
 
@@ -316,6 +313,17 @@ class TestPiAgainstParts:
                     assert cls == pi_from_parts(x, w), (str(term), depth)
                     assert cls == GradedClass(cls.n, cls.degree, cls.coords)
 
+    def test_strand_counts_in_turn_share_one_decoding_table(self, cold_caches):
+        # decoded monomials are kept per variable count for the whole
+        # command, so reading n = 4, then n = 5, then n = 4 again must
+        # decode each key under its own count
+        for n in (4, 5, 4):
+            for w in range(1, 5):
+                for term in basic_commutators(n - 1, w):
+                    x = _commutator_matrix(term, n, w + 1, 1)
+                    assert pi(x, w) == pi_from_parts(x, w), (n, str(term))
+        assert graded._monomials.cache_info().currsize == 2
+
     def test_image_read_above_its_weight_raises_the_parts_error(self):
         term = parse_commutator("[[x2,x1],x1]")
         x = _commutator_matrix(term, 4, 4, 1)
@@ -449,22 +457,48 @@ class TestSignedImages:
                 assert _compose(image, inverse).is_zero()
                 assert _compose(inverse, image).is_zero()
 
-    def test_requests_never_exceed_term_weight(self, monkeypatch):
+    def test_requests_never_exceed_term_weight(self, monkeypatch, cold_caches):
         # phi needs a weight-w image only through degree w, so no request
         # of the recursion, its children included, goes deeper than the
-        # requested term's weight
+        # requested term's weight; the children read through the lift
+        # cache are requests too, recorded on cold caches
         requests = []
         compute = graded._commutator_matrix.__wrapped__
+        lifted = graded._lifted
 
         def recording(term, n, max_deg, sign):
             requests.append((term, max_deg))
             return compute(term, n, max_deg, sign)
 
+        def recording_lift(term, n, known, max_deg):
+            requests.append((term, known))
+            return lifted(term, n, known, max_deg)
+
         monkeypatch.setattr(graded, "_commutator_matrix", recording)
+        monkeypatch.setattr(graded, "_lifted", recording_lift)
         kernel_report(4, 5)
         assert any(term.is_leaf for term, _ in requests)
         too_deep = [(str(t), d) for t, d in requests if d > weight(t)]
         assert not too_deep
+
+    def test_each_child_is_lifted_once(self, monkeypatch, cold_caches):
+        # at (5,5) many parents share a child; each cached child image is
+        # raised to a given degree at most once (the images are kept alive
+        # here, so their ids stay distinct)
+        lifts = Counter()
+        kept = []
+        lift = graded._lift
+
+        def recording(m, max_deg):
+            kept.append(m)
+            lifts[(id(m), max_deg)] += 1
+            return lift(m, max_deg)
+
+        monkeypatch.setattr(graded, "_lift", recording)
+        kernel_report(5, 5)
+        assert lifts
+        repeated = [key for key, count in lifts.items() if count > 1]
+        assert not repeated
 
 
 class TestGradedClass:
@@ -572,6 +606,27 @@ class TestIntMatrix:
     @settings(max_examples=300, deadline=None)
     @given(degenerate_int_matrices())
     def test_elimination_matches_dense_bareiss(self, rows):
+        assert integer_rank(_int_matrix(rows)) == _oracle_rank(rows)
+        assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_forcing_int_matrices())
+    def test_pivot_index_keeps_bareiss_swaps(self, rows):
+        # every row after the sparse elimination of [M | I] is a nonzero
+        # multiple of the dense Bareiss row at its position, so the pivot
+        # index picked the same rows and swapped them the same way
+        n_rows, n_cols = len(rows), len(rows[0])
+        aug = [row + [int(i == k) for k in range(n_rows)] for i, row in enumerate(rows)]
+        dense = [list(row) for row in aug]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in aug]
+        rank = dense_bareiss(dense, n_cols)
+        assert graded._bareiss(sparse, n_cols) == rank
+        for got, want in zip(sparse, dense, strict=True):
+            lead = next(j for j, v in enumerate(want) if v)
+            assert got.get(lead)
+            assert all(
+                got.get(j, 0) * want[lead] == v * got[lead] for j, v in enumerate(want)
+            )
         assert integer_rank(_int_matrix(rows)) == _oracle_rank(rows)
         assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
 

@@ -14,12 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassner.graded import GradedClass, _raw_class
 from gassner.laurent import (
     DomainError,
     LaurentPoly,
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    _pack,
+    _raw_laurent,
+    _raw_matrix,
+    _raw_series,
     identity_rows,
     retruncate,
     series_matrix_inverse,
@@ -468,3 +473,75 @@ class TestCopyAndPickle:
         assert got == value and hash(got) == hash(value)
         with pytest.raises(AttributeError, match="is immutable"):
             got.n_vars = 0
+
+
+class TestRawBuilders:
+    # the internal builders set slots through member descriptors; what
+    # they build must be indistinguishable from a constructor-built value
+    @staticmethod
+    def _pair(kind):
+        rows = identity_rows(2, u(1, 2, 3))
+        coords = {((1, 2), 1, 3): -4, ((2, 2), 2, 1): 10**30}
+        return {
+            "laurent": (
+                LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)}),
+                _raw_laurent(2, {(1, -2): 3, (0, 0): -(10**30)}),
+            ),
+            "series": (
+                TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1}),
+                _raw_series(2, 4, {_pack((1, 2), 2): 7, 0: 1}),
+            ),
+            "matrix": (
+                SquareMatrix(rows),
+                _raw_matrix(tuple(tuple(row) for row in rows)),
+            ),
+            "class": (GradedClass(3, 2, coords), _raw_class(3, 2, dict(coords))),
+        }[kind]
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("kind", ["laurent", "series", "matrix", "class"])
+    def test_equal_to_the_constructed_value(self, kind, how):
+        built, raw = self._pair(kind)
+        assert type(raw) is type(built)
+        assert raw == built and hash(raw) == hash(built)
+        copied = COPIES[how](raw)
+        assert type(copied) is type(built)
+        assert copied == built and hash(copied) == hash(built)
+        for value in (raw, copied):
+            for name in type(value).__slots__:
+                with pytest.raises(AttributeError, match="is immutable"):
+                    setattr(value, name, None)
+
+
+class TestZeroOperands:
+    # a + 0, 0 + b and a - 0 return the nonzero operand itself: values are
+    # immutable, so nothing is copied, and the result is the same value
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda d: st.dictionaries(
+                st.integers(0, d).flatmap(
+                    lambda k: st.integers(0, k).map(lambda a: (a, k - a))
+                ),
+                st.integers(-3, 3),
+                max_size=4,
+            ).map(lambda terms: TruncatedSeries(2, d, terms))
+        ).filter(lambda s: not s.is_zero())
+    )
+    def test_zero_operand_returns_the_other(self, a):
+        zero = a.zero_like()
+        rebuilt = TruncatedSeries(a.n_vars, a.max_deg, a.terms())
+        for got in (a + zero, zero + a, a - zero):
+            assert got is a
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert zero - a == -a
+        assert (a - a).is_zero()
+
+    def test_zero_of_another_ring_still_rejected(self):
+        a = TruncatedSeries(2, 3, {(1, 0): 1})
+        for zero in (TruncatedSeries.zero(2, 4), TruncatedSeries.zero(3, 3)):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(UsageError):
+                    op(a, zero)
+                with pytest.raises(UsageError):
+                    op(zero, a)

@@ -708,15 +708,13 @@ class TestBreakdownRegression:
         assert report.exact_equal is False
         assert report.first_difference_degree == 6
 
-    def test_degree_six_difference_matches_exact_route(self):
+    def test_degree_six_difference_matches_exact_route(self, breakdown_exact):
         # independent oracle: convert the exact evaluations and compare the
         # leading parts of W1 - W2, which equal those of W1*W2^-1 - I
         report = breakdown_regression()
-        w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
-        w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
         s1, s2 = (
-            map_entries(evaluate_exact(w), lambda e: from_laurent(e, 6))
-            for w in (w1, w2)
+            map_entries(exact, lambda e: from_laurent(e, 6))
+            for exact in breakdown_exact
         )
         diff = s1 - s2
         terms = [
