@@ -22,7 +22,7 @@ import os
 import re
 import sys
 
-from .braid import _letter_matrix, _letter_matrix_truncated, check_series_budget, evaluate_exact, evaluate_truncated, parse_word
+from .braid import MAX_EXACT_WORK, _letter_matrix, _letter_matrix_truncated, check_series_budget, evaluate_exact, evaluate_truncated, parse_word
 from .graded import kernel_report, sfold_property_check, verify_tables
 from .laurent import DomainError, UsageError
 from .search import SearchConfig, breakdown_regression, RegressionError, run_search
@@ -126,7 +126,7 @@ def _cmd_eval(args) -> int:
         check_series_budget(args.n, args.truncate)
         matrix = evaluate_truncated(word, args.truncate)
     else:
-        matrix = evaluate_exact(word)
+        matrix = evaluate_exact(word, MAX_EXACT_WORK)
     _print_matrix(matrix, args.format)
     return 0
 

@@ -5,9 +5,10 @@ by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
 X = M - I, so no identity matrix is built or subtracted; each child image
-is raised to its parent's truncation degree once (``_lifted``).  One
-reader, ``_degree_coords``, decodes the degree-i data of X from the
-entries' packed series keys, each key once per command (``_monomials``);
+is raised to its parent's truncation degree once (``_lifted``), which only
+relabels the degree of its coordinate map.  One reader, ``_degree_coords``,
+decodes the degree-i data of X from the packed series keys of the matrix's
+coordinate map, each key once per command (``_monomials``);
 ``pi`` returns it as a ``GradedClass``, and ``phi`` composes
 that with the image of a commutator, giving the induced map from the
 weight-i lower-central quotient of the free subgroup into the degree-i
@@ -45,15 +46,7 @@ from .hall import (
     weight,
     witt_rank,
 )
-from .laurent import (
-    DomainError,
-    SquareMatrix,
-    TruncatedSeries,
-    UsageError,
-    _raw_matrix,
-    _unpack,
-    retruncate,
-)
+from .laurent import DomainError, SquareMatrix, UsageError, _raw_flat, _unpack
 
 Coord = tuple[tuple[int, ...], int, int]  # (monomial, row, col), all 1-based
 
@@ -184,31 +177,29 @@ def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
 def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
     """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
 
-    Reads each entry's packed series keys directly: a key's total degree
-    is ``key >> 8*n_vars``, and only degree-i keys are decoded into a
-    monomial, through the table ``_monomials(n_vars)`` that keeps each
-    decoded key until the caches are cleared.  Raises
+    Reads the packed series keys of the matrix's coordinate map directly:
+    a key's total degree is ``key >> 8*n_vars``, and only degree-i keys
+    are decoded into a monomial, through the table ``_monomials(n_vars)``
+    that keeps each decoded key until the caches are cleared.  Raises
     ``DomainError`` naming the least offending term, by degree, 1-based
     row and column, then exponents, when some key has degree below
     ``low``, that is when M is not congruent to the identity modulo
     J^low.
     """
-    n_vars = x.rows[0][0].n_vars
+    n_vars = x.n_vars
     shift = 8 * n_vars
     monomials = _monomials(n_vars)
     coords: dict[Coord, int] = {}
     below = []
-    for row, entries in enumerate(x.rows, 1):
-        for col, e in enumerate(entries, 1):
-            for key, coeff in e._terms.items():
-                d = key >> shift
-                if d == i:
-                    mono = monomials.get(key)
-                    if mono is None:
-                        mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
-                    coords[(mono, row, col)] = coeff
-                elif d < low:
-                    below.append((d, row, col, _unpack(key, n_vars)))
+    for (key, row, col), coeff in x._flat.items():
+        d = key >> shift
+        if d == i:
+            mono = monomials.get(key)
+            if mono is None:
+                mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
+            coords[(mono, row + 1, col + 1)] = coeff
+        elif d < low:
+            below.append((d, row + 1, col + 1, _unpack(key, n_vars)))
     if below:
         d, row, col, exps = min(below)
         raise DomainError(
@@ -221,13 +212,11 @@ def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
 def first_degree(x: SquareMatrix) -> int | None:
     """First degree where M = I + X differs from I; None where it does not.
 
-    The least packed key of an entry carries its least degree.
+    The least packed key of the coordinate map carries the least degree.
     """
-    shift = 8 * x.rows[0][0].n_vars
-    return min(
-        (min(e._terms) >> shift for row in x.rows for e in row if e._terms),
-        default=None,
-    )
+    if not x._flat:
+        return None
+    return min(x._flat)[0] >> (8 * x.n_vars)
 
 
 def pi(x: SquareMatrix, i: int) -> GradedClass:
@@ -239,13 +228,10 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
     """
     if i < 1:
         raise UsageError("degree must be positive")
-    sample = x.rows[0][0]
-    if not isinstance(sample, TruncatedSeries):
+    if x._flat is None:
         raise UsageError("coefficient extraction expects a series matrix")
-    if sample.max_deg < i:
-        raise UsageError(
-            f"matrix truncation degree {sample.max_deg} is below {i}"
-        )
+    if x.max_deg < i:
+        raise UsageError(f"matrix truncation degree {x.max_deg} is below {i}")
     return _raw_class(x.size, i, _degree_coords(x, i, i))
 
 
@@ -299,19 +285,19 @@ def _commutator_matrix(
     # weights.  Children are lifted back to max_deg, sound because each
     # partner vanishes below the gap; ``_lifted`` caches each child's lift,
     # which many parents share.  Leaves are truncated closed-form letters
-    # minus I: nothing is inverted, and I + X truncates the flat word.
+    # minus I, 1 off each diagonal constant term (packed key 0): nothing is
+    # inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
-        zero = TruncatedSeries.zero(n, max_deg)
-        return _raw_matrix(((zero,) * n,) * n)
+        return _raw_flat(n, n, max_deg, {})
     if term.is_leaf:
-        letter = _letter_matrix_truncated(n, term.gen, n, sign, max_deg)
-        one = TruncatedSeries.one(n, max_deg)
-        return _raw_matrix(
-            tuple(
-                tuple(e - one if i == j else e for j, e in enumerate(row))
-                for i, row in enumerate(letter.rows)
-            )
-        )
+        flat = dict(_letter_matrix_truncated(n, term.gen, n, sign, max_deg)._flat)
+        for i in range(n):
+            new = flat.get((0, i, i), 0) - 1
+            if new:
+                flat[(0, i, i)] = new
+            else:
+                del flat[(0, i, i)]
+        return _raw_flat(n, n, max_deg, flat)
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
     x = _lifted(a, n, max_deg - j, max_deg)
@@ -340,10 +326,15 @@ def _lifted(
 
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
-    """``m`` with every entry raised to truncation degree ``max_deg``."""
-    return _raw_matrix(
-        tuple(tuple(retruncate(e, max_deg) for e in row) for row in m.rows)
-    )
+    """``m`` read at the truncation degree ``max_deg >= m.max_deg``.
+
+    Raising the degree keeps every term and reads the degrees above
+    ``m.max_deg`` as zero, so only the degree is relabelled and the
+    coordinate map is shared (values are immutable).  That is no ring
+    homomorphism: a product with the lifted matrix is exact only when the
+    other factor vanishes below the gap, as in ``_commutator_matrix``.
+    """
+    return _raw_flat(m.size, m.n_vars, max_deg, m._flat)
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:

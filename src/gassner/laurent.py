@@ -10,11 +10,16 @@
   ``TruncatedSeries.var`` gives t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k,
   and ``braid`` writes its letters in closed form over those.
 
-``SquareMatrix`` holds an n x n grid over either ring and provides the matrix
-operations the representation needs: products, sums and differences.
-Its public constructor validates every entry; products, sums and
-differences check their two operands once and build the result through
-``_raw_matrix``, since entries computed in one ring stay in it.
+``SquareMatrix`` holds an n x n matrix over either ring and provides the
+matrix operations the representation needs: products, sums and
+differences.  A Laurent matrix keeps its grid of entries.  A series matrix
+is one coordinate map (packed monomial key, row, col) -> coefficient, the
+packed keys being those of ``TruncatedSeries``; its operations merge and
+multiply those maps directly, and its grid of entries is built only when
+something reads ``rows``.  The public constructor validates every entry;
+products, sums and differences check their two operands once and build
+the result through ``_raw_matrix`` or ``_raw_flat``, since entries computed
+in one ring stay in it.
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -22,9 +27,12 @@ form in every ring; see ``braid``); the geometric-series
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
 copies and pickles rebuild each value without passing through its guard.
-So a series sum or difference with a zero operand returns the other
-operand itself, and the internal builders (``_raw_series`` and its
-siblings) set slots through member descriptors captured once.
+(The grid a series matrix builds on the first read of ``rows`` is a cache
+of its value: two threads that both build it build equal grids.)
+So a series sum or difference with a zero operand, of entries or of
+matrices, returns the other operand itself, and the internal builders
+(``_raw_series`` and its siblings) set slots through member descriptors
+captured once.
 Coefficients are Python ints throughout: word evaluation multiplies many
 matrices and coefficient growth is unbounded, so fixed-width arithmetic
 would silently corrupt downstream rank computations.
@@ -194,8 +202,9 @@ class LaurentPoly:
 
 
 # The internal fast paths set slots through member descriptors captured once
-# (``_raw_laurent``, ``_raw_series``, ``_raw_matrix``): this bypasses the
-# immutability guard without the by-name lookup of ``object.__setattr__``.
+# (``_raw_laurent``, ``_raw_series``, ``_raw_matrix``, ``_raw_flat``): this
+# bypasses the immutability guard without the by-name lookup of
+# ``object.__setattr__``.
 _new = object.__new__
 _set_poly_vars = LaurentPoly.n_vars.__set__
 _set_poly_terms = LaurentPoly.terms.__set__
@@ -478,25 +487,6 @@ def _raw_series(n_vars: int, max_deg: int, packed: dict) -> TruncatedSeries:
     return s
 
 
-def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
-    """The series ``s`` under truncation degree ``max_deg``.
-
-    Lowering the degree drops the terms above it; that is truncation, a
-    ring homomorphism.  Raising it keeps the terms and reads every degree
-    above ``s.max_deg`` as zero, which is no homomorphism: a product with
-    the raised series is exact only when the other factor vanishes below
-    the gap.  If ``s`` is known through degree d and y has no terms below
-    degree max_deg - d, then s·y is known through degree max_deg.
-    """
-    _check_max_deg(max_deg)
-    if max_deg >= s.max_deg:
-        return _raw_series(s.n_vars, max_deg, s._terms)
-    cutoff = (max_deg + 1) << (8 * s.n_vars)
-    return _raw_series(
-        s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
-    )
-
-
 RingElement = Union[LaurentPoly, TruncatedSeries]
 
 
@@ -518,13 +508,23 @@ class SquareMatrix:
 
     Entries are either all ``LaurentPoly`` over a common variable count or
     all ``TruncatedSeries`` over a common variable count and truncation
-    degree; the constructor enforces this.  Ring operations check their
-    operands and build the result unchecked through ``_raw_matrix``: each
-    entry is a ring operation on compatible entries, so it lies in the
-    operands' ring.  ``rows`` is always a tuple of tuples.
+    degree; the constructor enforces this.  ``n_vars`` is the entries'
+    variable count and ``max_deg`` their truncation degree, None over the
+    Laurent ring.
+
+    The two rings are stored differently.  A Laurent matrix holds its grid
+    of entries.  A series matrix holds one dict ``_flat`` mapping
+    (packed key, row, col), with 0-based row and column and the packed
+    monomial keys of ``TruncatedSeries``, to a nonzero coefficient: its
+    ring operations work on that map, so no entry object is built, and
+    ``rows``, a tuple of tuples in both rings, is built for a series
+    matrix only when something reads it, then kept.  Ring operations check
+    their operands once and build the result unchecked (``_raw_matrix``,
+    ``_raw_flat``): each entry is a ring operation on compatible entries,
+    so it lies in the operands' ring.
     """
 
-    __slots__ = ("size", "rows")
+    __slots__ = ("size", "n_vars", "max_deg", "_flat", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[RingElement]]):
         grid = tuple(tuple(row) for row in rows)
@@ -539,14 +539,40 @@ class SquareMatrix:
                 if type(e) is not type(sample):
                     raise UsageError("mixed entry types in matrix")
                 sample._check_compat(e)
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "rows", grid)
+        flat = max_deg = None
+        if isinstance(sample, TruncatedSeries):
+            max_deg = sample.max_deg
+            flat = {
+                (key, i, j): coeff
+                for i, row in enumerate(grid)
+                for j, e in enumerate(row)
+                for key, coeff in e._terms.items()
+            }
+        _set_matrix(self, n, sample.n_vars, max_deg, flat, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
 
     def __reduce__(self):
-        return SquareMatrix, (self.rows,)
+        if self._flat is None:
+            return SquareMatrix, (self.rows,)
+        return _raw_flat, (self.size, self.n_vars, self.max_deg, self._flat)
+
+    @property
+    def rows(self) -> tuple[tuple[RingElement, ...], ...]:
+        """The grid of entries; a series matrix builds it from its map once."""
+        grid = self._rows
+        if grid is None:
+            cells = [[{} for _ in range(self.size)] for _ in range(self.size)]
+            for (key, i, j), coeff in self._flat.items():
+                cells[i][j][key] = coeff
+            n_vars, max_deg = self.n_vars, self.max_deg
+            grid = tuple(
+                tuple(_raw_series(n_vars, max_deg, terms) for terms in row)
+                for row in cells
+            )
+            _set_matrix_rows(self, grid)
+        return grid
 
     @classmethod
     def identity_series(cls, size: int, n_vars: int, max_deg: int) -> "SquareMatrix":
@@ -557,10 +583,45 @@ class SquareMatrix:
             raise UsageError(f"cannot combine matrix with {type(other).__name__}")
         if self.size != other.size:
             raise UsageError(f"size mismatch: {self.size} vs {other.size}")
-        self.rows[0][0]._check_compat(other.rows[0][0])
+        # two series matrices of one ring need no entry; otherwise an entry
+        # of each gives the entries' check and its message
+        if (
+            self._flat is None
+            or other._flat is None
+            or self.n_vars != other.n_vars
+            or self.max_deg != other.max_deg
+        ):
+            self.rows[0][0]._check_compat(other.rows[0][0])
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
+        a, b = self._flat, other._flat
+        if a is None:
+            return self._grid_mul(other)
+        # each row of b once, as (key, col, coeff) by increasing key: a term
+        # of a at key k1 stops at the first key of b at or past cutoff - k1
+        by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
+        for (key, k, j), coeff in b.items():
+            by_row[k].append((key, j, coeff))
+        for row in by_row:
+            row.sort()
+        cutoff = (self.max_deg + 1) << (8 * self.n_vars)
+        out: dict[tuple[int, int, int], int] = {}
+        get = out.get
+        for (k1, i, k), v1 in a.items():
+            limit = cutoff - k1
+            for k2, j, v2 in by_row[k]:
+                if k2 >= limit:
+                    break
+                key = (k1 + k2, i, j)
+                new = get(key, 0) + v1 * v2
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+        return _raw_flat(self.size, self.n_vars, self.max_deg, out)
+
+    def _grid_mul(self, other: "SquareMatrix") -> "SquareMatrix":
         zero = self.rows[0][0].zero_like()
         # each column's nonzero entries once, and each row with its zeros
         # as None, so no entry is tested for zero more than once; a sum
@@ -585,33 +646,70 @@ class SquareMatrix:
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        return _raw_matrix(
-            tuple(
-                tuple(a + b for a, b in zip(arow, brow))
-                for arow, brow in zip(self.rows, other.rows)
+        if self._flat is None:
+            return _raw_matrix(
+                tuple(
+                    tuple(a + b for a, b in zip(arow, brow))
+                    for arow, brow in zip(self.rows, other.rows)
+                )
             )
-        )
+        # values are immutable, so a zero operand returns the other one
+        if not other._flat:
+            return self
+        if not self._flat:
+            return other
+        return self._merge(other._flat, 1)
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        return _raw_matrix(
-            tuple(
-                tuple(a - b for a, b in zip(arow, brow))
-                for arow, brow in zip(self.rows, other.rows)
+        if self._flat is None:
+            return _raw_matrix(
+                tuple(
+                    tuple(a - b for a, b in zip(arow, brow))
+                    for arow, brow in zip(self.rows, other.rows)
+                )
             )
-        )
+        if not other._flat:
+            return self
+        return self._merge(other._flat, -1)
+
+    def _merge(self, terms: dict, sign: int) -> "SquareMatrix":
+        # this series matrix plus sign times the flat map ``terms``
+        out = dict(self._flat)
+        for key, coeff in terms.items():
+            new = out.get(key, 0) + sign * coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return _raw_flat(self.size, self.n_vars, self.max_deg, out)
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, SquareMatrix) or self.size != other.size:
+            return False
+        if (self._flat is None) != (other._flat is None):
+            return False  # one Laurent, one series
+        if self._flat is None:
+            return self.rows == other.rows
         return (
-            isinstance(other, SquareMatrix)
-            and self.size == other.size
-            and self.rows == other.rows
+            self.n_vars == other.n_vars
+            and self.max_deg == other.max_deg
+            and self._flat == other._flat
         )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        if self._flat is None:
+            return hash(self.rows)
+        return hash(
+            (self.size, self.n_vars, self.max_deg, frozenset(self._flat.items()))
+        )
 
     def is_identity(self) -> bool:
+        if self._flat is not None:
+            flat = self._flat
+            return len(flat) == self.size and all(
+                flat.get((0, i, i)) == 1 for i in range(self.size)
+            )
         return all(
             e.is_one() if i == j else e.is_zero()
             for i, row in enumerate(self.rows)
@@ -619,6 +717,8 @@ class SquareMatrix:
         )
 
     def is_zero(self) -> bool:
+        if self._flat is not None:
+            return not self._flat
         return all(e.is_zero() for row in self.rows for e in row)
 
     def entry(self, i: int, j: int) -> RingElement:
@@ -626,10 +726,9 @@ class SquareMatrix:
         return self.rows[i - 1][j - 1]
 
     def to_dict(self) -> dict:
-        ring = "laurent" if isinstance(self.rows[0][0], LaurentPoly) else "series"
         return {
             "size": self.size,
-            "ring": ring,
+            "ring": "laurent" if self._flat is None else "series",
             "entries": [[e.to_dict() for e in row] for row in self.rows],
         }
 
@@ -649,16 +748,33 @@ class SquareMatrix:
 
 
 _set_matrix_size = SquareMatrix.size.__set__
-_set_matrix_rows = SquareMatrix.rows.__set__
+_set_matrix_vars = SquareMatrix.n_vars.__set__
+_set_matrix_deg = SquareMatrix.max_deg.__set__
+_set_matrix_flat = SquareMatrix._flat.__set__
+_set_matrix_rows = SquareMatrix._rows.__set__
 
 
-def _raw_matrix(grid: tuple[tuple[RingElement, ...], ...]) -> SquareMatrix:
-    # Internal fast path: a square tuple of tuples over one ring, as the
-    # ring operations build it; nothing is rechecked.
-    m = _new(SquareMatrix)
-    _set_matrix_size(m, len(grid))
+def _set_matrix(m: SquareMatrix, size, n_vars, max_deg, flat, grid) -> SquareMatrix:
+    _set_matrix_size(m, size)
+    _set_matrix_vars(m, n_vars)
+    _set_matrix_deg(m, max_deg)
+    _set_matrix_flat(m, flat)
     _set_matrix_rows(m, grid)
     return m
+
+
+def _raw_matrix(grid: tuple[tuple[LaurentPoly, ...], ...]) -> SquareMatrix:
+    # Internal fast path for the Laurent ring: a square tuple of tuples, as
+    # the ring operations build it; nothing is rechecked.
+    n_vars = grid[0][0].n_vars
+    return _set_matrix(_new(SquareMatrix), len(grid), n_vars, None, None, grid)
+
+
+def _raw_flat(size: int, n_vars: int, max_deg: int, flat: dict) -> SquareMatrix:
+    # Internal fast path for the series ring: ``flat`` maps valid
+    # (packed key, row, col) triples to nonzero coefficients; the grid is
+    # built when ``rows`` is first read.
+    return _set_matrix(_new(SquareMatrix), size, n_vars, max_deg, flat, None)
 
 
 # ---------------------------------------------------------------------------

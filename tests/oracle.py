@@ -36,6 +36,12 @@ u_i = t_i - 1 by binomial series, and ``_specialize_matrix`` evaluates
 every Laurent term at a point mod p.  ``map_entries`` applies such a
 conversion to every entry of a matrix through the validating constructor.
 
+A series matrix stores one coordinate map (packed key, row, col) ->
+coefficient, and the library raises a child image to its parent's degree
+by relabelling that map's degree.  The entry-wise route it replaced,
+``retruncate``, which lowers or raises one series, is kept here as the
+reference for truncation and for that lift.
+
 The mod-p rung of the search pushes probe row vectors through a
 candidate's specialized powers.  The route it replaced, which multiplies
 those powers into one matrix at each point and compares it with I, is kept
@@ -358,6 +364,25 @@ def from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
             else:
                 del acc[key]
     return _raw_series(n, max_deg, acc)
+
+
+def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
+    """The series ``s`` under truncation degree ``max_deg``.
+
+    Lowering the degree drops the terms above it; that is truncation, a
+    ring homomorphism.  Raising it keeps the terms and reads every degree
+    above ``s.max_deg`` as zero, which is no homomorphism: a product with
+    the raised series is exact only when the other factor vanishes below
+    the gap.  If ``s`` is known through degree d and y has no terms below
+    degree max_deg - d, then s·y is known through degree max_deg.
+    """
+    _check_max_deg(max_deg)
+    if max_deg >= s.max_deg:
+        return _raw_series(s.n_vars, max_deg, s._terms)
+    cutoff = (max_deg + 1) << (8 * s.n_vars)
+    return _raw_series(
+        s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
+    )
 
 
 def _binomial_expansion(e: int, max_deg: int) -> list[tuple[int, int]]:

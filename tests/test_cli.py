@@ -175,6 +175,66 @@ class TestEval:
         assert out == ""
         assert "more than the budget of 1000000" in err
 
+    # exact eval: x1^k on 2 strands holds 4(j + 1) terms after j letters,
+    # so its summed work is 4k(k + 1); under the 10^6 budget k = 499 runs
+    # (998,000) and k = 500 (1,002,000) exits 2, about 3-7 s each on a
+    # 2-core host, so the ladder is tested here under a budget of 4*20*21
+    @pytest.mark.parametrize("k,code", [(1, 0), (19, 0), (20, 0), (21, 2), (50, 2)])
+    def test_exact_work_budget_on_the_x1_ladder(self, capsys, monkeypatch, k, code):
+        import gassner.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_EXACT_WORK", 4 * 20 * 21)
+        got, out, err = run(capsys, "eval", "--n", "2", f"x1^{k}", "--format", "json")
+        assert got == code
+        if code == 0:
+            from gassner.braid import evaluate_exact, parse_word
+
+            assert json.loads(out) == evaluate_exact(parse_word(f"x1^{k}", 2)).to_dict()
+            assert err == ""
+        else:
+            assert out == ""
+            assert "passed the work budget of 1680 terms" in err
+            assert f"at letter 21 of {k}" in err
+
+    def test_exact_work_budget_is_the_stated_one(self, capsys):
+        # the shipped budget, as the README states it; a cheap word runs
+        import gassner.cli as cli
+        from gassner.braid import MAX_EXACT_WORK
+
+        assert cli.MAX_EXACT_WORK == MAX_EXACT_WORK == 10**6
+        code, out, _ = run(capsys, "eval", "--n", "2", "x1^100")
+        assert code == 0 and out
+
+    def test_only_the_cli_eval_is_gated(self, capsys, monkeypatch):
+        # the budget binds the command, not the library: evaluate_exact
+        # without max_work, and the search's exact rung, count nothing
+        import gassner.braid as braid
+        import gassner.cli as cli
+        import gassner.search as search
+        from gassner.laurent import LaurentPoly, SquareMatrix, identity_rows
+
+        monkeypatch.setattr(cli, "MAX_EXACT_WORK", 0)
+        monkeypatch.setattr(braid, "MAX_EXACT_WORK", 0)
+        word = braid.parse_word("x1^30", 2)
+        assert braid.evaluate_exact(word) == braid.evaluate_exact(word, 10**9)
+        code, _, err = run(capsys, "eval", "--n", "2", "x1")
+        assert code == 2 and "work budget of 0" in err
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return SquareMatrix(identity_rows(4, LaurentPoly.one(4)))
+
+        monkeypatch.setattr(search, "evaluate_exact", recording)
+        monkeypatch.setattr(
+            search, "_specialized_candidate_is_identity", lambda *args: True
+        )
+        cfg = search.SearchConfig(degree_probe=5, budget=2)
+        assert all(r.is_identity for r in search.run_search(cfg).candidates)
+        assert len(calls) == 2
+        assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 """Coefficient extraction, graded classes, and exact rank/kernel."""
 
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -45,6 +46,7 @@ from oracle import (
     graded_parts,
     minus_identity,
     pi_from_parts,
+    retruncate,
 )
 from test_laurent import COPIES
 
@@ -499,6 +501,46 @@ class TestSignedImages:
         assert lifts
         repeated = [key for key, count in lifts.items() if count > 1]
         assert not repeated
+
+
+class TestFlatImages:
+    # images are coordinate maps (packed key, row, col) -> coefficient, and
+    # every product of images multiplies those maps, not series entries
+    def test_series_products_only_build_the_letters(self, monkeypatch, cold_caches):
+        callers = Counter()
+        mul = TruncatedSeries.__mul__
+
+        def recording(a, b):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+        kernel_report(4, 5)
+        assert callers and set(callers) == {"_letter_rows"}
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_lift_relabels_the_degree_of_a_shared_map(self, w):
+        # against the entrywise route: every entry raised by the oracle's
+        # retruncate, rebuilt through the validating constructor
+        for term in basic_commutators(3, w):
+            for sign in (1, -1):
+                image = _commutator_matrix(term, 4, w + 1, sign)
+                lifted = graded._lift(image, 2 * w + 1)
+                assert lifted._flat is image._flat
+                assert lifted.max_deg == 2 * w + 1
+                assert lifted == SquareMatrix(
+                    [[retruncate(e, 2 * w + 1) for e in row] for row in image.rows]
+                )
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_images_round_trip_through_rows(self, w):
+        for term in basic_commutators(3, w):
+            for depth, sign in ((w - 1, 1), (w, 1), (w + 2, -1)):
+                image = _commutator_matrix(term, 4, depth, sign)
+                rebuilt = SquareMatrix(image.rows)
+                assert rebuilt == image and hash(rebuilt) == hash(image)
+                for how in COPIES.values():
+                    assert how(image) == image
 
 
 class TestGradedClass:

@@ -22,11 +22,11 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     _pack,
+    _raw_flat,
     _raw_laurent,
     _raw_matrix,
     _raw_series,
     identity_rows,
-    retruncate,
     series_matrix_inverse,
 )
 from oracle import (
@@ -34,6 +34,7 @@ from oracle import (
     laurent_determinant,
     matrix_entrywise,
     matrix_product,
+    retruncate,
     specialize,
     specialize_poly,
 )
@@ -382,6 +383,46 @@ def matrix_pairs(draw):
     return matrix(), matrix()
 
 
+@st.composite
+def series_matrix_pairs(draw, min_size=1):
+    """Two series matrices of one size and ring, each with its own sparsity.
+
+    Term degrees are drawn as 0, as the truncation degree or in between, so
+    products meet the cutoff exactly.  The pair is dense beside sparse
+    (every entry drawn against at most one), either way round, or two
+    matrices of any fill.
+    """
+    size = draw(st.integers(min_size, 4))
+    n_vars = draw(st.integers(1, 3))
+    max_deg = draw(st.integers(0, 5))
+    degree = st.one_of(st.just(0), st.just(max_deg), st.integers(0, max_deg))
+    exps = degree.flatmap(
+        lambda d: st.lists(st.integers(0, n_vars - 1), min_size=d, max_size=d)
+    ).map(lambda vs: tuple(vs.count(v) for v in range(n_vars)))
+    entry = st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda terms: TruncatedSeries(n_vars, max_deg, terms)
+    )
+    zero = TruncatedSeries.zero(n_vars, max_deg)
+    cells = size * size
+    positions = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+
+    def matrix(fill):
+        if fill == "dense":
+            flat = draw(st.lists(entry, min_size=cells, max_size=cells))
+            return SquareMatrix([flat[i * size : (i + 1) * size] for i in range(size)])
+        chosen = draw(
+            st.dictionaries(positions, entry, max_size=1 if fill == "sparse" else cells)
+        )
+        return SquareMatrix(
+            [[chosen.get((i, j), zero) for j in range(size)] for i in range(size)]
+        )
+
+    fills = draw(
+        st.sampled_from([("dense", "sparse"), ("sparse", "dense"), ("any", "any")])
+    )
+    return matrix(fills[0]), matrix(fills[1])
+
+
 _MATRIX_OPS = {
     "mul": (operator.mul, matrix_product),
     "add": (operator.add, lambda a, b: matrix_entrywise(a, b, operator.add)),
@@ -406,6 +447,70 @@ class TestMatrixFastPath:
         assert hash(got) == hash(slow(a, b))
         for how in COPIES.values():
             assert how(got) == got
+
+    # a series matrix is one map (packed key, row, col) -> coefficient; the
+    # oracle multiplies and adds its entries one by one
+    @settings(max_examples=200, deadline=None)
+    @given(series_matrix_pairs(), st.sampled_from(sorted(_MATRIX_OPS)))
+    def test_series_ops_match_the_entrywise_oracle(self, pair, op):
+        a, b = pair
+        fast, slow = _MATRIX_OPS[op]
+        got, want = fast(a, b), slow(a, b)
+        assert got == want and hash(got) == hash(want)
+        assert got.rows == want.rows
+        assert got.is_zero() == all(e.is_zero() for row in want.rows for e in row)
+        # no zero is stored and no key lies past the truncation degree
+        assert 0 not in got._flat.values()
+        cutoff = (a.max_deg + 1) << (8 * a.n_vars)
+        assert all(key < cutoff for key, _, _ in got._flat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_matrix_pairs(min_size=2))
+    def test_products_that_cancel_are_the_zero_matrix(self, pair):
+        # columns 0 and 1 of a equal, rows 0 and 1 of b opposite, every
+        # other row of b zero: each entry of a·b is a sum that cancels
+        a, b = pair
+        zero = a.rows[0][0].zero_like()
+        a = SquareMatrix([(row[0], row[0]) + row[2:] for row in a.rows])
+        b = SquareMatrix(
+            [b.rows[0], tuple(-e for e in b.rows[0])]
+            + [(zero,) * a.size] * (a.size - 2)
+        )
+        product = a * b
+        assert product.is_zero() and product._flat == {}
+        assert product == matrix_product(a, b)
+        assert hash(product) == hash(matrix_product(a, b))
+        for cancelled in (a - a, b + SquareMatrix([[-e for e in row] for row in b.rows])):
+            assert cancelled.is_zero() and cancelled == SquareMatrix(
+                identity_rows(a.size, zero)
+            )
+
+    def test_terms_at_the_cutoff(self):
+        # degree 4: u1^2 · u1^2 is kept, u1^2 · u1^3 and u2^4 · u2 are dropped
+        d = 4
+        u1, u2 = u(1, 2, d), u(2, 2, d)
+        zero, one = u1.zero_like(), TruncatedSeries.one(2, d)
+        a = SquareMatrix([[u1 * u1, zero], [zero, u2 * u2 * u2 * u2]])
+        b = SquareMatrix([[u1 * u1 + u1 * u1 * u1, zero], [zero, one + u2]])
+        product = a * b
+        assert product == SquareMatrix(
+            [[TruncatedSeries(2, d, {(4, 0): 1}), zero], [zero, u2 * u2 * u2 * u2]]
+        )
+        assert product == matrix_product(a, b)
+        # a product of terms all past the cutoff is zero
+        assert (a * a * a).is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_matrix_pairs(), st.sampled_from(sorted(_MATRIX_OPS)))
+    def test_rows_round_trip(self, pair, op):
+        # the grid of a matrix built from its map rebuilds the same matrix
+        got = _MATRIX_OPS[op][0](*pair)
+        rebuilt = SquareMatrix(got.rows)
+        assert rebuilt == got and hash(rebuilt) == hash(got)
+        assert rebuilt._flat == got._flat and rebuilt.rows == got.rows
+        for how in COPIES.values():
+            copied = how(got)
+            assert copied == rebuilt and hash(copied) == hash(rebuilt)
 
     @pytest.mark.parametrize("op", sorted(_MATRIX_OPS))
     @pytest.mark.parametrize(
@@ -481,6 +586,8 @@ class TestRawBuilders:
     @staticmethod
     def _pair(kind):
         rows = identity_rows(2, u(1, 2, 3))
+        u1 = _pack((1, 0), 2)
+        exact = identity_rows(2, LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)}))
         coords = {((1, 2), 1, 3): -4, ((2, 2), 2, 1): 10**30}
         return {
             "laurent": (
@@ -493,13 +600,19 @@ class TestRawBuilders:
             ),
             "matrix": (
                 SquareMatrix(rows),
-                _raw_matrix(tuple(tuple(row) for row in rows)),
+                _raw_flat(2, 2, 3, {(u1, 0, 0): 1, (u1, 1, 1): 1}),
+            ),
+            "laurent-matrix": (
+                SquareMatrix(exact),
+                _raw_matrix(tuple(tuple(row) for row in exact)),
             ),
             "class": (GradedClass(3, 2, coords), _raw_class(3, 2, dict(coords))),
         }[kind]
 
     @pytest.mark.parametrize("how", sorted(COPIES))
-    @pytest.mark.parametrize("kind", ["laurent", "series", "matrix", "class"])
+    @pytest.mark.parametrize(
+        "kind", ["laurent", "series", "matrix", "laurent-matrix", "class"]
+    )
     def test_equal_to_the_constructed_value(self, kind, how):
         built, raw = self._pair(kind)
         assert type(raw) is type(built)

@@ -6,9 +6,11 @@ command runs them.  The package source is read with ``ast`` (as
 into any module, as a function, a method or an import, fails here even if
 nothing calls it.
 
-The packed-key layout of ``TruncatedSeries._terms`` is known to two
-modules: ``laurent``, which defines it, and ``graded``, whose one reader
-decodes it.  Any other module reading ``._terms`` fails here.
+The packed-key layout of ``TruncatedSeries._terms``, and of
+``SquareMatrix._flat``, the series matrix's map (packed key, row, col) ->
+coefficient, is known to two modules: ``laurent``, which defines both, and
+``graded``, whose one reader decodes them.  Any other module reading
+``._terms`` or ``._flat`` fails here.
 """
 
 import ast
@@ -30,6 +32,7 @@ TEST_ONLY = (
     "_mod_identity",
     "graded_parts",
     "congruent_parts",
+    "retruncate",
 )
 
 
@@ -56,6 +59,7 @@ def test_package_does_not_export_a_test_only_route():
 
 
 PACKED_KEY_READERS = ("laurent.py", "graded.py")
+PACKED_KEY_ATTRIBUTES = ("_terms", "_flat")
 
 
 @pytest.mark.parametrize(
@@ -65,8 +69,8 @@ PACKED_KEY_READERS = ("laurent.py", "graded.py")
 )
 def test_only_laurent_and_graded_read_packed_terms(path):
     reads = [
-        node.lineno
+        (node.lineno, node.attr)
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_KEY_ATTRIBUTES
     ]
-    assert not reads, f"{path.name} reads ._terms at lines {reads}"
+    assert not reads, f"{path.name} reads packed keys at (line, attribute) {reads}"
