@@ -209,11 +209,17 @@ def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
     return coords
 
 
+def _check_series(x: SquareMatrix) -> None:
+    if x.max_deg is None:
+        raise UsageError("coefficient extraction expects a series matrix")
+
+
 def first_degree(x: SquareMatrix) -> int | None:
     """First degree where M = I + X differs from I; None where it does not.
 
-    The least packed key of the coordinate map carries the least degree.
+    The least packed key of the series coordinate map carries the least degree.
     """
+    _check_series(x)
     if not x._flat:
         return None
     return min(x._flat)[0] >> (8 * x.n_vars)
@@ -228,8 +234,7 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
     """
     if i < 1:
         raise UsageError("degree must be positive")
-    if x._flat is None:
-        raise UsageError("coefficient extraction expects a series matrix")
+    _check_series(x)
     if x.max_deg < i:
         raise UsageError(f"matrix truncation degree {x.max_deg} is below {i}")
     return _raw_class(x.size, i, _degree_coords(x, i, i))

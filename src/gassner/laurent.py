@@ -12,14 +12,11 @@
 
 ``SquareMatrix`` holds an n x n matrix over either ring and provides the
 matrix operations the representation needs: products, sums and
-differences.  A Laurent matrix keeps its grid of entries.  A series matrix
-is one coordinate map (packed monomial key, row, col) -> coefficient, the
-packed keys being those of ``TruncatedSeries``; its operations merge and
-multiply those maps directly, and its grid of entries is built only when
-something reads ``rows``.  The public constructor validates every entry;
-products, sums and differences check their two operands once and build
-the result through ``_raw_matrix`` or ``_raw_flat``, since entries computed
-in one ring stay in it.
+differences.  In both rings it is one coordinate map (packed monomial key,
+row, col) -> coefficient, which its operations merge and multiply directly;
+its grid of entries is built only when something reads ``rows``.  The
+public constructor validates every entry; products, sums and differences
+check their two operands once and build the result through ``_raw_flat``.
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -27,10 +24,10 @@ form in every ring; see ``braid``); the geometric-series
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
 copies and pickles rebuild each value without passing through its guard.
-(The grid a series matrix builds on the first read of ``rows`` is a cache
-of its value: two threads that both build it build equal grids.)
-So a series sum or difference with a zero operand, of entries or of
-matrices, returns the other operand itself, and the internal builders
+(The grid a matrix builds on the first read of ``rows`` is a cache of its
+value: two threads that both build it build equal grids.)
+So a sum or difference of series or of matrices with a zero operand
+returns the other operand itself, and the internal builders
 (``_raw_series`` and its siblings) set slots through member descriptors
 captured once.
 Coefficients are Python ints throughout: word evaluation multiplies many
@@ -40,6 +37,7 @@ would silently corrupt downstream rank computations.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Union
 
 
@@ -202,7 +200,7 @@ class LaurentPoly:
 
 
 # The internal fast paths set slots through member descriptors captured once
-# (``_raw_laurent``, ``_raw_series``, ``_raw_matrix``, ``_raw_flat``): this
+# (``_raw_laurent``, ``_raw_series``, ``_raw_flat``): this
 # bypasses the immutability guard without the by-name lookup of
 # ``object.__setattr__``.
 _new = object.__new__
@@ -287,6 +285,50 @@ def _check_max_deg(max_deg: int) -> None:
 
 def _unpack(key: int, n_vars: int) -> tuple[int, ...]:
     return tuple((key >> (8 * i)) & 0xFF for i in range(n_vars))
+
+
+# A Laurent monomial key packs each exponent e_i as a signed _FIELD-bit
+# field, key = sum of e_i * 2^(_FIELD*i); as for series keys, keys add under
+# a product and the constant monomial has key 0.  With exponents in
+# _MIN_EXP.._MAX_EXP, adding the bias -_MIN_EXP to each field leaves its top
+# (guard) bit clear.  A sum of two keys is exact and distinct per exponent
+# vector, and leaves the range just when the biased sum sets a guard bit,
+# which ``_check_laurent_keys`` tests: no key wraps unseen.
+
+_FIELD = 32
+_MIN_EXP, _MAX_EXP = -(1 << (_FIELD - 2)), (1 << (_FIELD - 2)) - 1
+
+
+def _pack_laurent(exps: tuple[int, ...]) -> int:
+    key = 0
+    for i, e in enumerate(exps):
+        if not _MIN_EXP <= e <= _MAX_EXP:
+            raise UsageError(
+                f"exponent {e} in Laurent term {exps} is outside the packed "
+                f"range {_MIN_EXP}..{_MAX_EXP}"
+            )
+        key += e << (_FIELD * i)
+    return key
+
+
+def _laurent_bias(n_vars: int) -> int:
+    return sum(-_MIN_EXP << (_FIELD * i) for i in range(n_vars))
+
+
+def _unpack_laurent(key: int, n_vars: int) -> tuple[int, ...]:
+    key += _laurent_bias(n_vars)
+    return tuple((key >> _FIELD * i) % (1 << _FIELD) + _MIN_EXP for i in range(n_vars))
+
+
+def _check_laurent_keys(flat: dict, n_vars: int) -> None:
+    # every (key, row, col) of a product of two Laurent coordinate maps
+    bias = _laurent_bias(n_vars)
+    guard = bias << 1
+    if any((key + bias) & guard for key, _, _ in flat):
+        raise UsageError(
+            "Laurent matrix product has an exponent outside the packed "
+            f"range {_MIN_EXP}..{_MAX_EXP}"
+        )
 
 
 class TruncatedSeries:
@@ -508,20 +550,19 @@ class SquareMatrix:
 
     Entries are either all ``LaurentPoly`` over a common variable count or
     all ``TruncatedSeries`` over a common variable count and truncation
-    degree; the constructor enforces this.  ``n_vars`` is the entries'
-    variable count and ``max_deg`` their truncation degree, None over the
-    Laurent ring.
+    degree; the constructor enforces this, and rejects a Laurent exponent
+    outside the packed range.  ``n_vars`` is the entries' variable count
+    and ``max_deg`` their truncation degree, None over the Laurent ring.
 
-    The two rings are stored differently.  A Laurent matrix holds its grid
-    of entries.  A series matrix holds one dict ``_flat`` mapping
-    (packed key, row, col), with 0-based row and column and the packed
-    monomial keys of ``TruncatedSeries``, to a nonzero coefficient: its
-    ring operations work on that map, so no entry object is built, and
-    ``rows``, a tuple of tuples in both rings, is built for a series
-    matrix only when something reads it, then kept.  Ring operations check
-    their operands once and build the result unchecked (``_raw_matrix``,
-    ``_raw_flat``): each entry is a ring operation on compatible entries,
-    so it lies in the operands' ring.
+    Both rings are stored alike: one dict ``_flat`` mapping (packed key,
+    row, col), with 0-based row and column, to a nonzero coefficient.  The
+    keys are those of ``TruncatedSeries`` or of ``_pack_laurent``; in both
+    the key of a product of monomials is the sum of their keys and the
+    constant monomial has key 0.  So the ring operations work on the map
+    alone, and only a product differs by ring: the series cutoff, and the
+    range check of Laurent keys.  ``rows``, a tuple of tuples, is built
+    from the map on its first read, then kept.  Ring operations check their
+    operands once and build the result unchecked (``_raw_flat``).
     """
 
     __slots__ = ("size", "n_vars", "max_deg", "_flat", "_rows")
@@ -539,38 +580,40 @@ class SquareMatrix:
                 if type(e) is not type(sample):
                     raise UsageError("mixed entry types in matrix")
                 sample._check_compat(e)
-        flat = max_deg = None
-        if isinstance(sample, TruncatedSeries):
-            max_deg = sample.max_deg
-            flat = {
-                (key, i, j): coeff
-                for i, row in enumerate(grid)
-                for j, e in enumerate(row)
-                for key, coeff in e._terms.items()
-            }
+        flat = {
+            (key, i, j): coeff
+            for i, row in enumerate(grid)
+            for j, e in enumerate(row)
+            for key, coeff in _packed_terms(e).items()
+        }
+        max_deg = getattr(sample, "max_deg", None)
         _set_matrix(self, n, sample.n_vars, max_deg, flat, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
 
     def __reduce__(self):
-        if self._flat is None:
-            return SquareMatrix, (self.rows,)
         return _raw_flat, (self.size, self.n_vars, self.max_deg, self._flat)
 
     @property
     def rows(self) -> tuple[tuple[RingElement, ...], ...]:
-        """The grid of entries; a series matrix builds it from its map once."""
+        """The grid of entries, built from the map on the first read."""
         grid = self._rows
         if grid is None:
+            n_vars, max_deg, flat = self.n_vars, self.max_deg, self._flat
             cells = [[{} for _ in range(self.size)] for _ in range(self.size)]
-            for (key, i, j), coeff in self._flat.items():
-                cells[i][j][key] = coeff
-            n_vars, max_deg = self.n_vars, self.max_deg
-            grid = tuple(
-                tuple(_raw_series(n_vars, max_deg, terms) for terms in row)
-                for row in cells
-            )
+            if max_deg is None:
+                # each distinct key decoded once
+                keys = {k for k, _, _ in flat}
+                exps = {k: _unpack_laurent(k, n_vars) for k in keys}
+                for (key, i, j), coeff in flat.items():
+                    cells[i][j][exps[key]] = coeff
+                make = partial(_raw_laurent, n_vars)
+            else:
+                for (key, i, j), coeff in flat.items():
+                    cells[i][j][key] = coeff
+                make = partial(_raw_series, n_vars, max_deg)
+            grid = tuple(tuple(make(terms) for terms in row) for row in cells)
             _set_matrix_rows(self, grid)
         return grid
 
@@ -583,32 +626,29 @@ class SquareMatrix:
             raise UsageError(f"cannot combine matrix with {type(other).__name__}")
         if self.size != other.size:
             raise UsageError(f"size mismatch: {self.size} vs {other.size}")
-        # two series matrices of one ring need no entry; otherwise an entry
-        # of each gives the entries' check and its message
-        if (
-            self._flat is None
-            or other._flat is None
-            or self.n_vars != other.n_vars
-            or self.max_deg != other.max_deg
-        ):
+        # two matrices of one ring need no entry; otherwise an entry of each
+        # gives the entries' check and its message
+        if self.n_vars != other.n_vars or self.max_deg != other.max_deg:
             self.rows[0][0]._check_compat(other.rows[0][0])
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        a, b = self._flat, other._flat
-        if a is None:
-            return self._grid_mul(other)
+        n_vars, max_deg = self.n_vars, self.max_deg
         # each row of b once, as (key, col, coeff) by increasing key: a term
         # of a at key k1 stops at the first key of b at or past cutoff - k1
         by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
-        for (key, k, j), coeff in b.items():
+        for (key, k, j), coeff in other._flat.items():
             by_row[k].append((key, j, coeff))
         for row in by_row:
             row.sort()
-        cutoff = (self.max_deg + 1) << (8 * self.n_vars)
+        if max_deg is None:
+            # past the sum of any two Laurent keys: nothing is cut
+            cutoff = 1 << (_FIELD * n_vars)
+        else:
+            cutoff = (max_deg + 1) << (8 * n_vars)
         out: dict[tuple[int, int, int], int] = {}
         get = out.get
-        for (k1, i, k), v1 in a.items():
+        for (k1, i, k), v1 in self._flat.items():
             limit = cutoff - k1
             for k2, j, v2 in by_row[k]:
                 if k2 >= limit:
@@ -619,40 +659,12 @@ class SquareMatrix:
                     out[key] = new
                 else:
                     del out[key]
-        return _raw_flat(self.size, self.n_vars, self.max_deg, out)
-
-    def _grid_mul(self, other: "SquareMatrix") -> "SquareMatrix":
-        zero = self.rows[0][0].zero_like()
-        # each column's nonzero entries once, and each row with its zeros
-        # as None, so no entry is tested for zero more than once; a sum
-        # starts from its first product rather than from zero
-        columns = [
-            [(k, b) for k, b in enumerate(col) if not b.is_zero()]
-            for col in zip(*other.rows)
-        ]
-        out = []
-        for arow in self.rows:
-            arow = [None if a.is_zero() else a for a in arow]
-            row = []
-            for column in columns:
-                acc = None
-                for k, b in column:
-                    a = arow[k]
-                    if a is not None:
-                        acc = a * b if acc is None else acc + a * b
-                row.append(zero if acc is None else acc)
-            out.append(tuple(row))
-        return _raw_matrix(tuple(out))
+        if max_deg is None:
+            _check_laurent_keys(out, n_vars)
+        return _raw_flat(self.size, n_vars, max_deg, out)
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        if self._flat is None:
-            return _raw_matrix(
-                tuple(
-                    tuple(a + b for a, b in zip(arow, brow))
-                    for arow, brow in zip(self.rows, other.rows)
-                )
-            )
         # values are immutable, so a zero operand returns the other one
         if not other._flat:
             return self
@@ -662,19 +674,12 @@ class SquareMatrix:
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
-        if self._flat is None:
-            return _raw_matrix(
-                tuple(
-                    tuple(a - b for a, b in zip(arow, brow))
-                    for arow, brow in zip(self.rows, other.rows)
-                )
-            )
         if not other._flat:
             return self
         return self._merge(other._flat, -1)
 
     def _merge(self, terms: dict, sign: int) -> "SquareMatrix":
-        # this series matrix plus sign times the flat map ``terms``
+        # this matrix plus sign times the flat map ``terms``
         out = dict(self._flat)
         for key, coeff in terms.items():
             new = out.get(key, 0) + sign * coeff
@@ -685,41 +690,31 @@ class SquareMatrix:
         return _raw_flat(self.size, self.n_vars, self.max_deg, out)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SquareMatrix) or self.size != other.size:
-            return False
-        if (self._flat is None) != (other._flat is None):
-            return False  # one Laurent, one series
-        if self._flat is None:
-            return self.rows == other.rows
         return (
-            self.n_vars == other.n_vars
+            isinstance(other, SquareMatrix)
+            and self.size == other.size
+            and self.n_vars == other.n_vars
             and self.max_deg == other.max_deg
             and self._flat == other._flat
         )
 
     def __hash__(self) -> int:
-        if self._flat is None:
-            return hash(self.rows)
         return hash(
             (self.size, self.n_vars, self.max_deg, frozenset(self._flat.items()))
         )
 
     def is_identity(self) -> bool:
-        if self._flat is not None:
-            flat = self._flat
-            return len(flat) == self.size and all(
-                flat.get((0, i, i)) == 1 for i in range(self.size)
-            )
-        return all(
-            e.is_one() if i == j else e.is_zero()
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
+        flat = self._flat
+        return len(flat) == self.size and all(
+            flat.get((0, i, i)) == 1 for i in range(self.size)
         )
 
     def is_zero(self) -> bool:
-        if self._flat is not None:
-            return not self._flat
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not self._flat
+
+    def term_count(self) -> int:
+        """The number of nonzero terms over all entries."""
+        return len(self._flat)
 
     def entry(self, i: int, j: int) -> RingElement:
         """1-based entry access."""
@@ -728,7 +723,7 @@ class SquareMatrix:
     def to_dict(self) -> dict:
         return {
             "size": self.size,
-            "ring": "laurent" if self._flat is None else "series",
+            "ring": "laurent" if self.max_deg is None else "series",
             "entries": [[e.to_dict() for e in row] for row in self.rows],
         }
 
@@ -763,15 +758,15 @@ def _set_matrix(m: SquareMatrix, size, n_vars, max_deg, flat, grid) -> SquareMat
     return m
 
 
-def _raw_matrix(grid: tuple[tuple[LaurentPoly, ...], ...]) -> SquareMatrix:
-    # Internal fast path for the Laurent ring: a square tuple of tuples, as
-    # the ring operations build it; nothing is rechecked.
-    n_vars = grid[0][0].n_vars
-    return _set_matrix(_new(SquareMatrix), len(grid), n_vars, None, None, grid)
+def _packed_terms(e: RingElement) -> dict[int, int]:
+    # an entry's terms under the matrix's packed keys
+    if isinstance(e, TruncatedSeries):
+        return e._terms
+    return {_pack_laurent(exps): coeff for exps, coeff in e.terms.items()}
 
 
-def _raw_flat(size: int, n_vars: int, max_deg: int, flat: dict) -> SquareMatrix:
-    # Internal fast path for the series ring: ``flat`` maps valid
+def _raw_flat(size: int, n_vars: int, max_deg: int | None, flat: dict) -> SquareMatrix:
+    # Internal fast path for either ring: ``flat`` maps valid
     # (packed key, row, col) triples to nonzero coefficients; the grid is
     # built when ``rows`` is first read.
     return _set_matrix(_new(SquareMatrix), size, n_vars, max_deg, flat, None)

@@ -1,6 +1,8 @@
 """Generator matrices, word parsing, and word evaluation."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from gassner.braid import (
     parse_word,
 )
 from gassner.laurent import LaurentPoly, UsageError, series_matrix_inverse
+from gassner.search import BREAKDOWN_WORD_TEXTS
 from oracle import (
     delete_strand_reduction,
     from_laurent,
@@ -237,6 +240,21 @@ class TestEvaluation:
             w = random_word(rng, n, rng.randint(0, 5))
             exact = map_entries(evaluate_exact(w), lambda e: from_laurent(e, d))
             assert evaluate_truncated(w, d) == exact
+
+    def test_exact_products_multiply_no_entries(self, cold_caches, monkeypatch):
+        # a cold evaluation of W1 multiplies Laurent polynomials only while
+        # writing its letters; the matrix products work on packed keys
+        callers = Counter()
+        mul = LaurentPoly.__mul__
+
+        def counted(a, b):
+            frame = sys._getframe(1)
+            callers[f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        evaluate_exact(parse_word(BREAKDOWN_WORD_TEXTS[0], 4))
+        assert set(callers) == {"gassner.braid._letter_rows"}
 
     def test_truncated_generator_at_degree_zero(self):
         w = BraidWord(4, (BraidLetter(1, 4, 1),))

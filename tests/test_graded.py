@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassner import graded
-from gassner.braid import evaluate_truncated, parse_word
+from gassner.braid import evaluate_truncated, gassner_generator, parse_word
 from gassner.graded import (
     GradedClass,
     IntMatrix,
@@ -211,6 +211,16 @@ class TestPi:
         x = zero_series_matrix(2, 1)
         with pytest.raises(UsageError):
             pi(x, 2)
+
+    def test_exact_matrix_rejected(self):
+        # a Laurent matrix's packed keys are no series keys: both readers
+        # refuse it rather than read A(1,3) - I as zero
+        x = gassner_generator(3, 1, 3)
+        assert not x.is_identity()
+        with pytest.raises(UsageError, match="expects a series matrix"):
+            first_degree(x)
+        with pytest.raises(UsageError, match="expects a series matrix"):
+            pi(x, 1)
 
     def test_independent_of_truncation_depth(self):
         word = parse_word("[x2,x1]", 4)

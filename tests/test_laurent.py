@@ -21,10 +21,12 @@ from gassner.laurent import (
     SquareMatrix,
     TruncatedSeries,
     UsageError,
+    _MAX_EXP,
+    _MIN_EXP,
     _pack,
+    _pack_laurent,
     _raw_flat,
     _raw_laurent,
-    _raw_matrix,
     _raw_series,
     identity_rows,
     series_matrix_inverse,
@@ -358,29 +360,40 @@ class TestMatrices:
 def matrix_pairs(draw):
     """Two matrices of one size over one ring, most entries zero.
 
-    Laurent entries take exponents in -2..2; series entries have total
-    degree at most the truncation degree.
+    Laurent entries take exponents in -2..2, each variable of the first
+    matrix shifted by 0 or to 4 inside either end of the packed range, so
+    its products with the second reach both ends exactly; series entries
+    have total degree at most the truncation degree.
     """
     size = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        small = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        s1, s2 = draw(
+            st.lists(
+                st.sampled_from([0, _MAX_EXP - 4, _MIN_EXP + 4]), min_size=2, max_size=2
+            )
+        )
+        shifted = small.map(lambda e: (e[0] + s1, e[1] + s2))
+        exps = (shifted, small)
         make = lambda terms: LaurentPoly(2, terms)
     else:
         max_deg = draw(st.integers(0, 4))
-        exps = st.integers(0, max_deg).flatmap(
-            lambda d: st.integers(0, d).map(lambda a: (a, d - a))
-        )
+        exps = (
+            st.integers(0, max_deg).flatmap(
+                lambda d: st.integers(0, d).map(lambda a: (a, d - a))
+            ),
+        ) * 2
         make = lambda terms: TruncatedSeries(2, max_deg, terms)
-    entry = st.one_of(
-        st.just({}), st.dictionaries(exps, st.integers(-3, 3), max_size=3)
-    ).map(make)
 
-    def matrix():
+    def matrix(exps):
+        entry = st.one_of(
+            st.just({}), st.dictionaries(exps, st.integers(-3, 3), max_size=3)
+        ).map(make)
         return SquareMatrix(
             [[draw(entry) for _ in range(size)] for _ in range(size)]
         )
 
-    return matrix(), matrix()
+    return matrix(exps[0]), matrix(exps[1])
 
 
 @st.composite
@@ -512,6 +525,57 @@ class TestMatrixFastPath:
             copied = how(got)
             assert copied == rebuilt and hash(copied) == hash(rebuilt)
 
+    @pytest.mark.parametrize("var", [1, 2])
+    @pytest.mark.parametrize(
+        "edge,past", [(_MAX_EXP, 1), (_MIN_EXP, -1)], ids=["max", "min"]
+    )
+    def test_constructor_packs_exponents_up_to_the_bound(self, var, edge, past):
+        def diagonal(power):
+            return SquareMatrix(identity_rows(2, LaurentPoly.var(2, var, power)))
+
+        m = diagonal(edge)
+        assert m.entry(1, 1) == LaurentPoly.var(2, var, edge)
+        assert SquareMatrix(m.rows) == m
+        with pytest.raises(UsageError, match="outside the packed range"):
+            diagonal(edge + past)
+
+    @pytest.mark.parametrize("var", [1, 2])
+    @pytest.mark.parametrize(
+        "edge,step", [(_MAX_EXP, 1), (_MIN_EXP, -1)], ids=["max", "min"]
+    )
+    def test_products_reach_the_bound_and_raise_past_it(self, var, edge, step):
+        # a product landing on the last exponent in range is exact; a
+        # diagonal monomial matrix squared past it raises, never wraps
+        def diagonal(power):
+            return SquareMatrix(identity_rows(2, LaurentPoly.var(2, var, power)))
+
+        product = diagonal(edge - step) * diagonal(step)
+        assert product == diagonal(edge)
+        assert product.rows == diagonal(edge).rows
+        half = edge // 2 + step
+        with pytest.raises(UsageError, match="outside the packed range"):
+            diagonal(half) * diagonal(half)
+        # a product whose terms past the range all cancel is still exact
+        t = LaurentPoly.var(2, var, half)
+        a = SquareMatrix([[t, t], [t, t]])
+        b = SquareMatrix([[t, t], [-t, -t]])
+        assert (a * b).is_zero()
+
+    def test_laurent_rows_round_trip(self):
+        # entries near both ends of the packed range, and products of them
+        high, low = LaurentPoly.var(2, 1, _MAX_EXP - 1), LaurentPoly.var(2, 2, _MIN_EXP + 1)
+        one, t1, t2_inv = LaurentPoly.one(2), t(1), LaurentPoly.var(2, 2, -1)
+        a = SquareMatrix([[high + one, low - high], [-one, high * t2_inv]])
+        b = SquareMatrix([[t1, one], [one - t2_inv, one]])
+        for got in (a, a * b, b * a, a + b, a - b):
+            rebuilt = SquareMatrix(got.rows)
+            assert rebuilt == got and hash(rebuilt) == hash(got)
+            assert rebuilt._flat == got._flat and rebuilt.rows == got.rows
+            for how in COPIES.values():
+                copied = how(got)
+                assert copied == rebuilt and hash(copied) == hash(rebuilt)
+                assert copied.rows == rebuilt.rows
+
     @pytest.mark.parametrize("op", sorted(_MATRIX_OPS))
     @pytest.mark.parametrize(
         "left,right",
@@ -604,7 +668,11 @@ class TestRawBuilders:
             ),
             "laurent-matrix": (
                 SquareMatrix(exact),
-                _raw_matrix(tuple(tuple(row) for row in exact)),
+                _raw_flat(2, 2, None, {
+                    (key, i, i): coeff
+                    for i in range(2)
+                    for key, coeff in ((_pack_laurent((1, -2)), 3), (0, -(10**30)))
+                }),
             ),
             "class": (GradedClass(3, 2, coords), _raw_class(3, 2, dict(coords))),
         }[kind]

@@ -7,9 +7,9 @@ into any module, as a function, a method or an import, fails here even if
 nothing calls it.
 
 The packed-key layout of ``TruncatedSeries._terms``, and of
-``SquareMatrix._flat``, the series matrix's map (packed key, row, col) ->
-coefficient, is known to two modules: ``laurent``, which defines both, and
-``graded``, whose one reader decodes them.  Any other module reading
+``SquareMatrix._flat``, the matrix's map (packed key, row, col) ->
+coefficient over either ring, is known to two modules: ``laurent``, which
+defines both, and ``graded``, whose one reader decodes series keys.  Any other module reading
 ``._terms`` or ``._flat`` fails here.
 """
 
