@@ -427,7 +427,7 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     rows = [{**row, n_cols + i: 1} for i, row in enumerate(m.rows)]
     rank = _bareiss(rows, n_cols)
     return [
-        _primitive({j - n_cols: v for j, v in row.items()}, n_rows)
+        _dense(_primitive({j - n_cols: v for j, v in row.items()}), n_rows)
         for row in rows[rank:]
     ]
 
@@ -505,20 +505,26 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
     return r
 
 
-def _primitive(entries: dict[int, int], length: int) -> tuple[int, ...]:
-    """The vector with these nonzero entries (position -> value), made primitive.
+def _primitive(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The support ((position, value), ...) of the vector with these nonzero
+    entries (position -> value), made primitive.
 
-    Divided by its content, with a positive leading entry; only the
-    nonzero entries are read.
+    Divided by its content, with a positive leading entry; positions
+    increase.  Only the nonzero entries are read.
     """
     content = gcd(*entries.values())
     if content == 0:
         raise UsageError("zero vector has no primitive form")
     if entries[min(entries)] < 0:
         content = -content
+    return tuple((k, v // content) for k, v in sorted(entries.items()))
+
+
+def _dense(support: tuple[tuple[int, int], ...], length: int) -> tuple[int, ...]:
+    """The length-``length`` vector with this support ((position, value), ...)."""
     vector = [0] * length
-    for k, v in entries.items():
-        vector[k] = v // content
+    for k, v in support:
+        vector[k] = v
     return tuple(vector)
 
 

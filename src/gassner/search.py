@@ -14,8 +14,13 @@ every cross term of the product has degree at least 2w.  Below that degree
 a candidate sum c_k K_k of kernel basis vectors therefore costs one integer
 combination of its at most ``support_bound`` kernel columns
 K_d[k] = sum_i K_k[i] (g_i - I)_d, each built once per degree d, and only
-when some candidate first reaches d after w (degree w is the candidate's
-weight-w class, zero in the kernel).  Truncated matrix products run only
+when some candidate first needs it after degree w (degree w is the
+candidate's weight-w class, zero in the kernel).  Each column is packed
+into one integer, its entries in fields of a per-degree width wide enough
+that the combination's packed sum is zero only when the combination is;
+the width grows when a candidate's coefficients need it.  A candidate's
+vector is kept as its support, and made dense only for the rungs after
+the screen.  Truncated matrix products run only
 when the probe reaches degree 2w and the combination vanishes below it.  A
 nonzero truncation certifies non-identity exactly, because truncation is a
 ring homomorphism.  Truncated images are deviations X = M - I
@@ -57,6 +62,7 @@ from .graded import (
     _commutator_matrix,
     _compose,
     _degree_coords,
+    _dense,
     _primitive,
     first_degree,
     kernel_report,
@@ -120,7 +126,7 @@ def _kernel_combinations(
     [-coeff_bound, coeff_bound], the first positive and all coprime (a
     multiple's normalization appears earlier).  Ordered by support size,
     support, then coefficients; the budget caps the count.  ``_combine``
-    makes the primitive vector ``run_search`` tests.
+    makes the primitive support of the vector ``run_search`` tests.
     """
     emitted = 0
     for size in range(1, min(cfg.support_bound, dim) + 1):
@@ -135,15 +141,24 @@ def _kernel_combinations(
 
 
 def _combine(
-    combination: tuple[tuple[int, int], ...], kernel_basis: list[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The primitive basis-coordinate vector of sum c_k K_k."""
+    combination: tuple[tuple[int, int], ...],
+    kernel_supports: list[tuple[tuple[int, int], ...]],
+) -> tuple[tuple[int, int], ...]:
+    """The primitive support ((i, m_i), ...) of sum c_k K_k, i increasing.
+
+    ``kernel_supports`` holds each kernel basis vector's support, so only
+    nonzero entries are read and written.
+    """
     sums: dict[int, int] = {}
     for index, c in combination:
-        for k, v in enumerate(kernel_basis[index]):
-            if v:
-                sums[k] = sums.get(k, 0) + c * v
-    return _primitive({k: v for k, v in sums.items() if v}, len(kernel_basis[0]))
+        for k, v in kernel_supports[index]:
+            sums[k] = sums.get(k, 0) + c * v
+    return _primitive({k: v for k, v in sums.items() if v})
+
+
+def _support(vector: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries (i, v_i) of ``vector``, i increasing."""
+    return tuple((k, v) for k, v in enumerate(vector) if v)
 
 
 def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -175,6 +190,17 @@ def vector_to_word(vector: tuple[int, ...], n: int, w: int) -> BraidWord:
     return word
 
 
+def _word_length(term: CommutatorTerm) -> int:
+    """len(commutator_to_word(term, n)), without building the word.
+
+    A leaf is one letter and [a, b] expands to a b a^-1 b^-1 with no
+    cancellation, so len [a, b] = 2 (len a + len b).
+    """
+    if term.is_leaf:
+        return 1
+    return 2 * (_word_length(term.left) + _word_length(term.right))
+
+
 # ---------------------------------------------------------------------------
 # Candidate testing
 
@@ -200,6 +226,25 @@ def _candidate_matrix(
     return reduce(_compose, powers)
 
 
+class _PackedDegree:
+    """One degree's kernel columns, each packed into one integer.
+
+    ``index`` gives each coordinate a position p, in the order columns
+    bring them; a column with entries v_p packs to P = sum v_p 2^(width p).
+    P is Z-linear, and injective on vectors whose entries all have
+    |e| < 2^width: at the lowest nonzero position p, P = 0 would need
+    e_p = -2^width (rest), so |e_p| >= 2^width or e_p = 0.  ``peak`` is
+    the largest |entry| over the packed columns.
+    """
+
+    __slots__ = ("index", "width", "peak", "columns")
+
+    def __init__(self):
+        self.index: dict[Coord, int] = {}
+        self.width = self.peak = 0
+        self.columns: dict[int, int] = {}
+
+
 class _LinearScreen:
     """First nonvanishing degree of kernel combinations through ``depth``.
 
@@ -210,18 +255,27 @@ class _LinearScreen:
     degree at least 2w.
 
     The screen works in kernel coordinates.  For kernel basis vector K_k
-    and degree d it caches the integer map K_d[k] = sum_i K_k[i] (g_i - I)_d,
-    so a candidate sum c_k K_k costs one combination of at most
-    ``support_bound`` of these columns in each degree, not one per basic
-    commutator in its support.  The vector ``run_search`` tests is that
-    sum divided by its content, up to sign; a nonzero scalar changes no
+    and degree d it caches the integer map K_d[k] = sum_i K_k[i] (g_i - I)_d
+    (``_column``), and packs it once into one integer P(K_d[k]) over a
+    per-degree index of coordinates (``_PackedDegree``).  P is Z-linear, so
+    a candidate sum c_k K_k vanishes in degree d exactly when
+    sum c_k P(K_d[k]) does, provided the packing is injective on that
+    combination: its entries are at most (sum |c_k|) · peak_d in absolute
+    value, so 2^width_d must exceed that.  Each candidate checks this bound;
+    a candidate that needs more widens degree d to twice the bits it needs,
+    which covers needs up to that need squared, and repacks the degree's
+    columns from the cached maps.  The width is read from the data, never
+    set.  A candidate so costs at most ``support_bound`` integer
+    multiply-adds per degree.  The vector ``run_search`` tests is that sum
+    divided by its content, up to sign; a nonzero scalar changes no
     vanishing pattern, so the first nonvanishing degree is the same.  It
     starts at degree w + 1: K_w[k] is the class of a kernel vector, zero.
 
-    Degrees are built on demand: the first candidate to reach degree d
-    reads (g_i - I)_d, for each i a kernel column needs, from the image
-    truncated at d.  Truncation at d is a ring homomorphism, so that part
-    equals the degree-d part of the image at any greater depth.
+    Degrees and columns are built on demand, one column per (k, d) the
+    first time a candidate needs it: that column reads (g_i - I)_d, for
+    each i in the support of K_k, from the image truncated at d.
+    Truncation at d is a ring homomorphism, so that part equals the
+    degree-d part of the image at any greater depth.
     """
 
     def __init__(
@@ -231,6 +285,7 @@ class _LinearScreen:
         self.n, self.w, self.depth = n, w, depth
         self._parts: dict[tuple[int, int], dict[Coord, int]] = {}
         self._columns: dict[tuple[int, int], dict[Coord, int]] = {}
+        self._degrees: dict[int, _PackedDegree] = {}
 
     def _part(self, index: int, d: int) -> dict[Coord, int]:
         """(g_index - I)_d, read from the image truncated at degree d."""
@@ -253,16 +308,51 @@ class _LinearScreen:
             self._columns[(k, d)] = column
         return column
 
+    def _pack(self, k: int, d: int) -> int:
+        """P(K_d[k]) at degree d's current width, indexing new coordinates."""
+        degree = self._degrees[d]
+        index, width = degree.index, degree.width
+        packed = 0
+        for key, v in self._column(k, d).items():
+            p = index.get(key)
+            if p is None:
+                p = index[key] = len(index)
+            packed += v << (width * p)
+        return packed
+
+    def _packed_columns(
+        self, d: int, combination: tuple[tuple[int, int], ...], norm: int
+    ) -> dict[int, int]:
+        """Degree d's packed columns, injective on ``combination``'s sum.
+
+        Packs the combination's missing columns; when norm · peak_d
+        reaches 2^width_d, with ``norm`` = sum |c_k|, widens the degree
+        first and repacks its columns.
+        """
+        degree = self._degrees.get(d)
+        if degree is None:
+            degree = self._degrees[d] = _PackedDegree()
+        columns = degree.columns
+        missing = [k for k, _ in combination if k not in columns]
+        for k in missing:
+            entries = self._column(k, d).values()
+            degree.peak = max(degree.peak, max(map(abs, entries), default=0))
+        need = norm * degree.peak
+        if need >> degree.width:
+            degree.width = 2 * need.bit_length()
+            missing = [*columns, *missing]
+        for k in missing:
+            columns[k] = self._pack(k, d)
+        return columns
+
     def first_nonvanishing_degree(
         self, combination: tuple[tuple[int, int], ...]
     ) -> int | None:
         """Smallest degree in w+1..depth where sum c_k K_k is nonzero."""
+        norm = sum(abs(c) for _, c in combination)
         for d in range(self.w + 1, self.depth + 1):
-            acc: dict[Coord, int] = {}
-            for k, c in combination:
-                for key, v in self._column(k, d).items():
-                    acc[key] = acc.get(key, 0) + c * v
-            if any(acc.values()):
+            columns = self._packed_columns(d, combination, norm)
+            if sum(c * columns[k] for k, c in combination):
                 return d
         return None
 
@@ -395,13 +485,18 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     full exact evaluation, so ``is_identity`` is always an exact statement.
 
     Candidates are walked once, as kernel combinations ((k, c_k), ...)
-    (``_kernel_combinations``) tested as primitive vectors (``_combine``).
-    Through degree min(probe, 2w - 1) each combination is read off the
-    linear screen (``_LinearScreen``) in kernel coordinates, building a
-    degree's columns only when a candidate reaches it; the product of
-    deviations to the probe depth runs only when the probe reaches 2w and
-    the screen finds nothing below it.  Labels come from one list of basis
-    texts per run.
+    (``_kernel_combinations``), each made into the primitive support
+    ((i, m_i), ...) of its vector (``_combine``) over the kernel basis
+    vectors' supports.  Through degree min(probe, 2w - 1) each combination
+    is read off the linear screen (``_LinearScreen``) in kernel
+    coordinates: at most ``support_bound`` multiply-adds of packed columns
+    per degree, each column packed when a candidate first needs it and the
+    packing widened when a candidate's coefficients need it.  Labels and
+    word lengths are read from the support, through one list of basis texts
+    and one of word lengths per run (``_word_length``).  Only a candidate
+    the screen finds trivial is made a dense vector: for the product of
+    deviations to the probe depth, which runs only when the probe reaches
+    2w, and for the specialization and exact rungs.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -414,22 +509,24 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
         )
         return result
     labels = [str(t) for t in basis]
-    word_lengths = [len(commutator_to_word(t, n)) for t in basis]
+    word_lengths = [_word_length(t) for t in basis]
+    kernel = [_support(v) for v in report.kernel]
     screen = _LinearScreen(
         basis, report.kernel, n, w, min(cfg.degree_probe, 2 * w - 1)
     )
-    for combination in _kernel_combinations(cfg, len(report.kernel)):
-        vector = _combine(combination, report.kernel)
+    for combination in _kernel_combinations(cfg, len(kernel)):
+        support = _combine(combination, kernel)
         first = screen.first_nonvanishing_degree(combination)
-        if first is None and cfg.degree_probe > screen.depth:
-            matrix = _candidate_matrix(vector, n, w, cfg.degree_probe)
-            first = first_degree(matrix)
-        is_identity = (
-            first is None
-            and _specialized_candidate_is_identity(vector, n, w, cfg.seed)
-            and evaluate_exact(vector_to_word(vector, n, w)).is_identity()
-        )
-        support = [(k, m) for k, m in enumerate(vector) if m]
+        is_identity = False
+        if first is None:
+            vector = _dense(support, len(basis))
+            if cfg.degree_probe > screen.depth:
+                first = first_degree(_candidate_matrix(vector, n, w, cfg.degree_probe))
+            is_identity = (
+                first is None
+                and _specialized_candidate_is_identity(vector, n, w, cfg.seed)
+                and evaluate_exact(vector_to_word(vector, n, w)).is_identity()
+            )
         outcome = CandidateResult(
             coefficients=tuple((labels[k], m) for k, m in support),
             word_length=sum(abs(m) * word_lengths[k] for k, m in support),

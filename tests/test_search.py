@@ -3,14 +3,18 @@
 import pickle
 import random
 from dataclasses import asdict
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
 from gassner.graded import (
     _commutator_matrix,
     _compose,
+    _dense,
     first_degree,
     kernel_report,
     phi,
@@ -30,6 +34,8 @@ from gassner.search import (
     _commutator_power,
     _kernel_combinations,
     _LinearScreen,
+    _support,
+    _word_length,
     breakdown_regression,
     run_search,
     vector_to_word,
@@ -63,16 +69,56 @@ def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
 
 
 def candidate_vectors(cfg: SearchConfig, kernel_basis) -> list[tuple[int, ...]]:
-    """The primitive vectors run_search tests, in its order."""
+    """The primitive vectors run_search tests, in its order.
+
+    ``_combine`` gives each one's support; it is made dense here so that
+    the tests compare and evaluate whole vectors.
+    """
+    supports = [_support(v) for v in kernel_basis]
     return [
-        _combine(combination, kernel_basis)
+        _dense(_combine(combination, supports), len(kernel_basis[0]))
         for combination in _kernel_combinations(cfg, len(kernel_basis))
     ]
+
+
+def record_screen(monkeypatch):
+    """Lists that record, during a search, each kernel column read and each
+    one packed as (k, d), and each candidate support made dense."""
+    import gassner.search as search
+
+    reads, packed, dense = [], [], []
+    column, pack, densify = _LinearScreen._column, _LinearScreen._pack, search._dense
+
+    def recording_column(self, k, d):
+        reads.append((k, d))
+        return column(self, k, d)
+
+    def recording_pack(self, k, d):
+        packed.append((k, d))
+        return pack(self, k, d)
+
+    def recording_dense(support, length):
+        dense.append(support)
+        return densify(support, length)
+
+    monkeypatch.setattr(_LinearScreen, "_column", recording_column)
+    monkeypatch.setattr(_LinearScreen, "_pack", recording_pack)
+    monkeypatch.setattr(search, "_dense", recording_dense)
+    return reads, packed, dense
 
 
 @pytest.fixture(scope="module")
 def kernel5():
     return kernel_report(4, 5)
+
+
+@lru_cache(maxsize=None)
+def shared_screen(n: int, w: int):
+    """One kernel report and screen to depth 2w - 1 per size, kept across
+    tests, so that columns packed for one combination stay packed when a
+    later one needs a wider packing."""
+    report = kernel_report(n, w)
+    return report, _LinearScreen(report.row_labels, report.kernel, n, w, 2 * w - 1)
 
 
 class TestEnumeration:
@@ -256,8 +302,8 @@ class TestKernelScreen:
         cfg = SearchConfig(n=n, weight=w, budget=budget)
         combinations = list(_kernel_combinations(cfg, len(report.kernel)))
         assert len(combinations) == (152 if (n, w) == (4, 5) else budget)
-        for index, combination in enumerate(combinations):
-            vector = _combine(combination, report.kernel)
+        vectors = candidate_vectors(cfg, report.kernel)
+        for index, (combination, vector) in enumerate(zip(combinations, vectors)):
             first = screen.first_nonvanishing_degree(combination)
             assert first == w + 1
             assert first == per_commutator_first_degree(
@@ -266,6 +312,36 @@ class TestKernelScreen:
             if index % product_stride == 0:
                 product = _candidate_matrix(vector, n, w, depth)
                 assert first == first_degree(product)
+
+    @pytest.mark.parametrize("n, w", [(4, 5), (4, 6)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_packed_screen_matches_per_commutator_screen(self, n, w, data):
+        # combinations with coefficients up to 10^9 in absolute value over
+        # supports up to the kernel dimension, on one screen per size, so
+        # that degrees are widened and their columns repacked between
+        # examples; against the per-commutator route on the dense vector
+        # sum c_k K_k, at depth 2w - 1
+        report, screen = shared_screen(n, w)
+        dim = len(report.kernel)
+        support = data.draw(
+            st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+        )
+        coefficient = st.integers(-(10**9), 10**9).filter(bool)
+        coeffs = data.draw(
+            st.lists(coefficient, min_size=len(support), max_size=len(support))
+        )
+        combination = tuple(zip(sorted(support), coeffs))
+        vector = [
+            sum(c * report.kernel[k][i] for k, c in combination)
+            for i in range(len(report.row_labels))
+        ]
+        first = screen.first_nonvanishing_degree(combination)
+        assert first == per_commutator_first_degree(
+            vector, report.row_labels, n, w, 2 * w - 1
+        )
+        degree = screen._degrees[w + 1]
+        assert sum(abs(c) for _, c in combination) * degree.peak < 2**degree.width
 
     def test_default_search_builds_no_image_past_degree_six(self, monkeypatch):
         # every default candidate is decided at degree 6, so the screen
@@ -295,19 +371,14 @@ class TestKernelScreen:
             assert screen._column(k, w) == {}
 
     def test_probe_at_weight_reads_no_kernel_column(self, monkeypatch):
-        # with --degree-probe w the screen has no degree to read, and every
-        # candidate goes up the specialization ladder
-        reads = []
-        original = _LinearScreen._column
-
-        def recording(self, k, d):
-            reads.append((k, d))
-            return original(self, k, d)
-
-        monkeypatch.setattr(_LinearScreen, "_column", recording)
-        report = run_search(SearchConfig(degree_probe=5, budget=12))
-        assert len(report.candidates) == 12
-        assert reads == []
+        # with --degree-probe w the screen has no degree to read or pack,
+        # and each of the 152 candidates goes up the specialization ladder
+        # as a dense vector
+        reads, packed, dense = record_screen(monkeypatch)
+        report = run_search(SearchConfig(degree_probe=5))
+        assert len(report.candidates) == 152
+        assert reads == packed == []
+        assert len(dense) == 152
         for result in report.candidates:
             assert result.first_nonvanishing_degree is None
             assert not result.is_identity
@@ -329,6 +400,62 @@ class TestKernelScreen:
         got = [r.coefficients for r in run_search(cfg).candidates]
         assert len(got) == budget
         assert got == expected
+
+
+class TestPackedScreen:
+    """Kernel columns are packed into integers, candidates kept sparse."""
+
+    _A, _B, _C = (((1,) * 6, 1, j) for j in (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "columns, combinations",
+        [
+            # in 16-bit fields both columns pack to 2^16: the combination
+            # needs entries up to 2^17, so degree 6 is packed wider
+            ({0: {_A: 2**16}, 1: {_B: 1}}, [((0, 1), (1, -1))]),
+            ({0: {_A: 2**16}, 1: {_B: 1}}, [((1, 1),), ((0, 1), (1, -1))]),
+            ({0: {_A: 2**16}, 1: {_B: 1}}, [((0, 1),), ((0, 1), (1, -(2**16)))]),
+            # peak 1 alone fits 2-bit fields, where 4·1 - 1·4 = 0; the
+            # coefficients' sum 5 needs more
+            ({0: {_A: 1}, 1: {_B: 1}}, [((0, 4), (1, -1))]),
+            # column 1 packs to 1 + 4 = 5 in 2-bit fields, as column 0
+            # does; widening for the pair must repack column 1 too
+            ({0: {_B: 5}, 1: {_B: 1, _C: 1}}, [((1, 1),), ((0, 1), (1, -1))]),
+        ],
+        ids=["16-bit", "16-bit-widened", "16-bit-large-coefficient", "weight", "repack"],
+    )
+    def test_packing_is_wide_enough_for_each_combination(
+        self, monkeypatch, columns, combinations
+    ):
+        # fake kernel columns at degree 6, zero at 7; every combination is
+        # nonzero at 6, and a packing too narrow for it would read zero
+        monkeypatch.setattr(
+            _LinearScreen, "_column", lambda self, k, d: columns[k] if d == 6 else {}
+        )
+        screen = _LinearScreen((), [(), ()], 4, 5, 7)
+        for combination in combinations:
+            assert screen.first_nonvanishing_degree(combination) == 6
+
+    def test_default_search_packs_four_columns_and_no_dense_vector(
+        self, monkeypatch
+    ):
+        # every default candidate is decided at degree 6 by the screen, so
+        # only the 4 kernel columns there are packed, and no candidate is
+        # made a dense vector.  The columns' peak entry is 6; the first
+        # candidates need at most 6 < 2^4, and the first with
+        # sum |c_k| = 3 needs 18, so the degree is widened once, to 10
+        # bits, and its 4 columns repacked: 2^10 covers every later need
+        _, packed, dense = record_screen(monkeypatch)
+        report = run_search(SearchConfig())
+        assert len(report.candidates) == 152
+        assert sorted(set(packed)) == [(k, 6) for k in range(4)]
+        assert len(packed) == 8
+        assert dense == []
+
+    @pytest.mark.parametrize("n, w", [(4, 5), (5, 5), (4, 6), (6, 5)])
+    def test_word_length_matches_the_built_word(self, n, w):
+        for term in basic_commutators(n - 1, w):
+            assert _word_length(term) == len(commutator_to_word(term, n))
 
 
 class TestCommutatorPower:
@@ -542,14 +669,13 @@ class TestProbeRung:
         from gassner.search import (
             _SPECIALIZATION_COUNT,
             _fixes,
-            _kernel_combinations,
             _probes,
             _specialized_candidate_is_identity,
         )
 
         cfg = SearchConfig(degree_probe=5)
         kernel = kernel_report(4, 5).kernel
-        vectors = [_combine(c, kernel) for c in _kernel_combinations(cfg, len(kernel))]
+        vectors = candidate_vectors(cfg, kernel)
         assert len(vectors) == 152
         assert _SPECIALIZATION_COUNT == 3
         for vector in vectors:
