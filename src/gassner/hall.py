@@ -39,7 +39,8 @@ class CommutatorTerm:
     """A leaf generator x_j or a bracket of two commutator terms.
 
     The hash of (gen, left, right) is computed once, from the children's
-    cached hashes, so a cache keyed by a term does not walk its tree.  A
+    cached hashes, so a cache keyed by a term does not walk its tree, and
+    equality compares identity, then that hash, before the fields.  A
     copy or pickle rebuilds the term from its three fields and so
     recomputes the hash in the process that loads it.
     """
@@ -54,6 +55,15 @@ class CommutatorTerm:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        return (self.gen, self.left, self.right) == (other.gen, other.left, other.right)
 
     def __reduce__(self):
         return CommutatorTerm, (self.gen, self.left, self.right)

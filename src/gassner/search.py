@@ -33,7 +33,8 @@ variables and finally to full exact evaluation.  Specialized images are
 A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
 commutator by [a, b]^-1 = [b, a] over closed-form letters and their
 inverses, and both rungs use one cached power per commutator, a negative
-one of the inverse image, so no matrix is ever inverted.  The mod-p rung
+one of the inverse image, so no matrix is ever inverted.  A mod-p power is
+stored as packed rows, one integer per row (``_push``).  The rung
 multiplies no powers together: it pushes probe row vectors through them,
 u <- u P mod p, first u = (1, ..., n) and then the unit vectors.  A probe
 that comes back changed proves the product is not I; every unit vector
@@ -366,24 +367,38 @@ def _specialization_points(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _mod_matmul(a, b):
-    """a·b mod p, each entry one pass over a row of a and a column of b."""
-    p, cols = _SPECIALIZATION_PRIME, tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
+def _field_width(n: int) -> int:
+    """Bits F per field of a packed row, so that n (p - 1)^2 < 2^F."""
+    return (n * (_SPECIALIZATION_PRIME - 1) ** 2).bit_length()
+
+
+def _push(u, rows: tuple[int, ...], width: int) -> list[int]:
+    """u P mod p, for residues u and P's packed rows R_i = sum_j P_ij 2^(F j).
+
+    Field j of sum u_i R_i is sum_i u_i P_ij <= n (p - 1)^2 < 2^F, so no
+    field carries into the next.
+    """
+    acc, mask, v = sum(map(mul, u, rows)), (1 << width) - 1, []
+    for _ in rows:
+        v.append((acc & mask) % _SPECIALIZATION_PRIME)
+        acc >>= width
+    return v
 
 
 @lru_cache(maxsize=None)
 def _specialized_commutator(
     term: CommutatorTerm, n: int, point_index: int, seed: int, m: int
-):
-    """The term's image to the power m != 0 mod p; m < 0 uses the inverse.
+) -> tuple[int, ...]:
+    """The term's image to the power m != 0 mod p, as packed rows (``_push``).
 
-    At m = ±1, the bracket recursion of ``graded._commutator_matrix`` over
-    the closed-form letters and their inverses instantiated at the point,
-    with t_i^{±1} = point[i]^{±1} mod p; other powers multiply cached ones,
-    as ``_commutator_power`` does.
+    m < 0 uses the inverse.  At m = ±1, the bracket recursion of
+    ``graded._commutator_matrix`` over the closed-form letters and their
+    inverses at the point, t_i^{±1} = point[i]^{±1} mod p; other powers
+    multiply cached ones: row i of a product is row i of its first factor
+    pushed through the others.
     """
-    sign = 1 if m > 0 else -1
+    sign, width = (1 if m > 0 else -1), _field_width(n)
+    shifts = range(0, width * n, width)
     if m != sign:
         factors = ((term, m - sign), (term, sign))
     elif term.is_leaf:
@@ -394,14 +409,20 @@ def _specialized_commutator(
             return 1, lambda i, e: pow(point[i - 1], e, p)
 
         rows = _letter_rows(n, term.gen, n, sign, ring)
-        return tuple(tuple(x % p for x in row) for row in rows)
+        return tuple(sum(x % p << s for x, s in zip(r, shifts)) for r in rows)
     else:
         a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
         factors = ((a, 1), (b, 1), (a, -1), (b, -1))
-    return reduce(
-        _mod_matmul,
-        (_specialized_commutator(t, n, point_index, seed, k) for t, k in factors),
+    first, *rest = (
+        _specialized_commutator(t, n, point_index, seed, k) for t, k in factors
     )
+    mask, rows = (1 << width) - 1, []
+    for row in first:
+        v = [row >> s & mask for s in shifts]
+        for image in rest:
+            v = _push(v, image, width)
+        rows.append(sum(x << s for x, s in zip(v, shifts)))
+    return tuple(rows)
 
 
 def _probes(n: int) -> Iterator[tuple[int, ...]]:
@@ -417,29 +438,27 @@ def _probes(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _fixes(u: tuple[int, ...], factors) -> bool:
-    """True when u P_1 ... P_k = u mod p, at n² work per factor."""
-    p, v = _SPECIALIZATION_PRIME, u
-    for m in factors:
-        v = tuple(sum(map(mul, v, col)) % p for col in zip(*m))
-    return v == u
+    """True when u P_1 ... P_k = u mod p, one ``_push`` per factor."""
+    v, width = u, _field_width(len(u))
+    for rows in factors:
+        v = _push(v, rows, width)
+    return list(v) == list(u)
 
 
 def _specialized_candidate_is_identity(
-    vector: tuple[int, ...], n: int, w: int, seed: int
+    support: tuple[tuple[int, int], ...], n: int, w: int, seed: int
 ) -> bool:
-    """True when every specialization of the candidate gives the identity.
+    """True when every specialization of the candidate ((i, m_i), ...) is I.
 
-    At each point the probe row vectors (``_probes``) are pushed through
-    the candidate's cached powers one factor at a time, and no product
-    matrix is built.  u M != u proves M != I, so False is exact; True
-    means every unit vector is fixed at every point, which is M = I there.
+    At each point the probes (``_probes``) are pushed through the cached
+    powers.  u M != u proves M != I, so False is exact; True means every
+    unit vector is fixed at every point, which is M = I there.
     """
     basis = basic_commutators(n - 1, w)
     for point_index in range(_SPECIALIZATION_COUNT):
         factors = [
-            _specialized_commutator(t, n, point_index, seed, m)
-            for t, m in zip(basis, vector)
-            if m
+            _specialized_commutator(basis[i], n, point_index, seed, m)
+            for i, m in support
         ]
         if not all(_fixes(u, factors) for u in _probes(n)):
             return False
@@ -493,10 +512,10 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     per degree, each column packed when a candidate first needs it and the
     packing widened when a candidate's coefficients need it.  Labels and
     word lengths are read from the support, through one list of basis texts
-    and one of word lengths per run (``_word_length``).  Only a candidate
-    the screen finds trivial is made a dense vector: for the product of
+    and one of word lengths per run (``_word_length``), and so is the
+    specialization rung.  A dense vector is made only for the product of
     deviations to the probe depth, which runs only when the probe reaches
-    2w, and for the specialization and exact rungs.
+    2w, and for the exact rung.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -519,13 +538,15 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
         first = screen.first_nonvanishing_degree(combination)
         is_identity = False
         if first is None:
-            vector = _dense(support, len(basis))
             if cfg.degree_probe > screen.depth:
+                vector = _dense(support, len(basis))
                 first = first_degree(_candidate_matrix(vector, n, w, cfg.degree_probe))
             is_identity = (
                 first is None
-                and _specialized_candidate_is_identity(vector, n, w, cfg.seed)
-                and evaluate_exact(vector_to_word(vector, n, w)).is_identity()
+                and _specialized_candidate_is_identity(support, n, w, cfg.seed)
+                and evaluate_exact(
+                    vector_to_word(_dense(support, len(basis)), n, w)
+                ).is_identity()
             )
         outcome = CandidateResult(
             coefficients=tuple((labels[k], m) for k, m in support),

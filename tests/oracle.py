@@ -43,9 +43,11 @@ by relabelling that map's degree.  The entry-wise route it replaced,
 reference for truncation and for that lift.
 
 The mod-p rung of the search pushes probe row vectors through a
-candidate's specialized powers.  The route it replaced, which multiplies
-those powers into one matrix at each point and compares it with I, is kept
-as ``specialized_products``, with its ``_mod_identity``.
+candidate's specialized powers, each stored as packed rows.  The route it
+replaced, which multiplies those powers into one matrix at each point and
+compares it with I, is kept as ``specialized_products``, with its
+``_mod_identity`` and its tuple product ``_mod_matmul``; ``unpack_rows``
+and ``pack_rows`` convert between the two layouts.
 """
 
 import math
@@ -70,7 +72,8 @@ from gassner.laurent import (
 )
 from gassner.search import (
     _SPECIALIZATION_COUNT,
-    _mod_matmul,
+    _SPECIALIZATION_PRIME,
+    _field_width,
     _specialized_commutator,
 )
 
@@ -421,6 +424,41 @@ def _mod_identity(size):
     )
 
 
+def _mod_matmul(a, b):
+    """a·b mod p for matrices as tuples of rows, one dot product per entry."""
+    p, cols = _SPECIALIZATION_PRIME, tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a
+    )
+
+
+def unpack_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The matrix whose packed rows (``search._push``) are ``rows``.
+
+    Each row must hold n fields of residues mod p and nothing above them.
+    """
+    n = len(rows)
+    width = _field_width(n)
+    assert all(0 <= row < 1 << (width * n) for row in rows)
+    matrix = tuple(
+        tuple(row >> (width * j) & ((1 << width) - 1) for j in range(n))
+        for row in rows
+    )
+    assert all(x < _SPECIALIZATION_PRIME for r in matrix for x in r)
+    return matrix
+
+
+def pack_rows(matrix) -> tuple[int, ...]:
+    """Each row of a matrix of residues mod p as one packed integer."""
+    width = _field_width(len(matrix))
+    return tuple(sum(x << (width * j) for j, x in enumerate(row)) for row in matrix)
+
+
+def specialized_matrix(term, n: int, point_index: int, seed: int, m: int):
+    """``search._specialized_commutator`` as a tuple of rows of residues."""
+    return unpack_rows(_specialized_commutator(term, n, point_index, seed, m))
+
+
 def specialized_products(vector, n: int, w: int, seed: int):
     """The candidate's product matrix mod p at each specialization point.
 
@@ -432,7 +470,7 @@ def specialized_products(vector, n: int, w: int, seed: int):
         reduce(
             _mod_matmul,
             (
-                _specialized_commutator(t, n, point_index, seed, m)
+                specialized_matrix(t, n, point_index, seed, m)
                 for t, m in zip(basis, vector)
                 if m
             ),

@@ -152,6 +152,41 @@ class TestTermHash:
             sys.setprofile(None)
         assert len(calls) == 1
 
+    def test_distinct_equal_terms_compare_and_hash_equal(self):
+        # each term rebuilt from fresh leaves up, so no subtree is shared
+        def rebuild(t):
+            return L(t.gen) if t.is_leaf else B(rebuild(t.left), rebuild(t.right))
+
+        basis = basic_commutators(3, 6)
+        for term in basis:
+            twin = rebuild(term)
+            assert twin is not term and twin.left is not term.left
+            assert twin == term and not twin != term
+            assert hash(twin) == hash(term)
+        assert all(a != b for a, b in zip(basis, basis[1:]))
+        assert L(1) != 1 and L(1).__eq__(1) is NotImplemented
+
+    def test_equality_of_one_object_or_unequal_hashes_does_not_walk(self):
+        # one Python-level __eq__ call for a weight-8 term against itself
+        # or against another weight-8 term, however deep
+        import sys
+
+        term, other = basic_commutators(3, 8)[-2:]
+        assert hash(term) != hash(other)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__eq__":
+                calls.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            same, different = term == term, term == other
+        finally:
+            sys.setprofile(None)
+        assert same and not different
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_round_trip_hits_an_existing_cache_entry(self, how):
         from gassner.graded import _commutator_matrix
@@ -167,12 +202,15 @@ class TestTermHash:
 
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_round_trip_does_not_carry_the_stored_hash(self, how):
-        # a stored hash from elsewhere (here forged) is not restored
+        # a stored hash from elsewhere (here forged) is not restored.  The
+        # copy equals a freshly built term; it is unequal to the forged one,
+        # whose stored hash no longer matches its fields
         term = B(B(L(2), L(1)), L(1))
         fresh = hash(B(B(L(2), L(1)), L(1)))
         object.__setattr__(term, "_hash", fresh + 1)
         got = COPIES[how](term)
-        assert got == term and hash(got) == fresh
+        assert got == B(B(L(2), L(1)), L(1)) and hash(got) == fresh
+        assert str(got) == str(term)
 
 
 class TestWords:

@@ -30,6 +30,7 @@ TEST_ONLY = (
     "_specialize_matrix",
     "map_entries",
     "_mod_identity",
+    "_mod_matmul",
     "graded_parts",
     "congruent_parts",
     "retruncate",

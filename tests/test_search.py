@@ -21,7 +21,7 @@ from gassner.graded import (
     pi,
 )
 from gassner.hall import basic_commutators, commutator_to_word, parse_commutator
-from gassner.laurent import SquareMatrix
+from gassner.laurent import SquareMatrix, UsageError
 from gassner.search import (
     BREAKDOWN_COMMUTATORS,
     BREAKDOWN_WORD_TEXTS,
@@ -42,13 +42,17 @@ from gassner.search import (
 )
 from oracle import (
     _mod_identity,
+    _mod_matmul,
     _specialize_matrix,
     dense_rank,
     from_laurent,
     map_entries,
     minus_identity,
+    pack_rows,
     per_commutator_first_degree,
+    specialized_matrix,
     specialized_products,
+    unpack_rows,
 )
 
 
@@ -373,12 +377,11 @@ class TestKernelScreen:
     def test_probe_at_weight_reads_no_kernel_column(self, monkeypatch):
         # with --degree-probe w the screen has no degree to read or pack,
         # and each of the 152 candidates goes up the specialization ladder
-        # as a dense vector
+        # as its support: no dense vector is built
         reads, packed, dense = record_screen(monkeypatch)
         report = run_search(SearchConfig(degree_probe=5))
         assert len(report.candidates) == 152
-        assert reads == packed == []
-        assert len(dense) == 152
+        assert reads == packed == dense == []
         for result in report.candidates:
             assert result.first_nonvanishing_degree is None
             assert not result.is_identity
@@ -551,9 +554,7 @@ class TestSpecialization:
         from gassner.search import (
             _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
-            _mod_matmul,
             _specialization_points,
-            _specialized_commutator,
         )
 
         for n in range(2, 8):
@@ -562,7 +563,7 @@ class TestSpecialization:
                 letter = _letter_matrix(n, j, n, sign)
                 for index, point in enumerate(points):
                     leaf, opposite = (
-                        _specialized_commutator(
+                        specialized_matrix(
                             CommutatorTerm.leaf(j), n, index, 20041101, e
                         )
                         for e in (sign, -sign)
@@ -582,24 +583,18 @@ class TestSpecialization:
                     direct = _specialize_matrix(
                         exact, point, _SPECIALIZATION_PRIME
                     )
-                    folded = _specialized_commutator(
-                        term, 4, index, 20041101, sign
-                    )
+                    folded = specialized_matrix(term, 4, index, 20041101, sign)
                     assert direct == folded
 
     def test_specialized_inverse_fold_inverts(self):
-        from gassner.search import (
-            _SPECIALIZATION_COUNT,
-            _mod_matmul,
-            _specialized_commutator,
-        )
+        from gassner.search import _SPECIALIZATION_COUNT
 
         basis = basic_commutators(3, 5)
         assert len(basis) == 48
         for term in basis:
             for index in range(_SPECIALIZATION_COUNT):
-                image = _specialized_commutator(term, 4, index, 20041101, 1)
-                inverse = _specialized_commutator(term, 4, index, 20041101, -1)
+                image = specialized_matrix(term, 4, index, 20041101, 1)
+                inverse = specialized_matrix(term, 4, index, 20041101, -1)
                 assert _mod_matmul(image, inverse) == _mod_identity(4)
 
     @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3])
@@ -610,9 +605,7 @@ class TestSpecialization:
         from gassner.search import (
             _SPECIALIZATION_COUNT,
             _SPECIALIZATION_PRIME,
-            _mod_matmul,
             _specialization_points,
-            _specialized_commutator,
         )
 
         sign = 1 if m > 0 else -1
@@ -620,11 +613,11 @@ class TestSpecialization:
         for w in (1, 2, 3, 5):
             for term in basic_commutators(3, w):
                 for index in range(_SPECIALIZATION_COUNT):
-                    image = _specialized_commutator(term, 4, index, 20041101, sign)
+                    image = specialized_matrix(term, 4, index, 20041101, sign)
                     expected = image
                     for _ in range(abs(m) - 1):
                         expected = _mod_matmul(expected, image)
-                    power = _specialized_commutator(term, 4, index, 20041101, m)
+                    power = specialized_matrix(term, 4, index, 20041101, m)
                     assert power == expected
                     if w <= 2:
                         word = commutator_to_word(term, 4) ** m
@@ -635,21 +628,21 @@ class TestSpecialization:
     def test_specialized_identity_detector(self):
         from gassner.search import _specialized_candidate_is_identity
 
-        # the zero combination is the identity word; a basis direction is not
-        zero = (0,) * 48
-        assert _specialized_candidate_is_identity(zero, 4, 5, 20041101)
+        # the empty support is the identity word; a kernel direction is not
+        assert _specialized_candidate_is_identity((), 4, 5, 20041101)
         report = kernel_report(4, 5)
         assert not _specialized_candidate_is_identity(
-            report.kernel[0], 4, 5, 20041101
+            _support(report.kernel[0]), 4, 5, 20041101
         )
 
 
 class TestProbeRung:
     """The mod-p rung pushes probe row vectors, not product matrices.
 
-    ``specialized_products`` in the oracle multiplies each point's powers
-    into one matrix, as the rung did before; u M != u proves M != I, and
-    M fixes e_1 ... e_n only when M = I, so the two give the same verdict.
+    ``specialized_products`` in the oracle unpacks each point's powers and
+    multiplies them into one matrix, as the rung did before; u M != u
+    proves M != I, and M fixes e_1 ... e_n only when M = I, so the two give
+    the same verdict.
     """
 
     def _factors(self, vector, point_index):
@@ -686,22 +679,23 @@ class TestProbeRung:
             for point_index, identity in enumerate(identities):
                 factors = self._factors(vector, point_index)
                 assert all(_fixes(u, factors) for u in _probes(4)) == identity
-            assert _specialized_candidate_is_identity(vector, 4, 5, cfg.seed) == all(
+            support = _support(vector)
+            assert _specialized_candidate_is_identity(support, 4, 5, cfg.seed) == all(
                 identities
             )
 
     def _rung_with(self, monkeypatch, matrices):
-        # the rung on a vector whose support is the first len(matrices)
-        # basis terms, each specialized to the given matrix at every point
+        # the rung on the support of the first len(matrices) basis terms,
+        # each specialized to the given matrix, packed, at every point
         import gassner.search as search
 
         basis = basic_commutators(3, 5)
-        table = dict(zip(basis, matrices))
+        table = {t: pack_rows(m) for t, m in zip(basis, matrices)}
         monkeypatch.setattr(
             search, "_specialized_commutator", lambda t, n, i, seed, m: table[t]
         )
-        vector = (1,) * len(matrices) + (0,) * (len(basis) - len(matrices))
-        return search._specialized_candidate_is_identity(vector, 4, 5, 20041101)
+        support = tuple((i, 1) for i in range(len(matrices)))
+        return search._specialized_candidate_is_identity(support, 4, 5, 20041101)
 
     def test_a_product_fixing_the_first_probe_is_caught_by_unit_vectors(
         self, monkeypatch
@@ -709,12 +703,8 @@ class TestProbeRung:
         # M = I + N with N = v e_1^T and u v = 0 for u = (1, 2, 3, 4), so
         # u M = u although M != I; the factor list [M, M] has product
         # I + 4N, and only the unit vector e_1 finds it
-        from gassner.search import (
-            _SPECIALIZATION_PRIME as p,
-            _fixes,
-            _mod_matmul,
-            _probes,
-        )
+        from gassner.search import _SPECIALIZATION_PRIME as p
+        from gassner.search import _fixes, _probes
 
         v = (2, -1, 0, 0)
         m = tuple(
@@ -723,8 +713,8 @@ class TestProbeRung:
         )
         probes = list(_probes(4))
         assert probes[0] == (1, 2, 3, 4)
-        assert _fixes(probes[0], [m, m])
-        assert not _fixes(probes[1], [m, m])
+        assert _fixes(probes[0], [pack_rows(m)] * 2)
+        assert not _fixes(probes[1], [pack_rows(m)] * 2)
         assert _mod_matmul(m, m) != _mod_identity(4)
         assert self._rung_with(monkeypatch, [m, m]) is False
 
@@ -732,46 +722,97 @@ class TestProbeRung:
         # a real letter image P, which moves u, followed by its inverse
         # image: the product is I, so every probe is fixed
         from gassner.hall import CommutatorTerm
-        from gassner.search import _fixes, _mod_matmul, _specialized_commutator
+        from gassner.search import _fixes, _specialized_commutator
 
         leaf = CommutatorTerm.leaf(2)
         image, inverse = (
             _specialized_commutator(leaf, 4, 0, 20041101, e) for e in (1, -1)
         )
+        image, inverse = unpack_rows(image), unpack_rows(inverse)
         assert _mod_matmul(image, inverse) == _mod_identity(4)
-        assert not _fixes((1, 2, 3, 4), [image])
+        assert not _fixes((1, 2, 3, 4), [pack_rows(image)])
         assert self._rung_with(monkeypatch, [image, inverse]) is True
 
     def test_ladder_needs_only_the_first_probe_and_builds_no_product(
         self, monkeypatch
     ):
         # counted on the default probe-5 search: every one of the 152
-        # candidates is decided by (1, 2, 3, 4) at the first point, and
-        # every mod-p matrix product is made inside _specialized_commutator
-        # while it builds a cached image or power
+        # candidates is decided by (1, 2, 3, 4) at the first point, with one
+        # push per power in its support; every other push is made inside
+        # _specialized_commutator while it builds a cached image or power,
+        # so no product of a candidate's powers is formed
         import sys
 
         import gassner.search as search
 
-        pushed = []
-        fixes, matmul = search._fixes, search._mod_matmul
+        pushed, callers = [], []
+        fixes, push = search._fixes, search._push
 
         def counting_fixes(u, factors):
-            pushed.append(u)
+            pushed.append((u, len(factors)))
             return fixes(u, factors)
 
-        def checked_matmul(a, b):
-            caller = sys._getframe(1).f_code.co_name
-            assert caller == "_specialized_commutator", caller
-            return matmul(a, b)
+        def recording_push(u, rows, width):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return push(u, rows, width)
 
         monkeypatch.setattr(search, "_fixes", counting_fixes)
-        monkeypatch.setattr(search, "_mod_matmul", checked_matmul)
+        monkeypatch.setattr(search, "_push", recording_push)
         search._specialized_commutator.cache_clear()
         report = run_search(SearchConfig(degree_probe=5))
         assert len(report.candidates) == 152
         assert not any(c.is_identity for c in report.candidates)
-        assert pushed == [(1, 2, 3, 4)] * 152
+        assert [u for u, _ in pushed] == [(1, 2, 3, 4)] * 152
+        sizes = [len(c.coefficients) for c in report.candidates]
+        assert [k for _, k in pushed] == sizes
+        assert callers.count("_fixes") == sum(k for _, k in pushed)
+        assert set(callers) == {"_fixes", "_specialized_commutator"}
+
+
+_P = 2**61 - 1
+_RESIDUES = st.one_of(st.sampled_from([0, 1, _P - 1]), st.integers(0, _P - 1))
+# residues this close to p - 1 make every field of sum u_i R_i at least
+# half of 2^F, so a field one bit narrower than ``_field_width`` overflows
+_TOP_RESIDUES = st.integers(_P - 2**40, _P - 1)
+
+
+class TestPackedRows:
+    """One push u <- u P mod p over the packed rows of P (``search._push``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_push_matches_the_plain_product(self, data):
+        from gassner.hall import MAX_GENERATORS
+        from gassner.search import _SPECIALIZATION_PRIME, _field_width, _push
+
+        assert _SPECIALIZATION_PRIME == _P
+        n = data.draw(st.integers(2, MAX_GENERATORS + 1))
+        residues = data.draw(st.sampled_from([_RESIDUES, _TOP_RESIDUES]))
+        row = st.lists(residues, min_size=n, max_size=n)
+        u = data.draw(row)
+        m = data.draw(st.lists(row, min_size=n, max_size=n))
+        expected = [sum(u[i] * m[i][j] for i in range(n)) % _P for j in range(n)]
+        assert _push(u, pack_rows(m), _field_width(n)) == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_push_of_the_largest_residues(self, n):
+        # every field of sum u_i R_i reaches n (p - 1)^2, its largest value
+        from gassner.search import _field_width, _push
+
+        top = [_P - 1] * n
+        expected = [n * (_P - 1) ** 2 % _P] * n
+        assert _push(top, pack_rows([top] * n), _field_width(n)) == expected
+
+    def test_field_width_holds_the_largest_field_at_the_largest_n(self):
+        # search bases cap the generators at MAX_GENERATORS, so the CLI
+        # admits at most MAX_GENERATORS + 1 strands
+        from gassner.hall import MAX_GENERATORS
+        from gassner.search import _field_width
+
+        n = MAX_GENERATORS + 1
+        assert n * (_P - 1) ** 2 < 2 ** _field_width(n)
+        with pytest.raises(UsageError):
+            run_search(SearchConfig(n=n + 1))
 
 
 class TestSearch:
