@@ -55,12 +55,9 @@ MAX_EXACT_WORK = 10**6
 
 
 def check_strand_count(n: int) -> None:
-    """Reject fewer than two strands, which carry no pure braid generator."""
+    """Reject a strand count outside 2..MAX_STRANDS (below 2, no generator)."""
     if n < 2:
         raise UsageError("strand count must be at least 2")
-
-
-def _check_strands(n: int) -> None:
     if n > MAX_STRANDS:
         raise UsageError(f"strand count {n} exceeds the cap of {MAX_STRANDS}")
 
@@ -159,7 +156,7 @@ class BraidWord:
 
 
 def _check_generator(n: int, r: int, s: int) -> None:
-    _check_strands(n)
+    check_strand_count(n)
     if not (1 <= r < s <= n):
         raise UsageError(f"generator indices must satisfy 1 <= r < s <= n, got ({r},{s})")
 
@@ -457,7 +454,6 @@ def _power(
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse word text over n strands; see the module grammar."""
     check_strand_count(n)
-    _check_strands(n)
     parser = _WordParser(text, n)
     letters = parser.parse_word()
     parser.finish()

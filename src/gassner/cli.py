@@ -23,7 +23,8 @@ import re
 import sys
 
 from .braid import MAX_EXACT_WORK, _letter_matrix, _letter_matrix_truncated, check_series_budget, evaluate_exact, evaluate_truncated, parse_word
-from .graded import kernel_report, sfold_property_check, verify_tables
+from .graded import assemble_phi_matrix, integer_rank, kernel_report, sfold_property_check, verify_tables
+from .hall import witt_rank
 from .laurent import DomainError, UsageError
 from .search import SearchConfig, breakdown_regression, RegressionError, run_search
 
@@ -132,16 +133,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    report = kernel_report(args.n, args.weight)
+    n, w = args.n, args.weight
+    matrix = assemble_phi_matrix(n, w)
+    rank, expected = integer_rank(matrix), witt_rank(n - 1, w)
+    injective = rank == matrix.row_count
     if args.format == "json":
-        data = report.to_dict()
-        del data["kernel"]
+        data = {"n": n, "weight": w, "rank": rank, "expected": expected, "injective": injective}
         print(json.dumps(data, sort_keys=True))
     else:
-        verdict = "injective" if report.injective else "not injective"
+        verdict = "injective" if injective else "not injective"
         print(
-            f"rank {report.rank}, expected {report.expected}, {verdict} "
-            f"({len(report.row_labels)} basis elements)"
+            f"rank {rank}, expected {expected}, {verdict} "
+            f"({matrix.row_count} basis elements)"
         )
     return 0
 

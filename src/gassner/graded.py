@@ -46,7 +46,7 @@ from .hall import (
     weight,
     witt_rank,
 )
-from .laurent import DomainError, SquareMatrix, UsageError, _raw_flat, _unpack
+from .laurent import DomainError, SquareMatrix, UsageError, _merged, _raw_flat, _unpack
 
 Coord = tuple[tuple[int, ...], int, int]  # (monomial, row, col), all 1-based
 
@@ -91,14 +91,7 @@ class GradedClass:
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
         self._check_compat(other)
-        out = dict(self.coords)
-        for key, value in other.coords.items():
-            new = out.get(key, 0) + value
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return GradedClass(self.n, self.degree, out)
+        return GradedClass(self.n, self.degree, _merged(self.coords, other.coords, 1))
 
     def __neg__(self) -> "GradedClass":
         return GradedClass(
@@ -154,7 +147,7 @@ _set_class_coords = GradedClass.coords.__set__
 
 def _raw_class(n: int, degree: int, coords: dict[Coord, int]) -> GradedClass:
     # Internal fast path: coords are valid, sorted-monomial and nonzero;
-    # slots are set as in ``laurent._raw_series``.
+    # slots are set as in ``laurent._raw_element``.
     cls = object.__new__(GradedClass)
     _set_class_n(cls, n)
     _set_class_degree(cls, degree)
@@ -238,36 +231,6 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
     if x.max_deg < i:
         raise UsageError(f"matrix truncation degree {x.max_deg} is below {i}")
     return _raw_class(x.size, i, _degree_coords(x, i, i))
-
-
-def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
-    """Graded commutator [x, y]: matrix brackets with monomials multiplied.
-
-    Induced by the group commutator: for matrices A = I mod J^i and
-    B = I mod J^j, the class of A B A^-1 B^-1 in degree i+j is the bracket
-    of the classes of A and B.
-    """
-    if x.n != y.n:
-        raise UsageError(f"mismatched sizes: {x.n} vs {y.n}")
-    coords: dict[Coord, int] = {}
-    for (m1, r1, c1), v1 in x.coords.items():
-        for (m2, r2, c2), v2 in y.coords.items():
-            mono = tuple(sorted(m1 + m2))
-            if c1 == r2:
-                key = (mono, r1, c2)
-                new = coords.get(key, 0) + v1 * v2
-                if new:
-                    coords[key] = new
-                else:
-                    del coords[key]
-            if c2 == r1:
-                key = (mono, r2, c1)
-                new = coords.get(key, 0) - v1 * v2
-                if new:
-                    coords[key] = new
-                else:
-                    del coords[key]
-    return GradedClass(x.n, x.degree + y.degree, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +350,11 @@ def assemble_phi_matrix(n: int, w: int) -> IntMatrix:
     """Stack the classes of all weight-w basic commutators on n strands.
 
     Rows follow the basis order; columns are the (monomial, row, col)
-    coordinates that actually occur, sorted.
+    coordinates that actually occur, sorted.  The strand count and the
+    basis size are checked before any commutator is built.
     """
+    check_strand_count(n)
+    check_basis_size(n - 1, w)
     basis = basic_commutators(n - 1, w)
     return _stack(basis, [phi(term, n) for term in basis])
 
@@ -562,8 +528,6 @@ class KernelReport:
 
 
 def kernel_report(n: int, w: int) -> KernelReport:
-    check_strand_count(n)
-    check_basis_size(n - 1, w)
     matrix = assemble_phi_matrix(n, w)
     kernel = integer_kernel(matrix)
     return KernelReport(

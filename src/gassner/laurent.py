@@ -1,8 +1,9 @@
 """Exact sparse arithmetic in two rings of multivariate polynomials.
 
-* ``LaurentPoly`` is an element of Z[t_1^{±1}, ..., t_n^{±1}]: a sparse map
-  from exponent vectors (negative entries allowed) to arbitrary-precision
-  integer coefficients.
+* ``LaurentPoly`` is an element of Z[t_1^{±1}, ..., t_n^{±1}] with every
+  exponent in -2^30..2^30-1 (``_MIN_EXP.._MAX_EXP``); a value outside that
+  range raises ``UsageError`` where it is constructed or produced by a
+  product.
 * ``TruncatedSeries`` is a polynomial in the shifted variables u_i = t_i - 1
   with every term of total degree greater than ``max_deg`` discarded.  This
   is the ring of residues modulo the (max_deg+1)-th power of the ideal
@@ -10,13 +11,16 @@
   ``TruncatedSeries.var`` gives t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k,
   and ``braid`` writes its letters in closed form over those.
 
-``SquareMatrix`` holds an n x n matrix over either ring and provides the
-matrix operations the representation needs: products, sums and
-differences.  In both rings it is one coordinate map (packed monomial key,
-row, col) -> coefficient, which its operations merge and multiply directly;
-its grid of entries is built only when something reads ``rows``.  The
-public constructor validates every entry; products, sums and differences
-check their two operands once and build the result through ``_raw_flat``.
+Values and matrices of both rings have one packed layout: ``n_vars``,
+``max_deg`` (None over the Laurent ring) and one map from a packed monomial
+key to a nonzero coefficient, which a ``SquareMatrix`` keys by (key, row,
+col).  In both rings the key of a product of monomials is the sum of their
+keys and the constant monomial has key 0, so each operation has one body
+over the map, for values (``RingElement``) and for matrices, and a product
+differs by ring only in the series cutoff or the Laurent range check.  A
+matrix's grid of entries is built only when something reads ``rows``.  The
+public constructors validate their input; operations check their operands
+once and build the result unchecked (``_raw_element``, ``_raw_flat``).
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -26,9 +30,8 @@ function, so instances may be shared freely between threads or processes;
 copies and pickles rebuild each value without passing through its guard.
 (The grid a matrix builds on the first read of ``rows`` is a cache of its
 value: two threads that both build it build equal grids.)
-So a sum or difference of series or of matrices with a zero operand
-returns the other operand itself, and the internal builders
-(``_raw_series`` and its siblings) set slots through member descriptors
+So a sum or difference with a zero operand returns the other operand
+itself, and the internal builders set slots through member descriptors
 captured once.
 Coefficients are Python ints throughout: word evaluation multiplies many
 matrices and coefficient growth is unbounded, so fixed-width arithmetic
@@ -38,7 +41,8 @@ would silently corrupt downstream rank computations.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 
 class UsageError(ValueError):
@@ -50,213 +54,9 @@ class DomainError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial with integer coefficients.
-
-    Terms map exponent tuples of length ``n_vars`` to nonzero integers.
-    Zero coefficients are never stored, and iteration for display or
-    serialization is always in sorted exponent order, so equal polynomials
-    have identical external representations.
-
-    >>> t1, t2 = LaurentPoly.var(2, 1), LaurentPoly.var(2, 2)
-    >>> print((t1 - 1) * (t1 + 1))
-    t1^2 - 1
-    """
-
-    __slots__ = ("n_vars", "terms")
-
-    def __init__(self, n_vars: int, terms: dict[tuple[int, ...], int] | None = None):
-        if n_vars < 0:
-            raise UsageError("variable count must be nonnegative")
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != n_vars:
-                raise UsageError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {n_vars}"
-                )
-            if coeff:
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return _raw_laurent, (self.n_vars, self.terms)
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "LaurentPoly":
-        return cls(n_vars, {})
-
-    @classmethod
-    def one(cls, n_vars: int) -> "LaurentPoly":
-        return cls(n_vars, {(0,) * n_vars: 1})
-
-    @classmethod
-    def var(cls, n_vars: int, i: int, power: int = 1) -> "LaurentPoly":
-        """The monomial t_i^power; ``i`` is 1-based."""
-        if not 1 <= i <= n_vars:
-            raise UsageError(f"variable index {i} out of range 1..{n_vars}")
-        exps = [0] * n_vars
-        exps[i - 1] = power
-        return cls(n_vars, {tuple(exps): 1})
-
-    # -- ring structure
-
-    def zero_like(self) -> "LaurentPoly":
-        return LaurentPoly.zero(self.n_vars)
-
-    def _check_compat(self, other: "LaurentPoly") -> None:
-        if not isinstance(other, LaurentPoly):
-            raise UsageError(f"cannot combine LaurentPoly with {type(other).__name__}")
-        if self.n_vars != other.n_vars:
-            raise UsageError(
-                f"mismatched variable counts: {self.n_vars} vs {other.n_vars}"
-            )
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = out.get(exps, 0) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return _raw_laurent(self.n_vars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return _raw_laurent(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = out.get(exps, 0) - coeff
-            if new:
-                out[exps] = new
-            else:
-                del out[exps]
-        return _raw_laurent(self.n_vars, out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compat(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return _raw_laurent(self.n_vars, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_vars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.n_vars: 1}
-
-    # -- queries
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items())
-
-    # -- serialization and display
-
-    def to_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "terms": [
-                {"e": list(e), "c": str(c)} for e, c in self.sorted_terms()
-            ],
-        }
-
-    def __str__(self) -> str:
-        return _format_poly(self.sorted_terms(), _format_t_monomial)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.n_vars}, {self})"
-
-
-# The internal fast paths set slots through member descriptors captured once
-# (``_raw_laurent``, ``_raw_series``, ``_raw_flat``): this
-# bypasses the immutability guard without the by-name lookup of
-# ``object.__setattr__``.
-_new = object.__new__
-_set_poly_vars = LaurentPoly.n_vars.__set__
-_set_poly_terms = LaurentPoly.terms.__set__
-
-
-def _raw_laurent(n_vars: int, terms: dict) -> LaurentPoly:
-    # Internal fast path: terms are already validated and pruned.
-    p = _new(LaurentPoly)
-    _set_poly_vars(p, n_vars)
-    _set_poly_terms(p, terms)
-    return p
-
-
-def _format_t_monomial(exps: tuple[int, ...]) -> str:
-    parts = [
-        f"t{i + 1}" + (f"^{e}" if e != 1 else "")
-        for i, e in enumerate(exps)
-        if e != 0
-    ]
-    return "*".join(parts)
-
-
-def _format_u_monomial(exps: tuple[int, ...]) -> str:
-    parts = [
-        f"(t{i + 1}-1)" + (f"^{e}" if e != 1 else "")
-        for i, e in enumerate(exps)
-        if e != 0
-    ]
-    return "*".join(parts)
-
-
-def _format_poly(sorted_terms, mono_fmt) -> str:
-    if not sorted_terms:
-        return "0"
-    chunks: list[str] = []
-    for exps, coeff in sorted_terms:
-        mono = mono_fmt(exps)
-        if not mono:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = f"{abs(coeff)}*{mono}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series in u_i = t_i - 1
+# Packed monomial keys
 #
-# A term's key packs the exponent vector into a single integer, one byte per
+# A series key packs the exponent vector into a single integer, one byte per
 # variable, with the total degree stored above the exponent bytes.  Keys of
 # two terms then add componentwise under plain integer addition, and the
 # truncation test "total degree > max_deg" is one comparison against
@@ -320,26 +120,254 @@ def _unpack_laurent(key: int, n_vars: int) -> tuple[int, ...]:
     return tuple((key >> _FIELD * i) % (1 << _FIELD) + _MIN_EXP for i in range(n_vars))
 
 
-def _check_laurent_keys(flat: dict, n_vars: int) -> None:
-    # every (key, row, col) of a product of two Laurent coordinate maps
+def _check_laurent_keys(keys: Iterable[int], n_vars: int) -> None:
+    # every key of a product of two Laurent maps
     bias = _laurent_bias(n_vars)
     guard = bias << 1
-    if any((key + bias) & guard for key, _, _ in flat):
+    if any((key + bias) & guard for key in keys):
         raise UsageError(
-            "Laurent matrix product has an exponent outside the packed "
+            "Laurent product has an exponent outside the packed "
             f"range {_MIN_EXP}..{_MAX_EXP}"
         )
 
 
-class TruncatedSeries:
+def _cutoff(n_vars: int, max_deg: int | None) -> int:
+    # the least key a product drops: the series truncation, or past the sum
+    # of any two Laurent keys, so that nothing is cut
+    if max_deg is None:
+        return 1 << (_FIELD * n_vars)
+    return (max_deg + 1) << (8 * n_vars)
+
+
+def _packed(n_vars: int, max_deg: int | None, terms: dict | None) -> dict[int, int]:
+    # a constructor's terms (exponent tuple -> int), validated, under packed keys
+    if n_vars < 0:
+        raise UsageError("variable count must be nonnegative")
+    packed: dict[int, int] = {}
+    for exps, coeff in (terms or {}).items():
+        exps = tuple(exps)
+        if len(exps) != n_vars:
+            raise UsageError(
+                f"exponent vector {exps} has length {len(exps)}, expected {n_vars}"
+            )
+        if max_deg is None:
+            key = _pack_laurent(exps)
+        elif sum(exps) > max_deg:
+            raise UsageError(f"term {exps} exceeds truncation degree {max_deg}")
+        else:
+            key = _pack(exps, n_vars)
+        if coeff:
+            packed[key] = coeff
+    return packed
+
+
+def _merged(terms: dict, other: dict, sign: int) -> dict:
+    """A new map: ``terms`` plus ``sign`` times ``other``, zeros dropped."""
+    out = dict(terms)
+    for key, coeff in other.items():
+        new = out.get(key, 0) + sign * coeff
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Ring elements
+
+
+class RingElement:
+    """A value of either ring: ``_terms`` maps packed keys to nonzero ints.
+
+    The one body of the ring operations for ``LaurentPoly`` and
+    ``TruncatedSeries``.  ``max_deg`` is the truncation degree, None over
+    the Laurent ring.  Operands must agree in ring, ``n_vars`` and
+    ``max_deg``.  Display and serialization list the terms in sorted
+    exponent order, so equal values have identical external forms.
+    """
+
+    __slots__ = ("n_vars", "max_deg", "_terms")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _raw_element, (self.n_vars, self.max_deg, self._terms)
+
+    def zero_like(self) -> "RingElement":
+        return _raw_element(self.n_vars, self.max_deg, {})
+
+    def _check_compat(self, other: "RingElement") -> None:
+        if type(other) is not type(self):
+            raise UsageError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if self.n_vars != other.n_vars or self.max_deg != other.max_deg:
+            raise UsageError(
+                f"mismatched rings: (n_vars={self.n_vars}, max_deg={self.max_deg}) "
+                f"vs (n_vars={other.n_vars}, max_deg={other.max_deg})"
+            )
+
+    def __add__(self, other: "RingElement") -> "RingElement":
+        self._check_compat(other)
+        # values are immutable, so a zero operand returns the other one
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return _raw_element(
+            self.n_vars, self.max_deg, _merged(self._terms, other._terms, 1)
+        )
+
+    def __sub__(self, other: "RingElement") -> "RingElement":
+        self._check_compat(other)
+        if not other._terms:
+            return self
+        return _raw_element(
+            self.n_vars, self.max_deg, _merged(self._terms, other._terms, -1)
+        )
+
+    def __neg__(self) -> "RingElement":
+        return _raw_element(
+            self.n_vars, self.max_deg, {k: -c for k, c in self._terms.items()}
+        )
+
+    def __mul__(self, other: "RingElement") -> "RingElement":
+        self._check_compat(other)
+        n_vars, max_deg = self.n_vars, self.max_deg
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        # b by increasing key: a term of a at key k1 stops at the first key
+        # of b at or past cutoff - k1
+        items_b = sorted(b.items())
+        cutoff = _cutoff(n_vars, max_deg)
+        out: dict[int, int] = {}
+        for k1, v1 in a.items():
+            limit = cutoff - k1
+            for k2, v2 in items_b:
+                if k2 >= limit:
+                    break
+                key = k1 + k2
+                new = out.get(key, 0) + v1 * v2
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+        if max_deg is None:
+            _check_laurent_keys(out, n_vars)
+        return _raw_element(n_vars, max_deg, out)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RingElement)
+            and self.n_vars == other.n_vars
+            and self.max_deg == other.max_deg
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_vars, self.max_deg, frozenset(self._terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_one(self) -> bool:
+        return self._terms == {0: 1}
+
+    def _exponent_terms(self) -> dict[tuple[int, ...], int]:
+        n = self.n_vars
+        unpack = _unpack_laurent if self.max_deg is None else _unpack
+        return {unpack(k, n): c for k, c in self._terms.items()}
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(self._exponent_terms().items())
+
+    def to_dict(self) -> dict:
+        out: dict = {"n_vars": self.n_vars}
+        if self.max_deg is not None:
+            out["max_deg"] = self.max_deg
+        out["terms"] = [{"e": list(e), "c": str(c)} for e, c in self.sorted_terms()]
+        return out
+
+    def __str__(self) -> str:
+        var = "t{}" if self.max_deg is None else "(t{}-1)"
+        chunks: list[str] = []
+        for exps, coeff in self.sorted_terms():
+            mono = "*".join(
+                var.format(i + 1) + (f"^{e}" if e != 1 else "")
+                for i, e in enumerate(exps)
+                if e
+            )
+            if not mono:
+                body = str(abs(coeff))
+            elif abs(coeff) == 1:
+                body = mono
+            else:
+                body = f"{abs(coeff)}*{mono}"
+            if not chunks:
+                chunks.append(body if coeff > 0 else f"-{body}")
+            else:
+                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(chunks) or "0"
+
+
+class LaurentPoly(RingElement):
+    """Sparse Laurent polynomial with integer coefficients.
+
+    ``terms`` maps exponent tuples of length ``n_vars`` to nonzero integers;
+    each exponent must lie in ``_MIN_EXP.._MAX_EXP``.
+
+    >>> t1, one = LaurentPoly.var(2, 1), LaurentPoly.one(2)
+    >>> print((t1 - one) * (t1 + one))
+    -1 + t1^2
+    """
+
+    __slots__ = ()
+    # perfbench/tracer.py patches each class's own __mul__ (and the series'
+    # __add__), so both classes bind the shared bodies by name
+    __mul__ = RingElement.__mul__
+
+    def __init__(self, n_vars: int, terms: dict[tuple[int, ...], int] | None = None):
+        _set_element(self, n_vars, None, _packed(n_vars, None, terms))
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """The terms keyed by exponent tuple, a read-only decoded view."""
+        return MappingProxyType(self._exponent_terms())
+
+    @classmethod
+    def zero(cls, n_vars: int) -> "LaurentPoly":
+        return cls(n_vars, {})
+
+    @classmethod
+    def one(cls, n_vars: int) -> "LaurentPoly":
+        return cls(n_vars, {(0,) * n_vars: 1})
+
+    @classmethod
+    def var(cls, n_vars: int, i: int, power: int = 1) -> "LaurentPoly":
+        """The monomial t_i^power; ``i`` is 1-based."""
+        if not 1 <= i <= n_vars:
+            raise UsageError(f"variable index {i} out of range 1..{n_vars}")
+        exps = [0] * n_vars
+        exps[i - 1] = power
+        return cls(n_vars, {tuple(exps): 1})
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self.n_vars}, {self})"
+
+
+class TruncatedSeries(RingElement):
     """Polynomial in u_i = t_i - 1 truncated past total degree ``max_deg``.
 
     Arithmetic is exact followed by truncation, i.e. computation in the
     quotient by the (max_deg+1)-th power of the ideal (u_1, ..., u_n).
-    Operands must agree in both ``n_vars`` and ``max_deg``.
     """
 
-    __slots__ = ("n_vars", "max_deg", "_terms")
+    __slots__ = ()
+    __add__ = RingElement.__add__
+    __mul__ = RingElement.__mul__
 
     def __init__(
         self,
@@ -347,32 +375,8 @@ class TruncatedSeries:
         max_deg: int,
         terms: dict[tuple[int, ...], int] | None = None,
     ):
-        if n_vars < 0:
-            raise UsageError("variable count must be nonnegative")
         _check_max_deg(max_deg)
-        packed: dict[int, int] = {}
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != n_vars:
-                raise UsageError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {n_vars}"
-                )
-            if sum(exps) > max_deg:
-                raise UsageError(
-                    f"term {exps} exceeds truncation degree {max_deg}"
-                )
-            if coeff:
-                packed[_pack(tuple(exps), n_vars)] = coeff
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "max_deg", max_deg)
-        object.__setattr__(self, "_terms", packed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        return _raw_series, (self.n_vars, self.max_deg, self._terms)
-
-    # -- constructors
+        _set_element(self, n_vars, max_deg, _packed(n_vars, max_deg, terms))
 
     @classmethod
     def zero(cls, n_vars: int, max_deg: int) -> "TruncatedSeries":
@@ -397,139 +401,37 @@ class TruncatedSeries:
             n_vars, max_deg, {head + (k,) + tail: power**k for k in range(top + 1)}
         )
 
-    # -- ring structure
-
-    def zero_like(self) -> "TruncatedSeries":
-        return TruncatedSeries.zero(self.n_vars, self.max_deg)
-
-    def _check_compat(self, other: "TruncatedSeries") -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise UsageError(
-                f"cannot combine TruncatedSeries with {type(other).__name__}"
-            )
-        if self.n_vars != other.n_vars or self.max_deg != other.max_deg:
-            raise UsageError(
-                "mismatched series parameters: "
-                f"({self.n_vars}, D={self.max_deg}) vs "
-                f"({other.n_vars}, D={other.max_deg})"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compat(other)
-        # values are immutable, so a zero operand returns the other one
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _raw_series(self.n_vars, self.max_deg, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return _raw_series(
-            self.n_vars, self.max_deg, {k: -c for k, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compat(other)
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) - coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _raw_series(self.n_vars, self.max_deg, out)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compat(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        cutoff = (self.max_deg + 1) << (8 * self.n_vars)
-        items_b = sorted(b.items())
-        out: dict[int, int] = {}
-        for k1, v1 in a.items():
-            limit = cutoff - k1
-            for k2, v2 in items_b:
-                if k2 >= limit:
-                    break
-                key = k1 + k2
-                new = out.get(key, 0) + v1 * v2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return _raw_series(self.n_vars, self.max_deg, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.n_vars == other.n_vars
-            and self.max_deg == other.max_deg
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_vars, self.max_deg, frozenset(self._terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
-    # -- queries
-
     def terms(self) -> dict[tuple[int, ...], int]:
-        n = self.n_vars
-        return {_unpack(k, n): c for k, c in self._terms.items()}
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms().items())
+        return self._exponent_terms()
 
     def constant_term(self) -> int:
         return self._terms.get(0, 0)
-
-    # -- serialization and display
-
-    def to_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "max_deg": self.max_deg,
-            "terms": [
-                {"e": list(e), "c": str(c)} for e, c in self.sorted_terms()
-            ],
-        }
-
-    def __str__(self) -> str:
-        return _format_poly(self.sorted_terms(), _format_u_monomial)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.n_vars}, D={self.max_deg}, {self})"
 
 
-_set_series_vars = TruncatedSeries.n_vars.__set__
-_set_series_deg = TruncatedSeries.max_deg.__set__
-_set_series_terms = TruncatedSeries._terms.__set__
+# The builders set slots through member descriptors captured once: this
+# bypasses the immutability guard without the by-name lookup of
+# ``object.__setattr__``.
+_new = object.__new__
+_set_vars = RingElement.n_vars.__set__
+_set_deg = RingElement.max_deg.__set__
+_set_terms = RingElement._terms.__set__
 
 
-def _raw_series(n_vars: int, max_deg: int, packed: dict) -> TruncatedSeries:
-    s = _new(TruncatedSeries)
-    _set_series_vars(s, n_vars)
-    _set_series_deg(s, max_deg)
-    _set_series_terms(s, packed)
-    return s
+def _set_element(e: RingElement, n_vars, max_deg, terms) -> RingElement:
+    _set_vars(e, n_vars)
+    _set_deg(e, max_deg)
+    _set_terms(e, terms)
+    return e
 
 
-RingElement = Union[LaurentPoly, TruncatedSeries]
+def _raw_element(n_vars: int, max_deg: int | None, terms: dict) -> RingElement:
+    # Internal fast path for either ring: ``terms`` maps valid packed keys
+    # to nonzero coefficients; max_deg None builds a LaurentPoly.
+    cls = LaurentPoly if max_deg is None else TruncatedSeries
+    return _set_element(_new(cls), n_vars, max_deg, terms)
 
 
 def identity_rows(size: int, one: RingElement | int) -> list[list]:
@@ -550,19 +452,18 @@ class SquareMatrix:
 
     Entries are either all ``LaurentPoly`` over a common variable count or
     all ``TruncatedSeries`` over a common variable count and truncation
-    degree; the constructor enforces this, and rejects a Laurent exponent
-    outside the packed range.  ``n_vars`` is the entries' variable count
-    and ``max_deg`` their truncation degree, None over the Laurent ring.
+    degree; the constructor enforces this.  ``n_vars`` is the entries'
+    variable count and ``max_deg`` their truncation degree, None over the
+    Laurent ring.
 
     Both rings are stored alike: one dict ``_flat`` mapping (packed key,
-    row, col), with 0-based row and column, to a nonzero coefficient.  The
-    keys are those of ``TruncatedSeries`` or of ``_pack_laurent``; in both
-    the key of a product of monomials is the sum of their keys and the
-    constant monomial has key 0.  So the ring operations work on the map
-    alone, and only a product differs by ring: the series cutoff, and the
-    range check of Laurent keys.  ``rows``, a tuple of tuples, is built
-    from the map on its first read, then kept.  Ring operations check their
-    operands once and build the result unchecked (``_raw_flat``).
+    row, col), with 0-based row and column, to a nonzero coefficient, the
+    key being that of the entry's own ``_terms``.  So the ring operations
+    work on the map alone, and only a product differs by ring: the series
+    cutoff, and the range check of Laurent keys.  ``rows``, a tuple of
+    tuples, is built from the map on its first read, then kept.  Ring
+    operations check their operands once and build the result unchecked
+    (``_raw_flat``).
     """
 
     __slots__ = ("size", "n_vars", "max_deg", "_flat", "_rows")
@@ -584,10 +485,9 @@ class SquareMatrix:
             (key, i, j): coeff
             for i, row in enumerate(grid)
             for j, e in enumerate(row)
-            for key, coeff in _packed_terms(e).items()
+            for key, coeff in e._terms.items()
         }
-        max_deg = getattr(sample, "max_deg", None)
-        _set_matrix(self, n, sample.n_vars, max_deg, flat, grid)
+        _set_matrix(self, n, sample.n_vars, sample.max_deg, flat, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
@@ -600,19 +500,10 @@ class SquareMatrix:
         """The grid of entries, built from the map on the first read."""
         grid = self._rows
         if grid is None:
-            n_vars, max_deg, flat = self.n_vars, self.max_deg, self._flat
             cells = [[{} for _ in range(self.size)] for _ in range(self.size)]
-            if max_deg is None:
-                # each distinct key decoded once
-                keys = {k for k, _, _ in flat}
-                exps = {k: _unpack_laurent(k, n_vars) for k in keys}
-                for (key, i, j), coeff in flat.items():
-                    cells[i][j][exps[key]] = coeff
-                make = partial(_raw_laurent, n_vars)
-            else:
-                for (key, i, j), coeff in flat.items():
-                    cells[i][j][key] = coeff
-                make = partial(_raw_series, n_vars, max_deg)
+            for (key, i, j), coeff in self._flat.items():
+                cells[i][j][key] = coeff
+            make = partial(_raw_element, self.n_vars, self.max_deg)
             grid = tuple(tuple(make(terms) for terms in row) for row in cells)
             _set_matrix_rows(self, grid)
         return grid
@@ -641,11 +532,7 @@ class SquareMatrix:
             by_row[k].append((key, j, coeff))
         for row in by_row:
             row.sort()
-        if max_deg is None:
-            # past the sum of any two Laurent keys: nothing is cut
-            cutoff = 1 << (_FIELD * n_vars)
-        else:
-            cutoff = (max_deg + 1) << (8 * n_vars)
+        cutoff = _cutoff(n_vars, max_deg)
         out: dict[tuple[int, int, int], int] = {}
         get = out.get
         for (k1, i, k), v1 in self._flat.items():
@@ -660,7 +547,7 @@ class SquareMatrix:
                 else:
                     del out[key]
         if max_deg is None:
-            _check_laurent_keys(out, n_vars)
+            _check_laurent_keys((key for key, _, _ in out), n_vars)
         return _raw_flat(self.size, n_vars, max_deg, out)
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
@@ -670,24 +557,17 @@ class SquareMatrix:
             return self
         if not self._flat:
             return other
-        return self._merge(other._flat, 1)
+        return _raw_flat(
+            self.size, self.n_vars, self.max_deg, _merged(self._flat, other._flat, 1)
+        )
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_compat(other)
         if not other._flat:
             return self
-        return self._merge(other._flat, -1)
-
-    def _merge(self, terms: dict, sign: int) -> "SquareMatrix":
-        # this matrix plus sign times the flat map ``terms``
-        out = dict(self._flat)
-        for key, coeff in terms.items():
-            new = out.get(key, 0) + sign * coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _raw_flat(self.size, self.n_vars, self.max_deg, out)
+        return _raw_flat(
+            self.size, self.n_vars, self.max_deg, _merged(self._flat, other._flat, -1)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -756,13 +636,6 @@ def _set_matrix(m: SquareMatrix, size, n_vars, max_deg, flat, grid) -> SquareMat
     _set_matrix_flat(m, flat)
     _set_matrix_rows(m, grid)
     return m
-
-
-def _packed_terms(e: RingElement) -> dict[int, int]:
-    # an entry's terms under the matrix's packed keys
-    if isinstance(e, TruncatedSeries):
-        return e._terms
-    return {_pack_laurent(exps): coeff for exps, coeff in e.terms.items()}
 
 
 def _raw_flat(size: int, n_vars: int, max_deg: int | None, flat: dict) -> SquareMatrix:

@@ -6,9 +6,10 @@ matrices, the per-commutator screen the search used before it worked in
 kernel coordinates, the substitution t_var = 1 with last-strand deletion
 (``specialize_poly``, ``drop_var``, ``specialize``,
 ``delete_strand_reduction``), the admissibility test for basic commutators
-(``is_basic``), the rank of dense integer rows (``dense_rank``), and dense
-Bareiss elimination (``dense_bareiss``), the reference for the pivots,
-swaps and rows of ``graded._bareiss``.
+(``is_basic``), the graded commutator of two classes (``bracket``), the
+rank of dense integer rows (``dense_rank``), and dense Bareiss elimination
+(``dense_bareiss``), the reference for the pivots, swaps and rows of
+``graded._bareiss``.
 
 ``SquareMatrix`` ring operations and ``graded.pi`` build their results
 without rechecking them.  The routes they replaced are kept here:
@@ -55,6 +56,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 
 from gassner.graded import (
+    Coord,
     GradedClass,
     _bareiss,
     _commutator_matrix,
@@ -68,7 +70,7 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     _check_max_deg,
-    _raw_series,
+    _raw_element,
 )
 from gassner.search import (
     _SPECIALIZATION_COUNT,
@@ -280,6 +282,36 @@ def is_basic(term: CommutatorTerm, m: int) -> bool:
     return True
 
 
+def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
+    """Graded commutator [x, y]: matrix brackets with monomials multiplied.
+
+    Induced by the group commutator: for matrices A = I mod J^i and
+    B = I mod J^j, the class of A B A^-1 B^-1 in degree i+j is the bracket
+    of the classes of A and B.
+    """
+    if x.n != y.n:
+        raise UsageError(f"mismatched sizes: {x.n} vs {y.n}")
+    coords: dict[Coord, int] = {}
+    for (m1, r1, c1), v1 in x.coords.items():
+        for (m2, r2, c2), v2 in y.coords.items():
+            mono = tuple(sorted(m1 + m2))
+            if c1 == r2:
+                key = (mono, r1, c2)
+                new = coords.get(key, 0) + v1 * v2
+                if new:
+                    coords[key] = new
+                else:
+                    del coords[key]
+            if c2 == r1:
+                key = (mono, r2, c1)
+                new = coords.get(key, 0) - v1 * v2
+                if new:
+                    coords[key] = new
+                else:
+                    del coords[key]
+    return GradedClass(x.n, x.degree + y.degree, coords)
+
+
 def dense_rank(rows: list[list[int]]) -> int:
     """Rational rank of dense integer rows, by the library's one elimination.
 
@@ -366,7 +398,7 @@ def from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
                 acc[key] = cur
             else:
                 del acc[key]
-    return _raw_series(n, max_deg, acc)
+    return _raw_element(n, max_deg, acc)
 
 
 def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
@@ -381,9 +413,9 @@ def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
     """
     _check_max_deg(max_deg)
     if max_deg >= s.max_deg:
-        return _raw_series(s.n_vars, max_deg, s._terms)
+        return _raw_element(s.n_vars, max_deg, s._terms)
     cutoff = (max_deg + 1) << (8 * s.n_vars)
-    return _raw_series(
+    return _raw_element(
         s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
     )
 

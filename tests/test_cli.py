@@ -302,6 +302,35 @@ class TestRankKernel:
         data = json.loads(out)
         assert data["rank"] < 48 and data["injective"] is False
 
+    @pytest.mark.parametrize(
+        "n,w,pretty,data",
+        [
+            (4, 4, "rank 18, expected 18, injective (18 basis elements)",
+             {"expected": 18, "injective": True, "n": 4, "rank": 18, "weight": 4}),
+            (5, 5, "rank 169, expected 204, not injective (204 basis elements)",
+             {"expected": 204, "injective": False, "n": 5, "rank": 169, "weight": 5}),
+            (4, 6, "rank 69, expected 116, not injective (116 basis elements)",
+             {"expected": 116, "injective": False, "n": 4, "rank": 69, "weight": 6}),
+            (3, 6, "rank 6, expected 9, not injective (9 basis elements)",
+             {"expected": 9, "injective": False, "n": 3, "rank": 6, "weight": 6}),
+        ],
+        ids=["4-4", "5-5", "4-6", "3-6"],
+    )
+    def test_rank_prints_without_the_kernel(self, capsys, monkeypatch, n, w, pretty, data):
+        # rank takes its rank from integer_rank alone; the pinned lines are
+        # what rank printed when it ran kernel_report and dropped the kernel
+        from gassner import graded
+
+        def refuse(m):
+            raise AssertionError("rank computed a kernel")
+
+        monkeypatch.setattr(graded, "integer_kernel", refuse)
+        argv = ("rank", "--n", str(n), "--weight", str(w))
+        assert run(capsys, *argv) == (0, pretty + "\n", "")
+        assert run(capsys, *argv, "--format", "json") == (
+            0, json.dumps(data, sort_keys=True) + "\n", ""
+        )
+
     def test_jobs_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--n", "4", "--weight", "4", "--jobs", "2"])

@@ -18,7 +18,6 @@ from gassner.graded import (
     _compose,
     _degree_coords,
     assemble_phi_matrix,
-    bracket,
     first_degree,
     integer_kernel,
     integer_rank,
@@ -40,6 +39,7 @@ from gassner.laurent import (
     series_matrix_inverse,
 )
 from oracle import (
+    bracket,
     congruent_parts,
     dense_bareiss,
     dense_rank,

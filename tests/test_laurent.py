@@ -25,9 +25,8 @@ from gassner.laurent import (
     _MIN_EXP,
     _pack,
     _pack_laurent,
+    _raw_element,
     _raw_flat,
-    _raw_laurent,
-    _raw_series,
     identity_rows,
     series_matrix_inverse,
 )
@@ -150,6 +149,79 @@ class TestRingLaws:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _laurent_polys(exponents, max_size):
+    return st.dictionaries(
+        st.tuples(exponents, exponents),
+        st.integers(-9, 9),
+        min_size=1,
+        max_size=max_size,
+    ).map(lambda terms: LaurentPoly(2, terms))
+
+
+_near_zero = st.integers(-3, 3)
+_packed_polys = _laurent_polys(
+    st.one_of(
+        _near_zero,
+        st.integers(_MIN_EXP, _MIN_EXP + 6),
+        st.integers(_MAX_EXP - 6, _MAX_EXP),
+    ),
+    4,
+)
+
+
+def _sympy_expr(p, xs):
+    return sum((c * xs[0] ** e[0] * xs[1] ** e[1] for e, c in p.terms.items()), 0)
+
+
+def _sympy_terms(expr, xs):
+    # the expanded expression as {exponent tuple: coefficient}
+    import sympy
+
+    return {
+        tuple(int(mono.as_powers_dict().get(x, 0)) for x in xs): int(c)
+        for mono, c in sympy.expand(expr).as_coefficients_dict().items()
+        if c
+    }
+
+
+class TestPackedLaurent:
+    # a LaurentPoly stores packed keys; sympy is the independent route, with
+    # exponents near 0 and near both ends of the packed range
+    @settings(max_examples=100, deadline=None)
+    @given(_packed_polys, st.one_of(_packed_polys, _laurent_polys(_near_zero, 2)))
+    def test_arithmetic_agrees_with_sympy(self, a, b):
+        import sympy
+
+        xs = sympy.symbols("t1 t2")
+        ea, eb = _sympy_expr(a, xs), _sympy_expr(b, xs)
+        assert dict(a.terms) == _sympy_terms(ea, xs)
+        with pytest.raises(TypeError):
+            a.terms[(0, 0)] = 1  # a read-only view of the packed terms
+        assert dict((a + b).terms) == _sympy_terms(ea + eb, xs)
+        assert dict((a - b).terms) == _sympy_terms(ea - eb, xs)
+        assert dict((-a).terms) == _sympy_terms(-ea, xs)
+        product = _sympy_terms(ea * eb, xs)
+        if all(_MIN_EXP <= e <= _MAX_EXP for exps in product for e in exps):
+            assert dict((a * b).terms) == product
+        else:
+            with pytest.raises(UsageError, match="outside the packed range"):
+                a * b
+
+    @pytest.mark.parametrize("var", [1, 2])
+    @pytest.mark.parametrize(
+        "edge,step", [(_MAX_EXP, 1), (_MIN_EXP, -1)], ids=["max", "min"]
+    )
+    def test_product_past_the_range_raises(self, var, edge, step):
+        # checked where the value is built, not only when it enters a matrix
+        product = LaurentPoly.var(2, var, edge - step) * LaurentPoly.var(2, var, step)
+        assert product == LaurentPoly.var(2, var, edge)
+        half = LaurentPoly.var(2, var, edge // 2 + step)
+        with pytest.raises(UsageError, match="outside the packed range"):
+            half * half
+        with pytest.raises(UsageError, match="outside the packed range"):
+            LaurentPoly.var(2, var, edge + step)
 
 
 class TestRetruncate:
@@ -656,11 +728,11 @@ class TestRawBuilders:
         return {
             "laurent": (
                 LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)}),
-                _raw_laurent(2, {(1, -2): 3, (0, 0): -(10**30)}),
+                _raw_element(2, None, {_pack_laurent((1, -2)): 3, 0: -(10**30)}),
             ),
             "series": (
                 TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1}),
-                _raw_series(2, 4, {_pack((1, 2), 2): 7, 0: 1}),
+                _raw_element(2, 4, {_pack((1, 2), 2): 7, 0: 1}),
             ),
             "matrix": (
                 SquareMatrix(rows),
@@ -689,7 +761,10 @@ class TestRawBuilders:
         assert type(copied) is type(built)
         assert copied == built and hash(copied) == hash(built)
         for value in (raw, copied):
-            for name in type(value).__slots__:
+            # the ring elements' slots are declared on their shared base
+            slots = [n for c in type(value).__mro__ for n in getattr(c, "__slots__", ())]
+            assert slots
+            for name in slots:
                 with pytest.raises(AttributeError, match="is immutable"):
                     setattr(value, name, None)
 
