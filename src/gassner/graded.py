@@ -6,9 +6,10 @@ l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
 X = M - I, so no identity matrix is built or subtracted; each child image
 is raised to its parent's truncation degree once (``_lifted``), which only
-relabels the degree of its coordinate map.  One reader, ``_degree_coords``,
-decodes the degree-i data of X from the packed series keys of the matrix's
-coordinate map, each key once per command (``_monomials``);
+relabels the degree of its term map.  One reader, ``_degree_coords``,
+decodes the degree-i data of X from the matrix's term map, whose key packs
+the series monomial key m, the row and the column as ``m << 2b | row << b
+| col`` (``laurent.PackedValue``), each m once per command (``_monomials``);
 ``pi`` returns it as a ``GradedClass``, and ``phi`` composes
 that with the image of a commutator, giving the induced map from the
 weight-i lower-central quotient of the free subgroup into the degree-i
@@ -46,7 +47,14 @@ from .hall import (
     weight,
     witt_rank,
 )
-from .laurent import DomainError, SquareMatrix, UsageError, _merged, _raw_flat, _unpack
+from .laurent import (
+    DomainError,
+    SquareMatrix,
+    UsageError,
+    _index_bits,
+    _merged,
+    _unpack,
+)
 
 Coord = tuple[tuple[int, ...], int, int]  # (monomial, row, col), all 1-based
 
@@ -147,7 +155,7 @@ _set_class_coords = GradedClass.coords.__set__
 
 def _raw_class(n: int, degree: int, coords: dict[Coord, int]) -> GradedClass:
     # Internal fast path: coords are valid, sorted-monomial and nonzero;
-    # slots are set as in ``laurent._raw_element``.
+    # slots are set as in ``laurent.PackedValue._raw``.
     cls = object.__new__(GradedClass)
     _set_class_n(cls, n)
     _set_class_degree(cls, degree)
@@ -161,7 +169,7 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
-    # The monomial of each packed key decoded so far, filled by
+    # The monomial of each packed monomial key decoded so far, filled by
     # ``_degree_coords``.  A functools cache rather than a module dict, so
     # it is cleared with the image caches and holds no state across them.
     return {}
@@ -170,29 +178,31 @@ def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
 def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
     """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
 
-    Reads the packed series keys of the matrix's coordinate map directly:
-    a key's total degree is ``key >> 8*n_vars``, and only degree-i keys
-    are decoded into a monomial, through the table ``_monomials(n_vars)``
-    that keeps each decoded key until the caches are cleared.  Raises
-    ``DomainError`` naming the least offending term, by degree, 1-based
-    row and column, then exponents, when some key has degree below
-    ``low``, that is when M is not congruent to the identity modulo
-    J^low.
+    Reads the packed keys ``m << 2b | row << b | col`` of the matrix's
+    term map directly: a key's total degree is ``key >> (2b + 8*n_vars)``,
+    and only degree-i keys are decoded into a monomial, through the table
+    ``_monomials(n_vars)`` that keeps each decoded monomial key m until the
+    caches are cleared.  Raises ``DomainError`` naming the least offending
+    term, by degree, 1-based row and column, then exponents, when some key
+    has degree below ``low``, that is when M is not congruent to the
+    identity modulo J^low.
     """
-    n_vars = x.n_vars
-    shift = 8 * n_vars
+    n_vars, bits = x.n_vars, _index_bits(x.size)
+    mask, shift = (1 << bits) - 1, 2 * bits + 8 * n_vars
     monomials = _monomials(n_vars)
     coords: dict[Coord, int] = {}
     below = []
-    for (key, row, col), coeff in x._flat.items():
+    for key, coeff in x._terms.items():
         d = key >> shift
         if d == i:
-            mono = monomials.get(key)
+            m = key >> 2 * bits
+            mono = monomials.get(m)
             if mono is None:
-                mono = monomials[key] = _monomial_of(_unpack(key, n_vars))
-            coords[(mono, row + 1, col + 1)] = coeff
+                mono = monomials[m] = _monomial_of(_unpack(m, n_vars))
+            coords[(mono, (key >> bits & mask) + 1, (key & mask) + 1)] = coeff
         elif d < low:
-            below.append((d, row + 1, col + 1, _unpack(key, n_vars)))
+            exps = _unpack(key >> 2 * bits, n_vars)
+            below.append((d, (key >> bits & mask) + 1, (key & mask) + 1, exps))
     if below:
         d, row, col, exps = min(below)
         raise DomainError(
@@ -210,12 +220,12 @@ def _check_series(x: SquareMatrix) -> None:
 def first_degree(x: SquareMatrix) -> int | None:
     """First degree where M = I + X differs from I; None where it does not.
 
-    The least packed key of the series coordinate map carries the least degree.
+    The least packed key of the series term map carries the least degree.
     """
     _check_series(x)
-    if not x._flat:
+    if not x._terms:
         return None
-    return min(x._flat)[0] >> (8 * x.n_vars)
+    return min(x._terms) >> (2 * _index_bits(x.size) + 8 * x.n_vars)
 
 
 def pi(x: SquareMatrix, i: int) -> GradedClass:
@@ -253,19 +263,20 @@ def _commutator_matrix(
     # weights.  Children are lifted back to max_deg, sound because each
     # partner vanishes below the gap; ``_lifted`` caches each child's lift,
     # which many parents share.  Leaves are truncated closed-form letters
-    # minus I, 1 off each diagonal constant term (packed key 0): nothing is
+    # minus I, 1 off each diagonal constant term (key i << b | i): nothing is
     # inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
-        return _raw_flat(n, n, max_deg, {})
+        return SquareMatrix._raw(n, n, max_deg, {})
     if term.is_leaf:
-        flat = dict(_letter_matrix_truncated(n, term.gen, n, sign, max_deg)._flat)
-        for i in range(n):
-            new = flat.get((0, i, i), 0) - 1
+        terms = dict(_letter_matrix_truncated(n, term.gen, n, sign, max_deg)._terms)
+        bits = _index_bits(n)
+        for key in (i << bits | i for i in range(n)):
+            new = terms.get(key, 0) - 1
             if new:
-                flat[(0, i, i)] = new
+                terms[key] = new
             else:
-                del flat[(0, i, i)]
-        return _raw_flat(n, n, max_deg, flat)
+                del terms[key]
+        return SquareMatrix._raw(n, n, max_deg, terms)
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
     x = _lifted(a, n, max_deg - j, max_deg)
@@ -298,11 +309,11 @@ def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
 
     Raising the degree keeps every term and reads the degrees above
     ``m.max_deg`` as zero, so only the degree is relabelled and the
-    coordinate map is shared (values are immutable).  That is no ring
+    term map is shared (values are immutable).  That is no ring
     homomorphism: a product with the lifted matrix is exact only when the
     other factor vanishes below the gap, as in ``_commutator_matrix``.
     """
-    return _raw_flat(m.size, m.n_vars, max_deg, m._flat)
+    return SquareMatrix._raw(m.size, m.n_vars, max_deg, m._terms)
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:

@@ -11,16 +11,20 @@
   ``TruncatedSeries.var`` gives t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k,
   and ``braid`` writes its letters in closed form over those.
 
-Values and matrices of both rings have one packed layout: ``n_vars``,
-``max_deg`` (None over the Laurent ring) and one map from a packed monomial
-key to a nonzero coefficient, which a ``SquareMatrix`` keys by (key, row,
-col).  In both rings the key of a product of monomials is the sum of their
-keys and the constant monomial has key 0, so each operation has one body
-over the map, for values (``RingElement``) and for matrices, and a product
-differs by ring only in the series cutoff or the Laurent range check.  A
-matrix's grid of entries is built only when something reads ``rows``.  The
-public constructors validate their input; operations check their operands
-once and build the result unchecked (``_raw_element``, ``_raw_flat``).
+Values of both rings and square matrices over either have one layout
+(``PackedValue``): ``size`` (1 for a value), ``n_vars``, ``max_deg`` (None
+over the Laurent ring) and one map from an integer key to a nonzero
+coefficient.  The term of packed monomial key m at 0-based row i and
+column j has key ``m << 2b | i << b | j`` with ``b = (size - 1).bit_length()``,
+so a value's key is its monomial key.  In both rings the key of a product
+of monomials is the sum of their keys and the constant monomial has key 0;
+so a term of a's column k plus a term of b's row k, less k << b | k, is
+the key of their product's term, and each operation has one body over the
+map, for values and matrices alike.  A product differs by ring only in
+the series cutoff (shifted up by 2b) or the Laurent range check.  A
+matrix's grid of entries, ``rows``, is decoded from the map on each read.
+The public constructors validate their input; operations check their
+operands once and build the result unchecked (``_raw``).
 No runtime path inverts a series matrix (generator inverses have a closed
 form in every ring; see ``braid``); the geometric-series
 ``series_matrix_inverse`` stays here because the benchmark's tracer names it.
@@ -28,11 +32,9 @@ form in every ring; see ``braid``); the geometric-series
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes;
 copies and pickles rebuild each value without passing through its guard.
-(The grid a matrix builds on the first read of ``rows`` is a cache of its
-value: two threads that both build it build equal grids.)
 So a sum or difference with a zero operand returns the other operand
-itself, and the internal builders set slots through member descriptors
-captured once.
+itself, and the builder sets slots through member descriptors captured
+once.
 Coefficients are Python ints throughout: word evaluation multiplies many
 matrices and coefficient growth is unbounded, so fixed-width arithmetic
 would silently corrupt downstream rank computations.
@@ -40,7 +42,6 @@ would silently corrupt downstream rank computations.
 
 from __future__ import annotations
 
-from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -174,107 +175,158 @@ def _merged(terms: dict, other: dict, sign: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Ring elements
+# Values and matrices
 
 
-class RingElement:
-    """A value of either ring: ``_terms`` maps packed keys to nonzero ints.
+def _index_bits(size: int) -> int:
+    # b, the width of the row and of the column field of a packed key
+    return (size - 1).bit_length()
 
-    The one body of the ring operations for ``LaurentPoly`` and
-    ``TruncatedSeries``.  ``max_deg`` is the truncation degree, None over
-    the Laurent ring.  Operands must agree in ring, ``n_vars`` and
-    ``max_deg``.  Display and serialization list the terms in sorted
-    exponent order, so equal values have identical external forms.
+
+class PackedValue:
+    """A value of either ring, or a square matrix over one, as one term map.
+
+    ``_terms`` maps ``m << 2b | i << b | j`` to a nonzero int, for the term
+    of packed monomial key m at 0-based row i and column j, with
+    ``b = _index_bits(size)``; a ring value has size 1, so b = 0 and its
+    key is the monomial key.  ``max_deg`` is the truncation degree, None
+    over the Laurent ring.  This class holds the one body of each ring
+    operation for ``LaurentPoly``, ``TruncatedSeries`` and ``SquareMatrix``
+    and the one unchecked builder, ``_raw``.  Operands must agree in class,
+    ``size``, ``n_vars`` and ``max_deg``.
     """
 
-    __slots__ = ("n_vars", "max_deg", "_terms")
+    __slots__ = ("size", "n_vars", "max_deg", "_terms")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return _raw_element, (self.n_vars, self.max_deg, self._terms)
+        return self._raw, (self.size, self.n_vars, self.max_deg, self._terms)
 
-    def zero_like(self) -> "RingElement":
-        return _raw_element(self.n_vars, self.max_deg, {})
+    @classmethod
+    def _raw(cls, size: int, n_vars: int, max_deg: int | None, terms: dict):
+        # Internal fast path: ``terms`` maps valid packed keys to nonzero
+        # coefficients.
+        return _fill(_new(cls), size, n_vars, max_deg, terms)
 
-    def _check_compat(self, other: "RingElement") -> None:
+    def _check_compat(self, other: "PackedValue") -> None:
         if type(other) is not type(self):
             raise UsageError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
+        if self.size != other.size:
+            raise UsageError(f"size mismatch: {self.size} vs {other.size}")
         if self.n_vars != other.n_vars or self.max_deg != other.max_deg:
             raise UsageError(
                 f"mismatched rings: (n_vars={self.n_vars}, max_deg={self.max_deg}) "
                 f"vs (n_vars={other.n_vars}, max_deg={other.max_deg})"
             )
 
-    def __add__(self, other: "RingElement") -> "RingElement":
+    def __add__(self, other: "PackedValue") -> "PackedValue":
         self._check_compat(other)
         # values are immutable, so a zero operand returns the other one
         if not other._terms:
             return self
         if not self._terms:
             return other
-        return _raw_element(
-            self.n_vars, self.max_deg, _merged(self._terms, other._terms, 1)
+        return self._raw(
+            self.size, self.n_vars, self.max_deg, _merged(self._terms, other._terms, 1)
         )
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
+    def __sub__(self, other: "PackedValue") -> "PackedValue":
         self._check_compat(other)
         if not other._terms:
             return self
-        return _raw_element(
-            self.n_vars, self.max_deg, _merged(self._terms, other._terms, -1)
+        return self._raw(
+            self.size, self.n_vars, self.max_deg, _merged(self._terms, other._terms, -1)
         )
 
-    def __neg__(self) -> "RingElement":
-        return _raw_element(
-            self.n_vars, self.max_deg, {k: -c for k, c in self._terms.items()}
+    def __neg__(self) -> "PackedValue":
+        return self._raw(
+            self.size, self.n_vars, self.max_deg, {k: -c for k, c in self._terms.items()}
         )
 
-    def __mul__(self, other: "RingElement") -> "RingElement":
+    def __mul__(self, other: "PackedValue") -> "PackedValue":
         self._check_compat(other)
-        n_vars, max_deg = self.n_vars, self.max_deg
+        size, n_vars, max_deg = self.size, self.n_vars, self.max_deg
+        bits = _index_bits(size)
+        mask = (1 << bits) - 1
         a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        # b by increasing key: a term of a at key k1 stops at the first key
-        # of b at or past cutoff - k1
-        items_b = sorted(b.items())
-        cutoff = _cutoff(n_vars, max_deg)
+        if size == 1 and len(a) > len(b):
+            a, b = b, a  # values commute: the shorter map outside
+        # b's terms by row k in increasing key order: a term of a at key k1
+        # in column k, less k << b | k, plus one of those is the key of
+        # their product's term, and stops at the first at or past the
+        # cutoff less that
+        by_row: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for item in sorted(b.items()):
+            by_row[item[0] >> bits & mask].append(item)
+        step = (1 << bits) + 1
+        cutoff = _cutoff(n_vars, max_deg) << 2 * bits
         out: dict[int, int] = {}
+        get = out.get
         for k1, v1 in a.items():
+            k = k1 & mask
+            k1 -= k * step
             limit = cutoff - k1
-            for k2, v2 in items_b:
+            for k2, v2 in by_row[k]:
                 if k2 >= limit:
                     break
                 key = k1 + k2
-                new = out.get(key, 0) + v1 * v2
+                new = get(key, 0) + v1 * v2
                 if new:
                     out[key] = new
                 else:
                     del out[key]
         if max_deg is None:
-            _check_laurent_keys(out, n_vars)
-        return _raw_element(n_vars, max_deg, out)
+            _check_laurent_keys((key >> 2 * bits for key in out), n_vars)
+        return self._raw(size, n_vars, max_deg, out)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RingElement)
+            type(other) is type(self)
+            and self.size == other.size
             and self.n_vars == other.n_vars
             and self.max_deg == other.max_deg
             and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_vars, self.max_deg, frozenset(self._terms.items())))
+        return hash(
+            (self.size, self.n_vars, self.max_deg, frozenset(self._terms.items()))
+        )
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
+
+# The builder sets slots through member descriptors captured once: this
+# bypasses the immutability guard without the by-name lookup of
+# ``object.__setattr__``.
+_new = object.__new__
+_set_size = PackedValue.size.__set__
+_set_vars = PackedValue.n_vars.__set__
+_set_deg = PackedValue.max_deg.__set__
+_set_terms = PackedValue._terms.__set__
+
+
+def _fill(value: PackedValue, size, n_vars, max_deg, terms) -> PackedValue:
+    _set_size(value, size)
+    _set_vars(value, n_vars)
+    _set_deg(value, max_deg)
+    _set_terms(value, terms)
+    return value
+
+
+class RingElement(PackedValue):
+    """A value of either ring, size 1; its keys are packed monomial keys.
+
+    Display and serialization list the terms in sorted exponent order, so
+    equal values have identical external forms.
+    """
+
+    __slots__ = ()
 
     def _exponent_terms(self) -> dict[tuple[int, ...], int]:
         n = self.n_vars
@@ -326,11 +378,11 @@ class LaurentPoly(RingElement):
 
     __slots__ = ()
     # perfbench/tracer.py patches each class's own __mul__ (and the series'
-    # __add__), so both classes bind the shared bodies by name
-    __mul__ = RingElement.__mul__
+    # __add__), so each class binds the shared bodies by name
+    __mul__ = PackedValue.__mul__
 
     def __init__(self, n_vars: int, terms: dict[tuple[int, ...], int] | None = None):
-        _set_element(self, n_vars, None, _packed(n_vars, None, terms))
+        _fill(self, 1, n_vars, None, _packed(n_vars, None, terms))
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -366,8 +418,8 @@ class TruncatedSeries(RingElement):
     """
 
     __slots__ = ()
-    __add__ = RingElement.__add__
-    __mul__ = RingElement.__mul__
+    __add__ = PackedValue.__add__
+    __mul__ = PackedValue.__mul__
 
     def __init__(
         self,
@@ -376,7 +428,7 @@ class TruncatedSeries(RingElement):
         terms: dict[tuple[int, ...], int] | None = None,
     ):
         _check_max_deg(max_deg)
-        _set_element(self, n_vars, max_deg, _packed(n_vars, max_deg, terms))
+        _fill(self, 1, n_vars, max_deg, _packed(n_vars, max_deg, terms))
 
     @classmethod
     def zero(cls, n_vars: int, max_deg: int) -> "TruncatedSeries":
@@ -411,29 +463,6 @@ class TruncatedSeries(RingElement):
         return f"TruncatedSeries({self.n_vars}, D={self.max_deg}, {self})"
 
 
-# The builders set slots through member descriptors captured once: this
-# bypasses the immutability guard without the by-name lookup of
-# ``object.__setattr__``.
-_new = object.__new__
-_set_vars = RingElement.n_vars.__set__
-_set_deg = RingElement.max_deg.__set__
-_set_terms = RingElement._terms.__set__
-
-
-def _set_element(e: RingElement, n_vars, max_deg, terms) -> RingElement:
-    _set_vars(e, n_vars)
-    _set_deg(e, max_deg)
-    _set_terms(e, terms)
-    return e
-
-
-def _raw_element(n_vars: int, max_deg: int | None, terms: dict) -> RingElement:
-    # Internal fast path for either ring: ``terms`` maps valid packed keys
-    # to nonzero coefficients; max_deg None builds a LaurentPoly.
-    cls = LaurentPoly if max_deg is None else TruncatedSeries
-    return _set_element(_new(cls), n_vars, max_deg, terms)
-
-
 def identity_rows(size: int, one: RingElement | int) -> list[list]:
     """The identity grid over the ring of ``one``, as lists callers may fill.
 
@@ -443,30 +472,21 @@ def identity_rows(size: int, one: RingElement | int) -> list[list]:
     return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
 
-# ---------------------------------------------------------------------------
-# Square matrices over either ring
-
-
-class SquareMatrix:
+class SquareMatrix(PackedValue):
     """Immutable n x n matrix whose entries all live in one ring.
 
     Entries are either all ``LaurentPoly`` over a common variable count or
     all ``TruncatedSeries`` over a common variable count and truncation
     degree; the constructor enforces this.  ``n_vars`` is the entries'
     variable count and ``max_deg`` their truncation degree, None over the
-    Laurent ring.
-
-    Both rings are stored alike: one dict ``_flat`` mapping (packed key,
-    row, col), with 0-based row and column, to a nonzero coefficient, the
-    key being that of the entry's own ``_terms``.  So the ring operations
-    work on the map alone, and only a product differs by ring: the series
-    cutoff, and the range check of Laurent keys.  ``rows``, a tuple of
-    tuples, is built from the map on its first read, then kept.  Ring
-    operations check their operands once and build the result unchecked
-    (``_raw_flat``).
+    Laurent ring.  The matrix is stored as a value is, in one term map
+    whose keys also carry the row and column (see ``PackedValue``), and
+    its arithmetic is the values' own; ``rows``, a tuple of tuples, is
+    decoded from that map on each read.
     """
 
-    __slots__ = ("size", "n_vars", "max_deg", "_flat", "_rows")
+    __slots__ = ()
+    __mul__ = PackedValue.__mul__
 
     def __init__(self, rows: Iterable[Iterable[RingElement]]):
         grid = tuple(tuple(row) for row in rows)
@@ -476,125 +496,52 @@ class SquareMatrix:
         if n == 0:
             raise UsageError("empty matrix")
         sample = grid[0][0]
+        if not isinstance(sample, RingElement):
+            raise UsageError(
+                "matrix entries must be LaurentPoly or TruncatedSeries, "
+                f"not {type(sample).__name__}"
+            )
         for row in grid:
             for e in row:
                 if type(e) is not type(sample):
                     raise UsageError("mixed entry types in matrix")
                 sample._check_compat(e)
-        flat = {
-            (key, i, j): coeff
+        bits = _index_bits(n)
+        terms = {
+            key << 2 * bits | i << bits | j: coeff
             for i, row in enumerate(grid)
             for j, e in enumerate(row)
             for key, coeff in e._terms.items()
         }
-        _set_matrix(self, n, sample.n_vars, sample.max_deg, flat, grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareMatrix is immutable")
-
-    def __reduce__(self):
-        return _raw_flat, (self.size, self.n_vars, self.max_deg, self._flat)
+        _fill(self, n, sample.n_vars, sample.max_deg, terms)
 
     @property
     def rows(self) -> tuple[tuple[RingElement, ...], ...]:
-        """The grid of entries, built from the map on the first read."""
-        grid = self._rows
-        if grid is None:
-            cells = [[{} for _ in range(self.size)] for _ in range(self.size)]
-            for (key, i, j), coeff in self._flat.items():
-                cells[i][j][key] = coeff
-            make = partial(_raw_element, self.n_vars, self.max_deg)
-            grid = tuple(tuple(make(terms) for terms in row) for row in cells)
-            _set_matrix_rows(self, grid)
-        return grid
+        """The grid of entries, decoded from the term map on each read."""
+        size, bits = self.size, _index_bits(self.size)
+        mask = (1 << bits) - 1
+        cells = [[{} for _ in range(size)] for _ in range(size)]
+        for key, coeff in self._terms.items():
+            cells[key >> bits & mask][key & mask][key >> 2 * bits] = coeff
+        entry = LaurentPoly if self.max_deg is None else TruncatedSeries
+        return tuple(
+            tuple(entry._raw(1, self.n_vars, self.max_deg, terms) for terms in row)
+            for row in cells
+        )
 
     @classmethod
     def identity_series(cls, size: int, n_vars: int, max_deg: int) -> "SquareMatrix":
         return cls(identity_rows(size, TruncatedSeries.one(n_vars, max_deg)))
 
-    def _check_compat(self, other: "SquareMatrix") -> None:
-        if not isinstance(other, SquareMatrix):
-            raise UsageError(f"cannot combine matrix with {type(other).__name__}")
-        if self.size != other.size:
-            raise UsageError(f"size mismatch: {self.size} vs {other.size}")
-        # two matrices of one ring need no entry; otherwise an entry of each
-        # gives the entries' check and its message
-        if self.n_vars != other.n_vars or self.max_deg != other.max_deg:
-            self.rows[0][0]._check_compat(other.rows[0][0])
-
-    def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check_compat(other)
-        n_vars, max_deg = self.n_vars, self.max_deg
-        # each row of b once, as (key, col, coeff) by increasing key: a term
-        # of a at key k1 stops at the first key of b at or past cutoff - k1
-        by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.size)]
-        for (key, k, j), coeff in other._flat.items():
-            by_row[k].append((key, j, coeff))
-        for row in by_row:
-            row.sort()
-        cutoff = _cutoff(n_vars, max_deg)
-        out: dict[tuple[int, int, int], int] = {}
-        get = out.get
-        for (k1, i, k), v1 in self._flat.items():
-            limit = cutoff - k1
-            for k2, j, v2 in by_row[k]:
-                if k2 >= limit:
-                    break
-                key = (k1 + k2, i, j)
-                new = get(key, 0) + v1 * v2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        if max_deg is None:
-            _check_laurent_keys((key for key, _, _ in out), n_vars)
-        return _raw_flat(self.size, n_vars, max_deg, out)
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check_compat(other)
-        # values are immutable, so a zero operand returns the other one
-        if not other._flat:
-            return self
-        if not self._flat:
-            return other
-        return _raw_flat(
-            self.size, self.n_vars, self.max_deg, _merged(self._flat, other._flat, 1)
-        )
-
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check_compat(other)
-        if not other._flat:
-            return self
-        return _raw_flat(
-            self.size, self.n_vars, self.max_deg, _merged(self._flat, other._flat, -1)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SquareMatrix)
-            and self.size == other.size
-            and self.n_vars == other.n_vars
-            and self.max_deg == other.max_deg
-            and self._flat == other._flat
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.size, self.n_vars, self.max_deg, frozenset(self._flat.items()))
-        )
-
     def is_identity(self) -> bool:
-        flat = self._flat
-        return len(flat) == self.size and all(
-            flat.get((0, i, i)) == 1 for i in range(self.size)
+        terms, bits = self._terms, _index_bits(self.size)
+        return len(terms) == self.size and all(
+            terms.get(i << bits | i) == 1 for i in range(self.size)
         )
-
-    def is_zero(self) -> bool:
-        return not self._flat
 
     def term_count(self) -> int:
         """The number of nonzero terms over all entries."""
-        return len(self._flat)
+        return len(self._terms)
 
     def entry(self, i: int, j: int) -> RingElement:
         """1-based entry access."""
@@ -622,29 +569,6 @@ class SquareMatrix:
         return f"SquareMatrix(size={self.size})"
 
 
-_set_matrix_size = SquareMatrix.size.__set__
-_set_matrix_vars = SquareMatrix.n_vars.__set__
-_set_matrix_deg = SquareMatrix.max_deg.__set__
-_set_matrix_flat = SquareMatrix._flat.__set__
-_set_matrix_rows = SquareMatrix._rows.__set__
-
-
-def _set_matrix(m: SquareMatrix, size, n_vars, max_deg, flat, grid) -> SquareMatrix:
-    _set_matrix_size(m, size)
-    _set_matrix_vars(m, n_vars)
-    _set_matrix_deg(m, max_deg)
-    _set_matrix_flat(m, flat)
-    _set_matrix_rows(m, grid)
-    return m
-
-
-def _raw_flat(size: int, n_vars: int, max_deg: int | None, flat: dict) -> SquareMatrix:
-    # Internal fast path for either ring: ``flat`` maps valid
-    # (packed key, row, col) triples to nonzero coefficients; the grid is
-    # built when ``rows`` is first read.
-    return _set_matrix(_new(SquareMatrix), size, n_vars, max_deg, flat, None)
-
-
 # ---------------------------------------------------------------------------
 # Matrix-level operations
 
@@ -656,8 +580,7 @@ def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:
     finite geometric series I + N + N^2 + ...; the loop stops as soon as a
     power truncates to zero.
     """
-    sample = m.rows[0][0]
-    if not isinstance(sample, TruncatedSeries):
+    if m.max_deg is None:
         raise UsageError("series_matrix_inverse expects a series matrix")
     for i, row in enumerate(m.rows):
         for j, e in enumerate(row):
@@ -667,11 +590,11 @@ def series_matrix_inverse(m: SquareMatrix) -> SquareMatrix:
                     "matrix is not congruent to the identity: entry "
                     f"({i + 1},{j + 1}) has constant term {e.constant_term()}"
                 )
-    identity = SquareMatrix.identity_series(m.size, sample.n_vars, sample.max_deg)
+    identity = SquareMatrix.identity_series(m.size, m.n_vars, m.max_deg)
     n_mat = identity - m
     acc = identity
     power = identity
-    for _ in range(m.rows[0][0].max_deg):
+    for _ in range(m.max_deg):
         power = power * n_mat
         if power.is_zero():
             break

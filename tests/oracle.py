@@ -1,7 +1,8 @@
 """Independent exact routes that the tests check the library against.
 
 None of these has a caller in ``gassner`` itself, so they live here rather
-than in the package: exact determinants, deviations ``M - I`` of full
+than in the package: the zero of a value's ring (``zero_like``) and the
+test for 1 (``is_one``), exact determinants, deviations ``M - I`` of full
 matrices, the per-commutator screen the search used before it worked in
 kernel coordinates, the substitution t_var = 1 with last-strand deletion
 (``specialize_poly``, ``drop_var``, ``specialize``,
@@ -37,9 +38,9 @@ u_i = t_i - 1 by binomial series, and ``_specialize_matrix`` evaluates
 every Laurent term at a point mod p.  ``map_entries`` applies such a
 conversion to every entry of a matrix through the validating constructor.
 
-A series matrix stores one coordinate map (packed key, row, col) ->
-coefficient, and the library raises a child image to its parent's degree
-by relabelling that map's degree.  The entry-wise route it replaced,
+A series matrix stores one term map, keyed by the packed monomial key, row
+and column, and the library raises a child image to its parent's degree by
+relabelling that map's degree.  The entry-wise route it replaced,
 ``retruncate``, which lowers or raises one series, is kept here as the
 reference for truncation and for that lift.
 
@@ -70,7 +71,6 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     _check_max_deg,
-    _raw_element,
 )
 from gassner.search import (
     _SPECIALIZATION_COUNT,
@@ -78,6 +78,16 @@ from gassner.search import (
     _field_width,
     _specialized_commutator,
 )
+
+
+def zero_like(x):
+    """The zero of the ring or matrix ring of ``x``, built unchecked."""
+    return type(x)._raw(x.size, x.n_vars, x.max_deg, {})
+
+
+def is_one(x) -> bool:
+    """Whether the ring value ``x`` is 1: one term, at the constant key 0."""
+    return x.size == 1 and x._terms == {0: 1}
 
 
 def minus_identity(m: SquareMatrix) -> SquareMatrix:
@@ -93,7 +103,7 @@ def minus_identity(m: SquareMatrix) -> SquareMatrix:
 def matrix_product(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     """a·b with every entry summed as ``acc + a_ik * b_kj`` from zero."""
     n = a.size
-    zero = a.rows[0][0].zero_like()
+    zero = zero_like(a.rows[0][0])
     out = []
     for i in range(n):
         row = []
@@ -398,7 +408,7 @@ def from_laurent(p: LaurentPoly, max_deg: int) -> TruncatedSeries:
                 acc[key] = cur
             else:
                 del acc[key]
-    return _raw_element(n, max_deg, acc)
+    return TruncatedSeries._raw(1, n, max_deg, acc)
 
 
 def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
@@ -413,10 +423,10 @@ def retruncate(s: TruncatedSeries, max_deg: int) -> TruncatedSeries:
     """
     _check_max_deg(max_deg)
     if max_deg >= s.max_deg:
-        return _raw_element(s.n_vars, max_deg, s._terms)
+        return TruncatedSeries._raw(1, s.n_vars, max_deg, s._terms)
     cutoff = (max_deg + 1) << (8 * s.n_vars)
-    return _raw_element(
-        s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
+    return TruncatedSeries._raw(
+        1, s.n_vars, max_deg, {k: c for k, c in s._terms.items() if k < cutoff}
     )
 
 

@@ -514,7 +514,7 @@ class TestSignedImages:
 
 
 class TestFlatImages:
-    # images are coordinate maps (packed key, row, col) -> coefficient, and
+    # images are term maps keyed by packed monomial key, row and column, and
     # every product of images multiplies those maps, not series entries
     def test_series_products_only_build_the_letters(self, monkeypatch, cold_caches):
         callers = Counter()
@@ -536,7 +536,7 @@ class TestFlatImages:
             for sign in (1, -1):
                 image = _commutator_matrix(term, 4, w + 1, sign)
                 lifted = graded._lift(image, 2 * w + 1)
-                assert lifted._flat is image._flat
+                assert lifted._terms is image._terms
                 assert lifted.max_deg == 2 * w + 1
                 assert lifted == SquareMatrix(
                     [[retruncate(e, 2 * w + 1) for e in row] for row in image.rows]

@@ -25,19 +25,19 @@ from gassner.laurent import (
     _MIN_EXP,
     _pack,
     _pack_laurent,
-    _raw_element,
-    _raw_flat,
     identity_rows,
     series_matrix_inverse,
 )
 from oracle import (
     from_laurent,
+    is_one,
     laurent_determinant,
     matrix_entrywise,
     matrix_product,
     retruncate,
     specialize,
     specialize_poly,
+    zero_like,
 )
 
 
@@ -58,7 +58,7 @@ class TestLaurentArithmetic:
     def test_unit_cancellation(self):
         t1 = LaurentPoly.var(2, 1)
         t1_inv = LaurentPoly.var(2, 1, -1)
-        assert (t1 * t1_inv).is_one()
+        assert is_one(t1 * t1_inv)
 
     def test_two_by_two_determinant_identity(self):
         # expansion of the 2x2 generator determinant done two ways
@@ -138,7 +138,7 @@ class TestRingLaws:
     def test_unit_monomial_inverse_maps_to_one(self, exps, sign, d):
         p = LaurentPoly(2, {exps: sign})
         p_inv = LaurentPoly(2, {tuple(-e for e in exps): sign})
-        assert from_laurent(p * p_inv, d).is_one()
+        assert is_one(from_laurent(p * p_inv, d))
 
     @settings(max_examples=100, deadline=None)
     @given(_small_polys, _small_polys, _small_polys, st.integers(0, 5))
@@ -282,7 +282,7 @@ class TestSeries:
                 s = TruncatedSeries.var(3, d, i, power)
                 assert s == from_laurent(LaurentPoly.var(3, i, power), d)
             product = TruncatedSeries.var(3, d, i, 1) * TruncatedSeries.var(3, d, i, -1)
-            assert product.is_one()
+            assert is_one(product)
 
     @pytest.mark.parametrize("power", [0, 2, -2, 3])
     def test_var_rejects_powers_other_than_plus_minus_one(self, power):
@@ -293,7 +293,7 @@ class TestSeries:
         one = TruncatedSeries.one(2, 2)
         a = one + u(1, 2, 2)
         b = TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
-        assert (a * b).is_one()
+        assert is_one(a * b)
 
     def test_truncation_drops_high_degree(self):
         prod = u(1, 2, 1) * u(2, 2, 1)
@@ -358,7 +358,7 @@ class TestMatrices:
     def test_determinant_of_identity(self):
         for n in (1, 2, 3, 4):
             m = SquareMatrix(identity_rows(n, LaurentPoly.one(2)))
-            assert laurent_determinant(m).is_one()
+            assert is_one(laurent_determinant(m))
 
     def test_determinant_against_sympy(self):
         # cross-checks the tests' determinant oracle on random small
@@ -408,8 +408,23 @@ class TestMatrices:
             [],
             [[LaurentPoly.one(2)] * 2, [TruncatedSeries.one(2, 3)] * 2],
             [[TruncatedSeries.one(2, 3)] * 2, [TruncatedSeries.one(2, 4)] * 2],
+            [[1]],
+            [[1, LaurentPoly.one(2)], [LaurentPoly.one(2)] * 2],
+            [[LaurentPoly.one(2), 1], [LaurentPoly.one(2)] * 2],
+            [[SquareMatrix([[LaurentPoly.one(2)]])]],
+            [[SquareMatrix(identity_rows(2, LaurentPoly.one(2)))] * 2] * 2,
         ],
-        ids=["ragged", "empty", "laurent-beside-series", "mixed-max-deg"],
+        ids=[
+            "ragged",
+            "empty",
+            "laurent-beside-series",
+            "mixed-max-deg",
+            "int",
+            "int-before-elements",
+            "int-after-elements",
+            "matrix",
+            "grid-of-matrices",
+        ],
     )
     def test_constructor_rejects(self, rows):
         with pytest.raises(UsageError):
@@ -508,6 +523,46 @@ def series_matrix_pairs(draw, min_size=1):
     return matrix(fills[0]), matrix(fills[1])
 
 
+@st.composite
+def packed_matrix_pairs(draw):
+    """Two matrices of one ring and size 1-5, so index widths b = 0..3.
+
+    Over the Laurent ring the first matrix's exponents sit near 0 or 4
+    inside either end of the packed range, per variable, and the second's
+    are small and may be negative, so products reach both ends; series
+    terms have any degree up to the truncation degree.
+    """
+    size = draw(st.integers(1, 5))
+    n_vars = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        small = st.tuples(*[st.integers(-2, 2)] * n_vars)
+        shifts = draw(
+            st.lists(
+                st.sampled_from([0, _MAX_EXP - 4, _MIN_EXP + 4]),
+                min_size=n_vars,
+                max_size=n_vars,
+            )
+        )
+        shifted = small.map(lambda e: tuple(x + y for x, y in zip(e, shifts)))
+        exps = (shifted, small)
+        make = lambda terms: LaurentPoly(n_vars, terms)
+    else:
+        max_deg = draw(st.integers(0, 4))
+        monomial = st.integers(0, max_deg).flatmap(
+            lambda d: st.lists(st.integers(0, n_vars - 1), min_size=d, max_size=d)
+        ).map(lambda vs: tuple(vs.count(v) for v in range(n_vars)))
+        exps = (monomial, monomial)
+        make = lambda terms: TruncatedSeries(n_vars, max_deg, terms)
+
+    def matrix(exps):
+        entry = st.dictionaries(exps, st.integers(-3, 3), max_size=2).map(make)
+        return SquareMatrix(
+            [[draw(entry) for _ in range(size)] for _ in range(size)]
+        )
+
+    return matrix(exps[0]), matrix(exps[1])
+
+
 _MATRIX_OPS = {
     "mul": (operator.mul, matrix_product),
     "add": (operator.add, lambda a, b: matrix_entrywise(a, b, operator.add)),
@@ -533,8 +588,9 @@ class TestMatrixFastPath:
         for how in COPIES.values():
             assert how(got) == got
 
-    # a series matrix is one map (packed key, row, col) -> coefficient; the
-    # oracle multiplies and adds its entries one by one
+    # a series matrix is one map from m << 2b | row << b | col, m the
+    # packed monomial key, to a coefficient; the oracle multiplies and adds
+    # its entries one by one
     @settings(max_examples=200, deadline=None)
     @given(series_matrix_pairs(), st.sampled_from(sorted(_MATRIX_OPS)))
     def test_series_ops_match_the_entrywise_oracle(self, pair, op):
@@ -545,9 +601,10 @@ class TestMatrixFastPath:
         assert got.rows == want.rows
         assert got.is_zero() == all(e.is_zero() for row in want.rows for e in row)
         # no zero is stored and no key lies past the truncation degree
-        assert 0 not in got._flat.values()
+        assert 0 not in got._terms.values()
         cutoff = (a.max_deg + 1) << (8 * a.n_vars)
-        assert all(key < cutoff for key, _, _ in got._flat)
+        bits = (a.size - 1).bit_length()
+        assert all(key >> 2 * bits < cutoff for key in got._terms)
 
     @settings(max_examples=100, deadline=None)
     @given(series_matrix_pairs(min_size=2))
@@ -555,14 +612,14 @@ class TestMatrixFastPath:
         # columns 0 and 1 of a equal, rows 0 and 1 of b opposite, every
         # other row of b zero: each entry of a·b is a sum that cancels
         a, b = pair
-        zero = a.rows[0][0].zero_like()
+        zero = zero_like(a.rows[0][0])
         a = SquareMatrix([(row[0], row[0]) + row[2:] for row in a.rows])
         b = SquareMatrix(
             [b.rows[0], tuple(-e for e in b.rows[0])]
             + [(zero,) * a.size] * (a.size - 2)
         )
         product = a * b
-        assert product.is_zero() and product._flat == {}
+        assert product.is_zero() and product._terms == {}
         assert product == matrix_product(a, b)
         assert hash(product) == hash(matrix_product(a, b))
         for cancelled in (a - a, b + SquareMatrix([[-e for e in row] for row in b.rows])):
@@ -574,7 +631,7 @@ class TestMatrixFastPath:
         # degree 4: u1^2 · u1^2 is kept, u1^2 · u1^3 and u2^4 · u2 are dropped
         d = 4
         u1, u2 = u(1, 2, d), u(2, 2, d)
-        zero, one = u1.zero_like(), TruncatedSeries.one(2, d)
+        zero, one = zero_like(u1), TruncatedSeries.one(2, d)
         a = SquareMatrix([[u1 * u1, zero], [zero, u2 * u2 * u2 * u2]])
         b = SquareMatrix([[u1 * u1 + u1 * u1 * u1, zero], [zero, one + u2]])
         product = a * b
@@ -592,7 +649,7 @@ class TestMatrixFastPath:
         got = _MATRIX_OPS[op][0](*pair)
         rebuilt = SquareMatrix(got.rows)
         assert rebuilt == got and hash(rebuilt) == hash(got)
-        assert rebuilt._flat == got._flat and rebuilt.rows == got.rows
+        assert rebuilt._terms == got._terms and rebuilt.rows == got.rows
         for how in COPIES.values():
             copied = how(got)
             assert copied == rebuilt and hash(copied) == hash(rebuilt)
@@ -642,7 +699,7 @@ class TestMatrixFastPath:
         for got in (a, a * b, b * a, a + b, a - b):
             rebuilt = SquareMatrix(got.rows)
             assert rebuilt == got and hash(rebuilt) == hash(got)
-            assert rebuilt._flat == got._flat and rebuilt.rows == got.rows
+            assert rebuilt._terms == got._terms and rebuilt.rows == got.rows
             for how in COPIES.values():
                 copied = how(got)
                 assert copied == rebuilt and hash(copied) == hash(rebuilt)
@@ -673,6 +730,57 @@ class TestMatrixFastPath:
             _MATRIX_OPS[op][0](a, b)
         with pytest.raises(UsageError, match="size mismatch"):
             _MATRIX_OPS[op][0](b, a)
+
+
+class TestPackedMatrixKeys:
+    # a matrix term's key packs the monomial key, row and column as
+    # m << 2b | i << b | j; each operation on that map agrees with the
+    # oracles that combine entries one by one
+    @settings(max_examples=200, deadline=None)
+    @given(packed_matrix_pairs())
+    def test_ops_match_the_entrywise_oracles(self, pair):
+        a, b = pair
+        for op, (fast, slow) in _MATRIX_OPS.items():
+            got, want = fast(a, b), slow(a, b)
+            assert got == want and hash(got) == hash(want), op
+            assert got.rows == want.rows, op
+        assert -a == SquareMatrix([[-e for e in row] for row in a.rows])
+        same = all(x == y for x, y in zip(a.rows, b.rows))
+        assert (a == b) == same and (b == a) == same
+        assert a == SquareMatrix(a.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_matrix_pairs())
+    def test_rows_round_trip_and_copies(self, pair):
+        for m in pair:
+            rebuilt = SquareMatrix(m.rows)
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+            assert rebuilt._terms == m._terms and rebuilt.rows == m.rows
+            bits = (m.size - 1).bit_length()
+            assert all(
+                (key >> bits & (1 << bits) - 1) < m.size
+                and (key & (1 << bits) - 1) < m.size
+                for key in m._terms
+            )
+            for how in COPIES.values():
+                copied = how(m)
+                assert type(copied) is SquareMatrix
+                assert copied == m and hash(copied) == hash(m)
+                assert copied.rows == m.rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_matrix_pairs())
+    def test_a_one_by_one_matrix_is_not_its_entry(self, pair):
+        # size 1 has b = 0, so the matrix's map is its entry's map
+        e = pair[0].rows[0][0]
+        m = SquareMatrix([[e]])
+        assert m._terms == e._terms
+        assert m != e and e != m
+        assert m.rows == ((e,),)
+        with pytest.raises(UsageError, match="cannot combine"):
+            m + e
+        with pytest.raises(UsageError, match="cannot combine"):
+            e * m
 
 
 class TestJson:
@@ -717,8 +825,10 @@ class TestCopyAndPickle:
 
 
 class TestRawBuilders:
-    # the internal builders set slots through member descriptors; what
-    # they build must be indistinguishable from a constructor-built value
+    # the unchecked builder sets slots through member descriptors; what it
+    # builds must be indistinguishable from a constructor-built value.  A
+    # 2 x 2 matrix has index width b = 1: the term of monomial key m at row
+    # i and column j has key m << 2 | i << 1 | j
     @staticmethod
     def _pair(kind):
         rows = identity_rows(2, u(1, 2, 3))
@@ -728,20 +838,20 @@ class TestRawBuilders:
         return {
             "laurent": (
                 LaurentPoly(2, {(1, -2): 3, (0, 0): -(10**30)}),
-                _raw_element(2, None, {_pack_laurent((1, -2)): 3, 0: -(10**30)}),
+                LaurentPoly._raw(1, 2, None, {_pack_laurent((1, -2)): 3, 0: -(10**30)}),
             ),
             "series": (
                 TruncatedSeries(2, 4, {(1, 2): 7, (0, 0): 1}),
-                _raw_element(2, 4, {_pack((1, 2), 2): 7, 0: 1}),
+                TruncatedSeries._raw(1, 2, 4, {_pack((1, 2), 2): 7, 0: 1}),
             ),
             "matrix": (
                 SquareMatrix(rows),
-                _raw_flat(2, 2, 3, {(u1, 0, 0): 1, (u1, 1, 1): 1}),
+                SquareMatrix._raw(2, 2, 3, {u1 << 2: 1, u1 << 2 | 1 << 1 | 1: 1}),
             ),
             "laurent-matrix": (
                 SquareMatrix(exact),
-                _raw_flat(2, 2, None, {
-                    (key, i, i): coeff
+                SquareMatrix._raw(2, 2, None, {
+                    key << 2 | i << 1 | i: coeff
                     for i in range(2)
                     for key, coeff in ((_pack_laurent((1, -2)), 3), (0, -(10**30)))
                 }),
@@ -785,7 +895,7 @@ class TestZeroOperands:
         ).filter(lambda s: not s.is_zero())
     )
     def test_zero_operand_returns_the_other(self, a):
-        zero = a.zero_like()
+        zero = zero_like(a)
         rebuilt = TruncatedSeries(a.n_vars, a.max_deg, a.terms())
         for got in (a + zero, zero + a, a - zero):
             assert got is a

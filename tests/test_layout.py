@@ -6,13 +6,14 @@ command runs them.  The package source is read with ``ast`` (as
 into any module, as a function, a method or an import, fails here even if
 nothing calls it.
 
-The packed-key layout of ``_terms``, the map of a ``LaurentPoly`` or a
-``TruncatedSeries``, and of ``SquareMatrix._flat``, the matrix's map
-(packed key, row, col) -> coefficient over either ring, is known to two
-modules: ``laurent``, which defines both, and ``graded``, whose one reader
-decodes series keys.  Any other module reading ``._terms`` or ``._flat``
-fails here.  ``laurent`` holds one body of each arithmetic operation for
-the values of both rings and one for matrices.
+The packed-key layout of ``_terms``, the one map of a ``LaurentPoly``, a
+``TruncatedSeries`` or a ``SquareMatrix`` over either ring, whose key packs
+the monomial key, the row and the column, is known to two modules:
+``laurent``, which defines it, and ``graded``, whose one reader decodes
+series keys.  Any other module reading ``._terms`` fails here.  ``laurent``
+holds one body of each arithmetic operation, shared by the values of both
+rings and by matrices, and one unchecked builder; no name of the second
+matrix layout it replaced is left in the package.
 """
 
 import ast
@@ -38,6 +39,8 @@ TEST_ONLY = (
     "congruent_parts",
     "retruncate",
     "graded.bracket",
+    "zero_like",
+    "is_one",
 )
 
 
@@ -74,7 +77,7 @@ def test_package_does_not_export_a_test_only_route():
 
 
 PACKED_KEY_READERS = ("laurent.py", "graded.py")
-PACKED_KEY_ATTRIBUTES = ("_terms", "_flat")
+PACKED_KEY_ATTRIBUTES = ("_terms",)
 
 
 @pytest.mark.parametrize(
@@ -94,18 +97,46 @@ def test_only_laurent_and_graded_read_packed_terms(path):
 ARITHMETIC = ("__add__", "__sub__", "__neg__", "__mul__", "__eq__", "__hash__")
 
 
-def test_laurent_defines_each_arithmetic_operation_at_most_twice():
-    # once for the values of both rings, once for SquareMatrix
+def test_laurent_defines_each_arithmetic_operation_at_most_once():
+    # one body for the values of both rings and for SquareMatrix, and one
+    # unchecked builder
     tree = ast.parse((SRC / "laurent.py").read_text())
     defined = Counter(
         node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     )
-    assert {name: defined[name] for name in ARITHMETIC if defined[name] > 2} == {}
+    assert {name: defined[name] for name in ARITHMETIC if defined[name] > 1} == {}
+    assert [(n, c) for n, c in defined.items() if n.startswith("_raw")] == [("_raw", 1)]
 
 
 def test_both_rings_share_each_arithmetic_body():
-    from gassner.laurent import LaurentPoly, TruncatedSeries
+    # and matrices share them too
+    from gassner.laurent import LaurentPoly, SquareMatrix, TruncatedSeries
 
-    assert LaurentPoly.__mul__ is TruncatedSeries.__mul__
+    assert SquareMatrix.__mul__ is LaurentPoly.__mul__ is TruncatedSeries.__mul__
     for name in ARITHMETIC:
-        assert getattr(LaurentPoly, name) is getattr(TruncatedSeries, name), name
+        body = getattr(LaurentPoly, name)
+        assert getattr(TruncatedSeries, name) is body, name
+        assert getattr(SquareMatrix, name) is body, name
+
+
+SECOND_LAYOUT_NAMES = ("_flat", "_raw_flat", "_raw_element", "_rows")
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # ``__slots__`` entries and names looked up by string
+            yield node.value
+    yield from _bound_names(tree)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_tuple_keyed_matrix_layout_is_left(path):
+    names = set(_identifiers(ast.parse(path.read_text())))
+    assert not names & set(SECOND_LAYOUT_NAMES), sorted(names & set(SECOND_LAYOUT_NAMES))
