@@ -35,10 +35,9 @@ the commutator convention [a, b] = a b a^-1 b^-1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb
-from typing import NamedTuple
 
 from .laurent import (
     _check_max_deg,
@@ -80,10 +79,10 @@ def check_series_budget(n: int, max_deg: int) -> None:
         )
 
 
-class BraidLetter(NamedTuple):
-    r: int
-    s: int
-    exponent: int  # +1 or -1
+class BraidLetter(namedtuple("BraidLetter", "r s exponent")):
+    """The letter A(r,s)^exponent, exponent +1 or -1."""
+
+    __slots__ = ()
 
     def inverse(self) -> "BraidLetter":
         return BraidLetter(self.r, self.s, -self.exponent)
@@ -110,16 +109,40 @@ def _check_letter(letter: BraidLetter, n: int) -> None:
         raise UsageError(f"letter exponent must be ±1, got {letter.exponent}")
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    """A word in the pure braid generators on ``n`` strands."""
+    """An immutable word in the pure braid generators on ``n`` strands.
 
-    n: int
-    letters: tuple[BraidLetter, ...]
+    Every letter is checked against ``n`` when the word is built, also
+    when a copy or pickle rebuilds it.
+    """
 
-    def __post_init__(self):
-        for letter in self.letters:
-            _check_letter(letter, self.n)
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: tuple[BraidLetter, ...]):
+        for letter in letters:
+            _check_letter(letter, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BraidWord is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BraidWord is immutable")
+
+    def __reduce__(self):
+        return BraidWord, (self.n, self.letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.letters) == (other.n, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(n={self.n!r}, letters={self.letters!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

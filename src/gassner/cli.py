@@ -92,13 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_search = sub.add_parser("search", help="bounded kernel-candidate search")
-    p_search.add_argument("--n", type=_ascii_int, default=SearchConfig.n)
-    p_search.add_argument("--weight", type=_ascii_int, default=SearchConfig.weight)
-    p_search.add_argument("--coeff-bound", type=_ascii_int, default=SearchConfig.coeff_bound)
-    p_search.add_argument("--support", type=_ascii_int, default=SearchConfig.support_bound)
-    p_search.add_argument("--budget", type=_ascii_int, default=SearchConfig.budget)
-    p_search.add_argument("--degree-probe", type=_ascii_int, default=SearchConfig.degree_probe)
-    p_search.add_argument("--seed", type=_ascii_int, default=SearchConfig.seed)
+    defaults = SearchConfig._field_defaults
+    p_search.add_argument("--n", type=_ascii_int, default=defaults["n"])
+    p_search.add_argument("--weight", type=_ascii_int, default=defaults["weight"])
+    p_search.add_argument("--coeff-bound", type=_ascii_int, default=defaults["coeff_bound"])
+    p_search.add_argument("--support", type=_ascii_int, default=defaults["support_bound"])
+    p_search.add_argument("--budget", type=_ascii_int, default=defaults["budget"])
+    p_search.add_argument("--degree-probe", type=_ascii_int, default=defaults["degree_probe"])
+    p_search.add_argument("--seed", type=_ascii_int, default=defaults["seed"])
     add_common(p_search)
 
     return parser

@@ -32,7 +32,7 @@ against the embedded reference tables and the left-normed contribution law.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -337,16 +337,15 @@ def phi(term: CommutatorTerm, n: int) -> GradedClass:
 # Integer matrices over the commutator basis
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "row_labels col_labels rows")):
     """Sparse integer matrix with commutator row labels and coordinate columns.
 
-    Each row maps a column index to its nonzero entry; absent columns are 0.
+    ``row_labels`` is a tuple of ``CommutatorTerm``, ``col_labels`` a tuple
+    of ``Coord`` and ``rows`` a tuple of dicts: each row maps a column index
+    to its nonzero entry; absent columns are 0.
     """
 
-    row_labels: tuple[CommutatorTerm, ...]
-    col_labels: tuple[Coord, ...]
-    rows: tuple[dict[int, int], ...]
+    __slots__ = ()
 
     @property
     def row_count(self) -> int:
@@ -505,16 +504,16 @@ def _dense(support: tuple[tuple[int, int], ...], length: int) -> tuple[int, ...]
     return tuple(vector)
 
 
-@dataclass
-class KernelReport:
-    """Rank/kernel summary of the weight-w class matrix."""
+class KernelReport(
+    namedtuple("KernelReport", "n weight rank expected row_labels kernel")
+):
+    """Rank/kernel summary of the weight-w class matrix.
 
-    n: int
-    weight: int
-    rank: int
-    expected: int
-    row_labels: tuple[CommutatorTerm, ...]
-    kernel: list[tuple[int, ...]]
+    ``expected`` is the Witt number, ``row_labels`` the basis terms and
+    ``kernel`` a list of integer vectors over them.
+    """
+
+    __slots__ = ()
 
     @property
     def injective(self) -> bool:
@@ -555,34 +554,37 @@ def kernel_report(n: int, w: int) -> KernelReport:
 # Reference-table verification
 
 
-@dataclass(frozen=True)
-class CellMismatch:
-    commutator: str
-    mono: tuple[int, ...]
-    row: int
-    col: int
-    expected: int
-    computed: int
+CellMismatch = namedtuple("CellMismatch", "commutator mono row col expected computed")
 
 
-@dataclass
-class TableCheck:
-    """Comparison of computed classes against one reference table."""
+class TableCheck(
+    namedtuple("TableCheck", "shape commutators_checked cells_checked mismatches")
+):
+    """Comparison of computed classes against one reference table.
 
-    shape: str
-    commutators_checked: int
-    cells_checked: int
-    # keyed by fixture variant name
-    mismatches: dict[str, list[CellMismatch]] = field(default_factory=dict)
+    ``mismatches`` maps each fixture variant name to a list of
+    ``CellMismatch``.
+    """
+
+    __slots__ = ()
 
     def ok(self, variant: str) -> bool:
         return not self.mismatches.get(variant)
 
+    def to_dict(self) -> dict:
+        return {
+            **self._asdict(),
+            "mismatches": {
+                variant: [m._asdict() for m in found]
+                for variant, found in self.mismatches.items()
+            },
+        }
 
-@dataclass
-class TablesReport:
-    n: int
-    checks: list[TableCheck]
+
+class TablesReport(namedtuple("TablesReport", "n checks")):
+    """The ``TableCheck`` of each table shape at n strands."""
+
+    __slots__ = ()
 
     def ok(self, variant: str = "corrected") -> bool:
         return all(c.ok(variant) for c in self.checks)
@@ -612,7 +614,7 @@ class TablesReport:
         return {
             "n": self.n,
             "duplicate_resolution": self.duplicate_resolution(),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -668,8 +670,13 @@ def verify_tables(n: int) -> TablesReport:
 # Left-normed (s-fold) contribution law
 
 
-@dataclass
-class SFoldReport:
+class SFoldReport(
+    namedtuple(
+        "SFoldReport",
+        "n weight left_normed_count other_count failures_a failures_b "
+        "submatrix_rank",
+    )
+):
     """Checks of the left-normed contribution law at one weight.
 
     (a) each left-normed basic commutator with leaf sequence l_1..l_s has,
@@ -677,15 +684,11 @@ class SFoldReport:
         e[l_1, n](-1) + e[l_2, n](+1);
     (b) every other basic commutator vanishes at all n-free factors;
     (c) the left-normed rows of the class matrix are linearly independent.
+
+    ``failures_a`` and ``failures_b`` list the commutators failing (a) and (b).
     """
 
-    n: int
-    weight: int
-    left_normed_count: int
-    other_count: int
-    failures_a: list[str]
-    failures_b: list[str]
-    submatrix_rank: int
+    __slots__ = ()
 
     @property
     def full_rank(self) -> bool:
@@ -696,7 +699,7 @@ class SFoldReport:
         return not self.failures_a and not self.failures_b and self.full_rank
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "full_rank": self.full_rank, "ok": self.ok}
+        return {**self._asdict(), "full_rank": self.full_rank, "ok": self.ok}
 
 
 def sfold_property_check(n: int, s: int) -> SFoldReport:

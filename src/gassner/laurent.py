@@ -42,8 +42,8 @@ would silently corrupt downstream rank computations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 class UsageError(ValueError):
@@ -157,6 +157,11 @@ def _packed(n_vars: int, max_deg: int | None, terms: dict | None) -> dict[int, i
             raise UsageError(f"term {exps} exceeds truncation degree {max_deg}")
         else:
             key = _pack(exps, n_vars)
+        if type(coeff) is not int:
+            raise UsageError(
+                f"coefficient {coeff!r} of term {exps} is a "
+                f"{type(coeff).__name__}, not an int"
+            )
         if coeff:
             packed[key] = coeff
     return packed
@@ -489,7 +494,12 @@ class SquareMatrix(PackedValue):
     __mul__ = PackedValue.__mul__
 
     def __init__(self, rows: Iterable[Iterable[RingElement]]):
-        grid = tuple(tuple(row) for row in rows)
+        try:
+            grid = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise UsageError(
+                f"matrix rows must be iterables of entries: {exc}"
+            ) from None
         n = len(grid)
         if any(len(row) != n for row in grid):
             raise UsageError("matrix rows must all have length equal to the size")

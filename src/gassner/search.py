@@ -49,14 +49,14 @@ matrices differ without an inverse image, a product or a word.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from math import gcd
 from operator import mul
-from typing import Iterator
 
-from .braid import BraidWord, _letter_rows, evaluate_exact
+from .braid import MAX_EXACT_WORK, BraidWord, _letter_rows, evaluate_exact
 from .graded import (
     Coord,
     GradedClass,
@@ -76,17 +76,19 @@ _SPECIALIZATION_PRIME = 2**61 - 1
 _SPECIALIZATION_COUNT = 3
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int = 4
-    weight: int = 5
-    coeff_bound: int = 2
-    support_bound: int = 3
-    degree_probe: int = 8
-    budget: int = 10_000
-    seed: int = 20041101
+class SearchConfig(
+    namedtuple(
+        "SearchConfig",
+        "n weight coeff_bound support_bound degree_probe budget seed",
+        defaults=(4, 5, 2, 3, 8, 10_000, 20041101),
+    )
+):
+    """Bounds of one search; the defaults are in ``_field_defaults``."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.coeff_bound, self.support_bound, self.degree_probe) < 1:
             raise UsageError("search bounds must be positive")
         if self.degree_probe > _MAX_TRUNC_DEG:
@@ -96,16 +98,28 @@ class SearchConfig:
             )
         if self.budget < 0:
             raise UsageError("budget must be nonnegative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass
-class CandidateResult:
-    """Outcome of testing one kernel combination."""
+class CandidateResult(
+    namedtuple(
+        "CandidateResult",
+        "coefficients word_length is_identity first_nonvanishing_degree",
+    )
+):
+    """Outcome of testing one kernel combination.
 
-    coefficients: tuple[tuple[str, int], ...]  # (commutator text, multiplicity)
-    word_length: int
-    is_identity: bool
-    first_nonvanishing_degree: int | None  # None: trivial up to the probe depth
+    ``coefficients`` holds (commutator text, multiplicity) pairs;
+    ``first_nonvanishing_degree`` is None when the image is trivial up to
+    the probe depth.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -465,20 +479,29 @@ def _specialized_candidate_is_identity(
     return True
 
 
-@dataclass
 class SearchReport:
-    config: SearchConfig
-    kernel_dimension: int
-    candidates: list[CandidateResult] = field(default_factory=list)
-    identities_found: int = 0
-    notice: str | None = None
+    """Candidates of one search as they are tested, with the identity count.
+
+    ``notice`` explains an empty search.
+    """
+
+    __slots__ = (
+        "config", "kernel_dimension", "candidates", "identities_found", "notice"
+    )
+
+    def __init__(self, config: SearchConfig, kernel_dimension: int):
+        self.config = config
+        self.kernel_dimension = kernel_dimension
+        self.candidates: list[CandidateResult] = []
+        self.identities_found = 0
+        self.notice: str | None = None
 
     def to_json_lines(self) -> Iterator[str]:
         import json
 
         yield json.dumps(
             {
-                "config": asdict(self.config),
+                "config": self.config._asdict(),
                 "kernel_dimension": self.kernel_dimension,
                 **({"notice": self.notice} if self.notice else {}),
             },
@@ -502,6 +525,8 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
     nontrivial below the probe depth; candidates trivial to that depth are
     retested under integer specializations and, if still unresolved, by
     full exact evaluation, so ``is_identity`` is always an exact statement.
+    The exact rung runs under ``braid.MAX_EXACT_WORK``, as exact ``eval``
+    does, and raises ``UsageError`` past it.
 
     Candidates are walked once, as kernel combinations ((k, c_k), ...)
     (``_kernel_combinations``), each made into the primitive support
@@ -545,7 +570,8 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
                 first is None
                 and _specialized_candidate_is_identity(support, n, w, cfg.seed)
                 and evaluate_exact(
-                    vector_to_word(_dense(support, len(basis)), n, w)
+                    vector_to_word(_dense(support, len(basis)), n, w),
+                    MAX_EXACT_WORK,
                 ).is_identity()
             )
         outcome = CandidateResult(
@@ -581,13 +607,17 @@ class RegressionError(AssertionError):
     """A pinned breakdown fact failed to reproduce."""
 
 
-@dataclass
-class BreakdownReport:
-    truncations_equal: bool
-    exact_equal: bool
-    classes_equal: bool
-    first_difference_degree: int
-    difference_class: GradedClass
+class BreakdownReport(
+    namedtuple(
+        "BreakdownReport",
+        "truncations_equal exact_equal classes_equal first_difference_degree "
+        "difference_class",
+    )
+):
+    """The pinned facts of the weight-5 breakdown pair; ``difference_class``
+    is the ``GradedClass`` of their difference."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -205,9 +205,10 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--n", "2", "x1^100")
         assert code == 0 and out
 
-    def test_only_the_cli_eval_is_gated(self, capsys, monkeypatch):
-        # the budget binds the command, not the library: evaluate_exact
-        # without max_work, and the search's exact rung, count nothing
+    def test_the_commands_are_gated_and_the_library_is_not(self, capsys, monkeypatch):
+        # the budget binds the commands, not the library: evaluate_exact
+        # without max_work counts nothing, and the search's exact rung
+        # passes the shipped budget
         import gassner.braid as braid
         import gassner.cli as cli
         import gassner.search as search
@@ -233,7 +234,28 @@ class TestEval:
         cfg = search.SearchConfig(degree_probe=5, budget=2)
         assert all(r.is_identity for r in search.run_search(cfg).candidates)
         assert len(calls) == 2
-        assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+        assert all(args[1:] == (10**6,) and not kwargs for args, kwargs in calls)
+
+    def test_search_exact_rung_exits_two_past_the_budget(self, capsys, monkeypatch):
+        # a candidate that passes the mod-p probes reaches exact evaluation;
+        # its 56-letter word sums far more than 1000 terms, so the search
+        # stops with the eval budget's message instead of running on
+        import gassner.search as search
+        from gassner.laurent import UsageError
+
+        monkeypatch.setattr(
+            search, "_specialized_candidate_is_identity", lambda *args: True
+        )
+        monkeypatch.setattr(search, "MAX_EXACT_WORK", 1000)
+        with pytest.raises(UsageError, match="passed the work budget of 1000 terms"):
+            search.run_search(search.SearchConfig(degree_probe=5, budget=1))
+        code, out, err = run(
+            capsys, "search", "--degree-probe", "5", "--budget", "1", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert "passed the work budget of 1000 terms" in err
+        assert "of 56" in err
 
     @pytest.mark.parametrize(
         "argv",

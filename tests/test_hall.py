@@ -1,7 +1,6 @@
 """Basic commutator generation, ordering, and the Witt count oracle."""
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -131,7 +130,7 @@ class TestTermHash:
     def test_hash_is_the_hash_of_the_fields(self):
         for term in basic_commutators(3, 5):
             assert hash(term) == hash((term.gen, term.left, term.right))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             L(1).gen = 2
 
     def test_hashing_does_not_walk_the_tree(self):

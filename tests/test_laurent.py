@@ -71,6 +71,19 @@ class TestLaurentArithmetic:
         with pytest.raises(UsageError):
             LaurentPoly.var(2, 1) + LaurentPoly.var(3, 1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda terms: LaurentPoly(2, terms), lambda terms: TruncatedSeries(2, 3, terms)],
+        ids=["laurent", "series"],
+    )
+    @pytest.mark.parametrize(
+        "coeff", [1.5, 2.0, True, False, "x", None], ids=repr
+    )
+    def test_non_int_coefficients_rejected(self, build, coeff):
+        # also falsy ones, which would otherwise be dropped as zeros
+        with pytest.raises(UsageError, match="not an int"):
+            build({(1, 0): coeff})
+
     def test_zero_coefficients_pruned(self):
         p = LaurentPoly(2, {(1, 0): 1}) - LaurentPoly(2, {(1, 0): 1})
         assert p.is_zero() and p.terms == {}
@@ -413,6 +426,9 @@ class TestMatrices:
             [[LaurentPoly.one(2), 1], [LaurentPoly.one(2)] * 2],
             [[SquareMatrix([[LaurentPoly.one(2)]])]],
             [[SquareMatrix(identity_rows(2, LaurentPoly.one(2)))] * 2] * 2,
+            5,
+            [1],
+            [[LaurentPoly.one(2)], 3],
         ],
         ids=[
             "ragged",
@@ -424,6 +440,9 @@ class TestMatrices:
             "int-after-elements",
             "matrix",
             "grid-of-matrices",
+            "rows-not-iterable",
+            "row-not-iterable",
+            "second-row-not-iterable",
         ],
     )
     def test_constructor_rejects(self, rows):

@@ -14,10 +14,17 @@ series keys.  Any other module reading ``._terms`` fails here.  ``laurent``
 holds one body of each arithmetic operation, shared by the values of both
 rings and by matrices, and one unchecked builder; no name of the second
 matrix layout it replaced is left in the package.
+
+Every command pays for ``import gassner.cli``, so the package loads no
+``dataclasses``, ``inspect`` or ``typing``: their import and the source a
+``dataclass`` decorator generates and compiles were about a quarter of
+its cost.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -140,3 +147,19 @@ def _identifiers(tree):
 def test_no_name_of_the_tuple_keyed_matrix_layout_is_left(path):
     names = set(_identifiers(ast.parse(path.read_text())))
     assert not names & set(SECOND_LAYOUT_NAMES), sorted(names & set(SECOND_LAYOUT_NAMES))
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S: ``site`` may load ``typing`` itself, through a .pth file
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gassner.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -2,7 +2,6 @@
 
 import pickle
 import random
-from dataclasses import asdict
 from functools import lru_cache
 from itertools import combinations
 
@@ -853,6 +852,25 @@ class TestSearch:
         report = run_search(SearchConfig(budget=0))
         assert report.candidates == []
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"coeff_bound": 0},
+            {"support_bound": 0},
+            {"degree_probe": 0},
+            {"degree_probe": 256},
+            {"budget": -1},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_config_is_validated_however_built(self, bad):
+        with pytest.raises(UsageError):
+            SearchConfig(**bad)
+        with pytest.raises(UsageError):
+            SearchConfig()._replace(**bad)
+        with pytest.raises(UsageError):
+            SearchConfig._make({**SearchConfig()._asdict(), **bad}.values())
+
 
 class TestBreakdownRegression:
     def test_regression_passes(self):
@@ -953,7 +971,7 @@ class TestBreakdownRegression:
 
     def test_report_converts_and_pickles(self):
         report = breakdown_regression()
-        data = asdict(report)
+        data = report._asdict()
         assert data["difference_class"] == report.difference_class
         assert pickle.loads(pickle.dumps(report)) == report
 
