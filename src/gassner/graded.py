@@ -4,9 +4,9 @@ A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
-X = M - I, so no identity matrix is built or subtracted; each child image
-is raised to its parent's truncation degree once (``_lifted``), which only
-relabels the degree of its term map.  One reader, ``_degree_coords``,
+X = M - I, so no identity matrix is built or subtracted; a child image is
+raised to its parent's truncation degree by ``_lift``, which only relabels
+the degree of its term map.  One reader, ``_degree_coords``,
 decodes the degree-i data of X from the matrix's term map, whose key packs
 the series monomial key m, the row and the column as ``m << 2b | row << b
 | col`` (``laurent.PackedValue``), each m once per command (``_monomials``);
@@ -23,8 +23,8 @@ fraction-free elimination of that matrix augmented with the identity yields
 both its rank and a primitive integer basis of its left kernel
 (``integer_kernel``); ``integer_rank`` runs the same elimination without the
 augmentation.  The elimination divides each updated row by its content; it
-takes the same pivots as Bareiss elimination, found through an index of
-the rows holding each column, and returns the same rank and kernel basis,
+takes the same pivots as Bareiss elimination, found by filing each row once
+under its least column, and returns the same rank and kernel basis,
 without the dense rescaling and growing minors.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
@@ -85,6 +85,9 @@ class GradedClass:
         object.__setattr__(self, "coords", clean)
 
     def __setattr__(self, name, value):
+        raise AttributeError("GradedClass is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("GradedClass is immutable")
 
     def __reduce__(self):
@@ -261,8 +264,8 @@ def _commutator_matrix(
     # max_deg - weight(b), y through max_deg - weight(a), and E through
     # max_deg - weight(term), where E is zero if that is below both child
     # weights.  Children are lifted back to max_deg, sound because each
-    # partner vanishes below the gap; ``_lifted`` caches each child's lift,
-    # which many parents share.  Leaves are truncated closed-form letters
+    # partner vanishes below the gap; a lift only relabels the degree of
+    # the cached child's term map.  Leaves are truncated closed-form letters
     # minus I, 1 off each diagonal constant term (key i << b | i): nothing is
     # inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
@@ -279,8 +282,8 @@ def _commutator_matrix(
         return SquareMatrix._raw(n, n, max_deg, terms)
     a, b = (term.left, term.right) if sign == 1 else (term.right, term.left)
     i, j = weight(a), weight(b)
-    x = _lifted(a, n, max_deg - j, max_deg)
-    y = _lifted(b, n, max_deg - i, max_deg)
+    x = _lift(_commutator_matrix(a, n, max_deg - j, 1), max_deg)
+    y = _lift(_commutator_matrix(b, n, max_deg - i, 1), max_deg)
     c = x * y - y * x
     rest = max_deg - i - j
     if rest >= min(i, j):
@@ -294,14 +297,6 @@ def _commutator_matrix(
 def _compose(p: SquareMatrix, x: SquareMatrix) -> SquareMatrix:
     """(I + P)(I + X) - I = P + X + P X: the product of two deviations."""
     return p + x + p * x
-
-
-@lru_cache(maxsize=None)
-def _lifted(
-    term: CommutatorTerm, n: int, known: int, max_deg: int
-) -> SquareMatrix:
-    """The sign 1 deviation of ``term`` known through ``known``, at ``max_deg``."""
-    return _lift(_commutator_matrix(term, n, known, 1), max_deg)
 
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
@@ -426,40 +421,36 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
     and the rank agree with it, while entries stay as small as the
     content allows.
 
-    ``holding`` maps each pivot column to the positions of the rows not yet
-    used as pivots that are nonzero there, kept through swaps and row
-    updates, so the pivot row is the least position in it.
+    ``leading`` files each row not yet used as a pivot once, under its
+    least column.  Every such row is zero left of the column being swept,
+    so it is nonzero there exactly when it is filed there, and the pivot
+    row is the least position filed under that column.  A row that a swap
+    displaces, and each updated row, is filed under its own least column.
     """
     n_rows = len(rows)
-    holding: dict[int, set[int]] = {c: set() for c in range(pivot_cols)}
-
-    def place(row: dict[int, int], i: int) -> None:
-        for j in row:
-            if j < pivot_cols:
-                holding[j].add(i)
-
-    def remove(row: dict[int, int], i: int) -> None:
-        for j in row:
-            if j < pivot_cols:
-                holding[j].discard(i)
-
+    leading: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        place(row, i)
+        if row:
+            leading.setdefault(min(row), set()).add(i)
     r = 0
     for c in range(pivot_cols):
         if r == n_rows:
             break
-        if not holding[c]:
+        held = leading.pop(c, None)
+        if not held:
             continue
-        pivot_row = min(holding[c])
+        pivot_row = min(held)
+        held.remove(pivot_row)
         row_r = rows[pivot_row]
-        remove(row_r, pivot_row)
         if pivot_row != r:
-            remove(rows[r], r)
-            place(rows[r], pivot_row)
-            rows[r], rows[pivot_row] = row_r, rows[r]
+            displaced = rows[r]
+            if displaced:
+                filed = leading[min(displaced)]
+                filed.remove(r)
+                filed.add(pivot_row)
+            rows[r], rows[pivot_row] = row_r, displaced
         pivot = row_r[c]
-        for i in list(holding[c]):
+        for i in held:
             row_i = rows[i]
             factor = row_i[c]
             g = gcd(pivot, factor)
@@ -474,9 +465,9 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
             content = gcd(*new.values())
             if content > 1:
                 new = {j: v // content for j, v in new.items()}
-            remove(row_i, i)
-            place(new, i)
             rows[i] = new
+            if new:
+                leading.setdefault(min(new), set()).add(i)
         r += 1
     return r
 

@@ -206,6 +206,9 @@ class PackedValue:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __reduce__(self):
         return self._raw, (self.size, self.n_vars, self.max_deg, self._terms)
 

@@ -896,6 +896,8 @@ class TestRawBuilders:
             for name in slots:
                 with pytest.raises(AttributeError, match="is immutable"):
                     setattr(value, name, None)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(value, name)
 
 
 class TestZeroOperands:
