@@ -159,13 +159,9 @@ def _cmd_kernel(args) -> int:
             f"rank {report.rank} of {len(report.row_labels)}; "
             f"kernel dimension {len(report.kernel)}"
         )
+        texts = report.label_texts()
         for vec in report.kernel:
-            parts = [
-                f"{m:+d}*{label}"
-                for label, m in zip(report.row_labels, vec)
-                if m
-            ]
-            print("  " + " ".join(parts))
+            print("  " + " ".join(f"{m:+d}*{texts[i]}" for i, m in enumerate(vec) if m))
     return 0
 
 

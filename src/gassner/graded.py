@@ -4,28 +4,24 @@ A matrix M over the truncated ring with M = I mod J^i (J the ideal generated
 by all u_k = t_k - 1) determines, for each monomial u_{l_1}...u_{l_i} with
 l_1 <= ... <= l_i, an integer matrix of degree-i coefficients of M - I.
 Images are cached, composed (``_compose``) and read as that deviation
-X = M - I, so no identity matrix is built or subtracted; a child image is
-raised to its parent's truncation degree by ``_lift``, which only relabels
-the degree of its term map.  One reader, ``_degree_coords``,
-decodes the degree-i data of X from the matrix's term map, whose key packs
-the series monomial key m, the row and the column as ``m << 2b | row << b
-| col`` (``laurent.PackedValue``), each m once per command (``_monomials``);
-``pi`` returns it as a ``GradedClass``, and ``phi`` composes
-that with the image of a commutator, giving the induced map from the
-weight-i lower-central quotient of the free subgroup into the degree-i
-graded piece of the congruence filtration.  ``first_degree`` reads only
-the least packed degree.
+X = M - I; a child image is raised to its parent's truncation degree by
+``_lift``, which only relabels the degree of its term map.  One reader,
+``_degree_terms``, slices the degree-i terms of X from the matrix's term
+map, keyed ``m << 2b | row << b | col`` (``laurent.PackedValue``); ``pi``
+keeps them, undecoded, as a ``GradedClass``, and ``phi`` composes that with
+the image of a commutator, giving the induced map from the weight-i
+lower-central quotient of the free subgroup into the degree-i graded piece
+of the congruence filtration.  ``first_degree`` reads the least degree.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
 into one sparse integer matrix, each row a map from column index to nonzero
-entry, and the elimination works on those rows as they are.  One exact
-fraction-free elimination of that matrix augmented with the identity yields
-both its rank and a primitive integer basis of its left kernel
-(``integer_kernel``); ``integer_rank`` runs the same elimination without the
-augmentation.  The elimination divides each updated row by its content; it
-takes the same pivots as Bareiss elimination, found by filing each row once
-under its least column, and returns the same rank and kernel basis,
-without the dense rescaling and growing minors.
+entry; each distinct key is decoded once (``_decode``), to sort the
+columns.  One exact fraction-free elimination of that matrix augmented
+with the identity yields its rank and a primitive integer basis of its
+left kernel (``integer_kernel``); ``integer_rank`` runs it without the
+augmentation.  It divides each updated row by its content and takes the
+pivots of Bareiss elimination, found by filing each row once under its
+least column, so it returns the same rank and kernel basis.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
 """
@@ -33,8 +29,10 @@ against the embedded reference tables and the left-normed contribution law.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .braid import _letter_matrix_truncated, check_strand_count
 from .hall import (
@@ -51,8 +49,11 @@ from .laurent import (
     DomainError,
     SquareMatrix,
     UsageError,
+    _add_product,
+    _check_max_deg,
     _index_bits,
     _merged,
+    _pack,
     _unpack,
 )
 
@@ -63,13 +64,16 @@ class GradedClass:
     """Degree-i element of the direct sum of matrix blocks over monomials.
 
     ``coords`` maps (monomial, row, col) to a nonzero integer, where the
-    monomial is the sorted tuple (l_1 <= ... <= l_i) of variable indices.
+    monomial is the sorted tuple (l_1 <= ... <= l_i) of variable indices;
+    it is a read-only view decoded from ``_terms``, the term map of a
+    ``SquareMatrix`` of size n over n variables (``laurent.PackedValue``).
     """
 
-    __slots__ = ("n", "degree", "coords")
+    __slots__ = ("n", "degree", "_terms")
 
     def __init__(self, n: int, degree: int, coords: dict[Coord, int] | None = None):
-        clean: dict[Coord, int] = {}
+        bits = _index_bits(n)
+        terms: dict[int, int] = {}
         for (mono, row, col), value in (coords or {}).items():
             mono = tuple(mono)
             if len(mono) != degree or any(not 1 <= l <= n for l in mono):
@@ -78,11 +82,13 @@ class GradedClass:
                 raise UsageError(f"monomial {mono} is not sorted")
             if not (1 <= row <= n and 1 <= col <= n):
                 raise UsageError(f"position ({row},{col}) out of range 1..{n}")
+            _check_max_deg(degree)
             if value:
-                clean[(mono, row, col)] = value
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", clean)
+                m = _pack(tuple(map(mono.count, range(1, n + 1))), n)
+                terms[m << 2 * bits | (row - 1) << bits | (col - 1)] = value
+        _set_class_n(self, n)
+        _set_class_degree(self, degree)
+        _set_class_terms(self, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -91,23 +97,25 @@ class GradedClass:
         raise AttributeError("GradedClass is immutable")
 
     def __reduce__(self):
-        return GradedClass, (self.n, self.degree, self.coords)
+        return _raw_class, (self.n, self.degree, self._terms)
 
-    def _check_compat(self, other: "GradedClass") -> None:
+    @property
+    def coords(self) -> Mapping[Coord, int]:
+        """The terms keyed by (monomial, row, col), a read-only decoded view."""
+        return MappingProxyType(
+            dict(zip(_decode(self.n, self._terms), self._terms.values()))
+        )
+
+    def __add__(self, other: "GradedClass") -> "GradedClass":
         if self.n != other.n or self.degree != other.degree:
             raise UsageError(
                 f"mismatched classes: (n={self.n}, i={self.degree}) vs "
                 f"(n={other.n}, i={other.degree})"
             )
-
-    def __add__(self, other: "GradedClass") -> "GradedClass":
-        self._check_compat(other)
-        return GradedClass(self.n, self.degree, _merged(self.coords, other.coords, 1))
+        return _raw_class(self.n, self.degree, _merged(self._terms, other._terms, 1))
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(
-            self.n, self.degree, {k: -v for k, v in self.coords.items()}
-        )
+        return _raw_class(self.n, self.degree, {k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         return self + (-other)
@@ -117,14 +125,14 @@ class GradedClass:
             isinstance(other, GradedClass)
             and self.n == other.n
             and self.degree == other.degree
-            and self.coords == other.coords
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.degree, frozenset(self.coords.items())))
+        return hash((self.n, self.degree, frozenset(self._terms.items())))
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self._terms
 
     def monomials(self) -> list[tuple[int, ...]]:
         return sorted({mono for mono, _, _ in self.coords})
@@ -148,21 +156,21 @@ class GradedClass:
         }
 
     def __repr__(self) -> str:
-        return f"GradedClass(n={self.n}, degree={self.degree}, {len(self.coords)} coords)"
+        return f"GradedClass(n={self.n}, degree={self.degree}, {len(self._terms)} coords)"
 
 
 _set_class_n = GradedClass.n.__set__
 _set_class_degree = GradedClass.degree.__set__
-_set_class_coords = GradedClass.coords.__set__
+_set_class_terms = GradedClass._terms.__set__
 
 
-def _raw_class(n: int, degree: int, coords: dict[Coord, int]) -> GradedClass:
-    # Internal fast path: coords are valid, sorted-monomial and nonzero;
-    # slots are set as in ``laurent.PackedValue._raw``.
+def _raw_class(n: int, degree: int, terms: dict[int, int]) -> GradedClass:
+    # Internal fast path: ``terms`` maps valid packed keys of degree-``degree``
+    # monomials to nonzero ints; slots are set as in ``laurent.PackedValue._raw``.
     cls = object.__new__(GradedClass)
     _set_class_n(cls, n)
     _set_class_degree(cls, degree)
-    _set_class_coords(cls, coords)
+    _set_class_terms(cls, terms)
     return cls
 
 
@@ -172,47 +180,49 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
-    # The monomial of each packed monomial key decoded so far, filled by
-    # ``_degree_coords``.  A functools cache rather than a module dict, so
-    # it is cleared with the image caches and holds no state across them.
+    # The monomial of each packed monomial key decoded so far (``_decode``),
+    # in a functools cache, so it is cleared with the image caches.
     return {}
 
 
-def _degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
-    """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
+def _decode(n: int, keys: Iterable[int]) -> Iterator[Coord]:
+    """The (monomial, row, col), all 1-based, of each packed class key."""
+    bits, monomials = _index_bits(n), _monomials(n)
+    mask = (1 << bits) - 1
+    for key in keys:
+        m = key >> 2 * bits
+        mono = monomials.get(m)
+        if mono is None:
+            mono = monomials[m] = _monomial_of(_unpack(m, n))
+        yield mono, (key >> bits & mask) + 1, (key & mask) + 1
 
-    Reads the packed keys ``m << 2b | row << b | col`` of the matrix's
-    term map directly: a key's total degree is ``key >> (2b + 8*n_vars)``,
-    and only degree-i keys are decoded into a monomial, through the table
-    ``_monomials(n_vars)`` that keeps each decoded monomial key m until the
-    caches are cleared.  Raises ``DomainError`` naming the least offending
-    term, by degree, 1-based row and column, then exponents, when some key
-    has degree below ``low``, that is when M is not congruent to the
-    identity modulo J^low.
+
+def _degree_terms(x: SquareMatrix, i: int, low: int) -> dict[int, int]:
+    """Packed degree-i terms of X = M - I, for i >= low and M = I mod J^low.
+
+    A key of the series matrix's term map has total degree
+    ``key >> (2b + 8*n_vars)``; a map of degree-i keys only is returned as
+    it is (``phi``).  Raises ``DomainError`` naming the least term below
+    degree ``low``, by degree, 1-based row and column, then exponents.
     """
-    n_vars, bits = x.n_vars, _index_bits(x.size)
-    mask, shift = (1 << bits) - 1, 2 * bits + 8 * n_vars
-    monomials = _monomials(n_vars)
-    coords: dict[Coord, int] = {}
-    below = []
-    for key, coeff in x._terms.items():
-        d = key >> shift
-        if d == i:
-            m = key >> 2 * bits
-            mono = monomials.get(m)
-            if mono is None:
-                mono = monomials[m] = _monomial_of(_unpack(m, n_vars))
-            coords[(mono, (key >> bits & mask) + 1, (key & mask) + 1)] = coeff
-        elif d < low:
-            exps = _unpack(key >> 2 * bits, n_vars)
-            below.append((d, (key >> bits & mask) + 1, (key & mask) + 1, exps))
-    if below:
-        d, row, col, exps = min(below)
-        raise DomainError(
-            f"matrix is not congruent to I mod J^{low}: entry ({row},{col}) "
-            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+    terms, n_vars, bits = x._terms, x.n_vars, _index_bits(x.size)
+    if not terms:
+        return terms
+    shift, mask = 2 * bits + 8 * n_vars, (1 << bits) - 1
+    least = min(terms) >> shift
+    if least < low:
+        row, col, exps = min(
+            (k >> bits & mask, k & mask, _unpack(k >> 2 * bits, n_vars))
+            for k in terms
+            if k >> shift == least
         )
-    return coords
+        raise DomainError(
+            f"matrix is not congruent to I mod J^{low}: entry ({row + 1},{col + 1}) "
+            f"has a degree-{least} term at monomial {_monomial_of(exps)}"
+        )
+    if least == i and max(terms) >> shift == i:
+        return terms
+    return {k: c for k, c in terms.items() if k >> shift == i}
 
 
 def _check_series(x: SquareMatrix) -> None:
@@ -234,7 +244,7 @@ def first_degree(x: SquareMatrix) -> int | None:
 def pi(x: SquareMatrix, i: int) -> GradedClass:
     """Degree-i coefficient data of X = M - I (given X, not M) for M = I mod J^i.
 
-    The usage checks, then ``_degree_coords(x, i, i)``: its ``DomainError``
+    The usage checks, then ``_degree_terms(x, i, i)``: its ``DomainError``
     names the least term below degree i when M is not congruent to the
     identity modulo J^i.
     """
@@ -243,7 +253,9 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
     _check_series(x)
     if x.max_deg < i:
         raise UsageError(f"matrix truncation degree {x.max_deg} is below {i}")
-    return _raw_class(x.size, i, _degree_coords(x, i, i))
+    if x.n_vars != x.size:
+        raise UsageError("a class is read from an n x n matrix over n variables")
+    return _raw_class(x.size, i, _degree_terms(x, i, i))
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +268,16 @@ def _commutator_matrix(
 ) -> SquareMatrix:
     # X = M - I for the image M of the term (sign 1) or of its inverse
     # (sign -1) truncated at max_deg, by bracket recursion with
-    # [a, b]^-1 = [b, a].  A term of weight w is I plus terms of degree
-    # >= w, so below its weight X is zero.  Otherwise [A, B] - I = c + c E
-    # with c = xy - yx for x = A - I from degree weight(a) and y = B - I
-    # from degree weight(b), and E = A^-1 B^-1 - I composed from the
-    # children's sign -1 deviations.  So x is needed only through
-    # max_deg - weight(b), y through max_deg - weight(a), and E through
-    # max_deg - weight(term), where E is zero if that is below both child
-    # weights.  Children are lifted back to max_deg, sound because each
-    # partner vanishes below the gap; a lift only relabels the degree of
-    # the cached child's term map.  Leaves are truncated closed-form letters
-    # minus I, 1 off each diagonal constant term (key i << b | i): nothing is
-    # inverted, and I + X truncates the flat word.
+    # [a, b]^-1 = [b, a].  Below its weight X is zero.  Otherwise
+    # [A, B] - I = c + c E with c = xy - yx for x = A - I and y = B - I,
+    # taken in one product map (``_ring_bracket``), and E = A^-1 B^-1 - I
+    # composed from the children's sign -1 deviations.  So x is needed only
+    # through max_deg - weight(b), y through max_deg - weight(a), and E
+    # through max_deg - weight(term), where E is zero if that is below both
+    # child weights.  Children are lifted back to max_deg (``_lift``), sound
+    # because each partner vanishes below the gap.  Leaves are truncated
+    # closed-form letters with 1 taken off each diagonal constant term (key
+    # i << b | i): nothing is inverted, and I + X truncates the flat word.
     if max_deg < weight(term):
         return SquareMatrix._raw(n, n, max_deg, {})
     if term.is_leaf:
@@ -284,7 +294,7 @@ def _commutator_matrix(
     i, j = weight(a), weight(b)
     x = _lift(_commutator_matrix(a, n, max_deg - j, 1), max_deg)
     y = _lift(_commutator_matrix(b, n, max_deg - i, 1), max_deg)
-    c = x * y - y * x
+    c = _ring_bracket(x, y)
     rest = max_deg - i - j
     if rest >= min(i, j):
         e = _compose(
@@ -294,34 +304,32 @@ def _commutator_matrix(
     return c
 
 
+def _ring_bracket(x: SquareMatrix, y: SquareMatrix) -> SquareMatrix:
+    """xy - yx: y·x is subtracted in place from the fresh term map of x * y."""
+    c = x * y
+    _add_product(c._terms, y._terms, x._terms, c, -1)
+    return c
+
+
 def _compose(p: SquareMatrix, x: SquareMatrix) -> SquareMatrix:
     """(I + P)(I + X) - I = P + X + P X: the product of two deviations."""
     return p + x + p * x
 
 
 def _lift(m: SquareMatrix, max_deg: int) -> SquareMatrix:
-    """``m`` read at the truncation degree ``max_deg >= m.max_deg``.
-
-    Raising the degree keeps every term and reads the degrees above
-    ``m.max_deg`` as zero, so only the degree is relabelled and the
-    term map is shared (values are immutable).  That is no ring
-    homomorphism: a product with the lifted matrix is exact only when the
-    other factor vanishes below the gap, as in ``_commutator_matrix``.
-    """
+    """``m`` read at the truncation degree ``max_deg >= m.max_deg``, its
+    term map shared.  That is no ring homomorphism: a product with the
+    lifted matrix is exact only when the other factor vanishes below the
+    gap, as in ``_commutator_matrix``."""
     return SquareMatrix._raw(m.size, m.n_vars, max_deg, m._terms)
 
 
 def phi(term: CommutatorTerm, n: int) -> GradedClass:
     """Class of a weight-i basic commutator in the degree-i graded piece.
 
-    Builds the image minus I truncated at the weight by the depth-aware
-    bracket recursion of ``_commutator_matrix``, which truncates each child
-    at the weight minus its sibling's weight, that is at its own weight,
-    and extracts the top coefficient data.  The recursion returns zero
-    below a term's weight without computing there, so the congruence check
-    inside ``pi`` is only a consistency check here; the tests run it on the
-    flat commutator word minus I, which verifies that commutators of weight
-    i land in the i-th congruence subgroup.
+    ``pi`` of the image minus I truncated at the weight (``_commutator_matrix``,
+    each child truncated at its own weight).  That image is zero below the
+    weight, so every key has degree i and the class keeps its term map.
     """
     w = weight(term)
     check_leaves(term, n)
@@ -368,13 +376,13 @@ def _stack(
     labels: tuple[CommutatorTerm, ...] | list[CommutatorTerm],
     classes: list[GradedClass],
 ) -> IntMatrix:
-    """Sparse rows of ``classes`` over the sorted coordinates that occur."""
-    col_labels = tuple(sorted({key for cls in classes for key in cls.coords}))
-    index = {key: k for k, key in enumerate(col_labels)}
-    rows = tuple(
-        {index[key]: value for key, value in cls.coords.items()} for cls in classes
-    )
-    return IntMatrix(tuple(labels), col_labels, rows)
+    """Sparse rows of ``classes``, all over one n, over the sorted coordinates
+    that occur: each distinct packed key is decoded once."""
+    keys = set().union(*[cls._terms for cls in classes])
+    columns = sorted(zip(_decode(classes[0].n, keys), keys)) if keys else []
+    index = {key: k for k, (_, key) in enumerate(columns)}
+    rows = tuple({index[key]: v for key, v in cls._terms.items()} for cls in classes)
+    return IntMatrix(tuple(labels), tuple(coord for coord, _ in columns), rows)
 
 
 def integer_rank(m: IntMatrix) -> int:
@@ -510,7 +518,13 @@ class KernelReport(
     def injective(self) -> bool:
         return self.rank == len(self.row_labels)
 
+    def label_texts(self) -> dict[int, str]:
+        """The text of each row label some kernel vector uses, by row index."""
+        used = {i for vec in self.kernel for i, v in enumerate(vec) if v}
+        return {i: str(self.row_labels[i]) for i in used}
+
     def to_dict(self) -> dict:
+        texts = self.label_texts()
         return {
             "n": self.n,
             "weight": self.weight,
@@ -518,11 +532,7 @@ class KernelReport(
             "expected": self.expected,
             "injective": self.injective,
             "kernel": [
-                [
-                    {"commutator": str(label), "m": str(v)}
-                    for label, v in zip(self.row_labels, vec)
-                    if v
-                ]
+                [{"commutator": texts[i], "m": str(v)} for i, v in enumerate(vec) if v]
                 for vec in self.kernel
             ],
         }
@@ -632,15 +642,15 @@ def verify_tables(n: int) -> TablesReport:
             }
             cells = 0
             for term in commutators:
-                computed = phi(term, n)
+                computed = phi(term, n).coords
                 for variant in tables.VARIANTS:
                     expected = tables.instantiate(shape, term, n, variant)
-                    keys = set(expected) | set(computed.coords)
+                    keys = set(expected) | set(computed)
                     if variant == tables.VARIANTS[0]:
                         cells += len(keys)
                     for key in sorted(keys):
                         want = expected.get(key, 0)
-                        got = computed.coords.get(key, 0)
+                        got = computed.get(key, 0)
                         if want != got:
                             mono, row, col = key
                             mismatches[variant].append(

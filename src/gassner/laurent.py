@@ -5,9 +5,8 @@
   range raises ``UsageError`` where it is constructed or produced by a
   product.
 * ``TruncatedSeries`` is a polynomial in the shifted variables u_i = t_i - 1
-  with every term of total degree greater than ``max_deg`` discarded.  This
-  is the ring of residues modulo the (max_deg+1)-th power of the ideal
-  generated by all the u_i.  No Laurent polynomial is converted into it:
+  with every term of total degree greater than ``max_deg`` discarded: the
+  ring of residues modulo the (max_deg+1)-th power of the ideal (u_1, ...).
   ``TruncatedSeries.var`` gives t_i = 1 + u_i and t_i^-1 = sum_k (-u_i)^k,
   and ``braid`` writes its letters in closed form over those.
 
@@ -19,25 +18,21 @@ column j has key ``m << 2b | i << b | j`` with ``b = (size - 1).bit_length()``,
 so a value's key is its monomial key.  In both rings the key of a product
 of monomials is the sum of their keys and the constant monomial has key 0;
 so a term of a's column k plus a term of b's row k, less k << b | k, is
-the key of their product's term, and each operation has one body over the
-map, for values and matrices alike.  A product differs by ring only in
-the series cutoff (shifted up by 2b) or the Laurent range check.  A
-matrix's grid of entries, ``rows``, is decoded from the map on each read.
-The public constructors validate their input; operations check their
-operands once and build the result unchecked (``_raw``).
-No runtime path inverts a series matrix (generator inverses have a closed
-form in every ring; see ``braid``); the geometric-series
-``series_matrix_inverse`` stays here because the benchmark's tracer names it.
+the key of their product's term, and one body, ``_add_product``, adds a
+product of two maps into a third, for values and matrices alike.  A
+product differs by ring only in the series cutoff (shifted up by 2b) or
+the Laurent range check.  A matrix's grid of entries, ``rows``, is decoded
+from the map on each read.  The public constructors validate their input;
+operations check their operands once and build the result unchecked
+(``_raw``).  No runtime path inverts a series matrix;
+``series_matrix_inverse`` stays because the benchmark's tracer names it.
 
 All values are immutable after construction and every operation is a pure
-function, so instances may be shared freely between threads or processes;
-copies and pickles rebuild each value without passing through its guard.
-So a sum or difference with a zero operand returns the other operand
-itself, and the builder sets slots through member descriptors captured
-once.
-Coefficients are Python ints throughout: word evaluation multiplies many
-matrices and coefficient growth is unbounded, so fixed-width arithmetic
-would silently corrupt downstream rank computations.
+function, so instances may be shared freely between threads or processes,
+and a sum with a zero operand returns the other operand itself; copies and
+pickles rebuild each value without passing through its guard.  Coefficients
+are Python ints throughout: coefficient growth in word evaluation is
+unbounded, and fixed-width arithmetic would corrupt ranks silently.
 """
 
 from __future__ import annotations
@@ -257,39 +252,15 @@ class PackedValue:
 
     def __mul__(self, other: "PackedValue") -> "PackedValue":
         self._check_compat(other)
-        size, n_vars, max_deg = self.size, self.n_vars, self.max_deg
-        bits = _index_bits(size)
-        mask = (1 << bits) - 1
         a, b = self._terms, other._terms
-        if size == 1 and len(a) > len(b):
+        if self.size == 1 and len(a) > len(b):
             a, b = b, a  # values commute: the shorter map outside
-        # b's terms by row k in increasing key order: a term of a at key k1
-        # in column k, less k << b | k, plus one of those is the key of
-        # their product's term, and stops at the first at or past the
-        # cutoff less that
-        by_row: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        for item in sorted(b.items()):
-            by_row[item[0] >> bits & mask].append(item)
-        step = (1 << bits) + 1
-        cutoff = _cutoff(n_vars, max_deg) << 2 * bits
         out: dict[int, int] = {}
-        get = out.get
-        for k1, v1 in a.items():
-            k = k1 & mask
-            k1 -= k * step
-            limit = cutoff - k1
-            for k2, v2 in by_row[k]:
-                if k2 >= limit:
-                    break
-                key = k1 + k2
-                new = get(key, 0) + v1 * v2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        if max_deg is None:
-            _check_laurent_keys((key >> 2 * bits for key in out), n_vars)
-        return self._raw(size, n_vars, max_deg, out)
+        _add_product(out, a, b, self, 1)
+        if self.max_deg is None:
+            shift = 2 * _index_bits(self.size)
+            _check_laurent_keys((key >> shift for key in out), self.n_vars)
+        return self._raw(self.size, self.n_vars, self.max_deg, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -325,6 +296,40 @@ def _fill(value: PackedValue, size, n_vars, max_deg, terms) -> PackedValue:
     _set_deg(value, max_deg)
     _set_terms(value, terms)
     return value
+
+
+def _add_product(out: dict, a: dict, b: dict, ring: PackedValue, sign: int) -> None:
+    """Add ``sign`` times the product of term maps a·b into ``out``, in place.
+
+    The one product body; ``ring`` gives the size, variable count and
+    truncation degree; zeros are dropped.  ``out`` is neither a nor b, and
+    no Laurent range check is made.
+    """
+    bits = _index_bits(ring.size)
+    mask = (1 << bits) - 1
+    # b's terms by row k in increasing key order: a term of a at key k1 in
+    # column k, less k << b | k, plus one of those is the key of their
+    # product's term, and stops at the first at or past the cutoff less that
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(ring.size)]
+    for item in sorted(b.items()):
+        by_row[item[0] >> bits & mask].append(item)
+    step = (1 << bits) + 1
+    cutoff = _cutoff(ring.n_vars, ring.max_deg) << 2 * bits
+    get = out.get
+    for k1, v1 in a.items():
+        k = k1 & mask
+        k1 -= k * step
+        limit = cutoff - k1
+        v1 *= sign
+        for k2, v2 in by_row[k]:
+            if k2 >= limit:
+                break
+            key = k1 + k2
+            new = get(key, 0) + v1 * v2
+            if new:
+                out[key] = new
+            else:
+                del out[key]
 
 
 class RingElement(PackedValue):

@@ -6,39 +6,25 @@ combinations are the only candidates that can evaluate to the identity, so
 the harness enumerates bounded integer combinations of the kernel basis,
 builds a representative word for each, and tests it.
 
-A candidate's image is read degree by degree in the truncated ring.  Every
-weight-w basic commutator g_i is congruent to I modulo the w-th power of
-the ideal J = (t_1 - 1, ..., t_n - 1), so below degree 2w the image of
-prod g_i^{m_i} minus I equals the integer combination sum m_i (g_i - I):
-every cross term of the product has degree at least 2w.  Below that degree
-a candidate sum c_k K_k of kernel basis vectors therefore costs one integer
-combination of its at most ``support_bound`` kernel columns
-K_d[k] = sum_i K_k[i] (g_i - I)_d, each built once per degree d, and only
-when some candidate first needs it after degree w (degree w is the
-candidate's weight-w class, zero in the kernel).  Each column is packed
-into one integer, its entries in fields of a per-degree width wide enough
-that the combination's packed sum is zero only when the combination is;
-the width grows when a candidate's coefficients need it.  A candidate's
-vector is kept as its support, and made dense only for the rungs after
-the screen.  Truncated matrix products run only
-when the probe reaches degree 2w and the combination vanishes below it.  A
-nonzero truncation certifies non-identity exactly, because truncation is a
-ring homomorphism.  Truncated images are deviations X = M - I
-(``graded._commutator_matrix``); products compose them (``graded._compose``).
-The screen reads (g_i - I)_d through ``graded._degree_coords`` and the
+Every weight-w basic commutator g_i is I modulo J^w, J = (t_1 - 1, ...,
+t_n - 1), so below degree 2w the image of prod g_i^{m_i} minus I is
+sum m_i (g_i - I): a candidate sum c_k K_k of kernel basis vectors costs
+one integer combination of its kernel columns K_d[k] per degree d, each
+packed into one integer (``_LinearScreen``).  Truncated matrix products
+(``graded._compose`` of deviations M - I) run only when the probe reaches
+degree 2w and the combination vanishes below it.  A nonzero truncation
+certifies non-identity exactly, because truncation is a ring homomorphism.
+The screen reads (g_i - I)_d through ``graded._degree_terms`` and the
 product route its first degree through ``graded.first_degree``, both from
-the packed series keys.  Only candidates
-trivial to the probed degree escalate to integer specializations of the
-variables and finally to full exact evaluation.  Specialized images are
-A B A^-1 B^-1 modulo p (``_specialized_commutator``).  Both recursions invert a
-commutator by [a, b]^-1 = [b, a] over closed-form letters and their
-inverses, and both rungs use one cached power per commutator, a negative
-one of the inverse image, so no matrix is ever inverted.  A mod-p power is
-stored as packed rows, one integer per row (``_push``).  The rung
-multiplies no powers together: it pushes probe row vectors through them,
-u <- u P mod p, first u = (1, ..., n) and then the unit vectors.  A probe
-that comes back changed proves the product is not I; every unit vector
-coming back unchanged proves it is.  Every reported conclusion is exact.
+the packed series keys.  Only candidates trivial to the probed degree
+escalate to integer specializations of the variables, images
+A B A^-1 B^-1 modulo p (``_specialized_commutator``) stored as packed rows
+(``_push``), and finally to full exact evaluation.  Both recursions invert
+a commutator by [a, b]^-1 = [b, a] over closed-form letters and their
+inverses, so no matrix is ever inverted.  The mod-p rung pushes probe row
+vectors through the powers, u <- u P mod p: a probe that comes back
+changed proves the product is not I; every unit vector coming back
+unchanged proves it is.  Every reported conclusion is exact.
 
 The weight-5 breakdown regression is the same screen on two terms: below
 degree 2w the quotient of the pair's images minus I is the combination
@@ -58,13 +44,12 @@ from operator import mul
 
 from .braid import MAX_EXACT_WORK, BraidWord, _letter_rows, evaluate_exact
 from .graded import (
-    Coord,
-    GradedClass,
     _commutator_matrix,
     _compose,
-    _degree_coords,
+    _degree_terms,
     _dense,
     _primitive,
+    _raw_class,
     first_degree,
     kernel_report,
     phi,
@@ -144,10 +129,11 @@ def _kernel_combinations(
     makes the primitive support of the vector ``run_search`` tests.
     """
     emitted = 0
-    for size in range(1, min(cfg.support_bound, dim) + 1):
+    budget, coeff_bound, support_bound = cfg.budget, cfg.coeff_bound, cfg.support_bound
+    for size in range(1, min(support_bound, dim) + 1):
         for support in combinations(range(dim), size):
-            for coeffs in _coefficient_tuples(size, cfg.coeff_bound):
-                if emitted >= cfg.budget:
+            for coeffs in _coefficient_tuples(size, coeff_bound):
+                if emitted >= budget:
                     return
                 if gcd(*coeffs) != 1:
                     continue
@@ -255,7 +241,7 @@ class _PackedDegree:
     __slots__ = ("index", "width", "peak", "columns")
 
     def __init__(self):
-        self.index: dict[Coord, int] = {}
+        self.index: dict[int, int] = {}
         self.width = self.peak = 0
         self.columns: dict[int, int] = {}
 
@@ -298,23 +284,23 @@ class _LinearScreen:
     ):
         self.basis, self.kernel = basis, kernel
         self.n, self.w, self.depth = n, w, depth
-        self._parts: dict[tuple[int, int], dict[Coord, int]] = {}
-        self._columns: dict[tuple[int, int], dict[Coord, int]] = {}
+        self._parts: dict[tuple[int, int], dict[int, int]] = {}
+        self._columns: dict[tuple[int, int], dict[int, int]] = {}
         self._degrees: dict[int, _PackedDegree] = {}
 
-    def _part(self, index: int, d: int) -> dict[Coord, int]:
+    def _part(self, index: int, d: int) -> dict[int, int]:
         """(g_index - I)_d, read from the image truncated at degree d."""
         part = self._parts.get((index, d))
         if part is None:
             image = _commutator_matrix(self.basis[index], self.n, d, 1)
-            part = self._parts[(index, d)] = _degree_coords(image, d, self.w)
+            part = self._parts[(index, d)] = _degree_terms(image, d, self.w)
         return part
 
-    def _column(self, k: int, d: int) -> dict[Coord, int]:
+    def _column(self, k: int, d: int) -> dict[int, int]:
         """K_d[k] = sum_i K_k[i] (g_i - I)_d, without zero entries."""
         column = self._columns.get((k, d))
         if column is None:
-            acc: dict[Coord, int] = {}
+            acc: dict[int, int] = {}
             for index, m in enumerate(self.kernel[k]):
                 if m:
                     for key, c in self._part(index, d).items():
@@ -664,5 +650,5 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
         exact_equal=False,
         classes_equal=True,
         first_difference_degree=first,
-        difference_class=GradedClass(n, first, screen._column(0, first)),
+        difference_class=_raw_class(n, first, screen._column(0, first)),
     )

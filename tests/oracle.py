@@ -21,14 +21,18 @@ degree-i part from ``congruent_parts`` and decodes each exponent vector
 with ``graded._monomial_of`` into a validated ``GradedClass``.
 
 The library reads the degree-d data of a deviation X = M - I through one
-routine, ``graded._degree_coords``, straight from the packed series keys.
-The readers it replaced split X into homogeneous parts through the public
-``terms()`` of each entry, keyed by 0-based (row, col, exponents):
-``graded_parts`` all of them, ``congruent_parts`` after checking that none
-lies below a given degree.  They are kept here as the reference the one
-reader, ``pi`` and ``first_degree`` are checked against, and the old
-breakdown route, ``pi`` of the difference of the two images, is checked
-against the breakdown's difference class in the tests.
+routine, ``graded._degree_terms``, which keeps the packed series keys, and
+a ``GradedClass`` holds that packed map.  The readers it replaced split X
+into homogeneous parts through the public ``terms()`` of each entry, keyed
+by 0-based (row, col, exponents): ``graded_parts`` all of them,
+``congruent_parts`` after checking that none lies below a given degree.
+They are kept here as the reference the one reader, ``pi`` and
+``first_degree`` are checked against, and the old breakdown route, ``pi``
+of the difference of the two images, is checked against the breakdown's
+difference class in the tests.  The tuple route between them, which
+decoded each degree-d key into a (monomial, row, col) coordinate
+(``degree_coords``) and stacked classes by those coordinates
+(``stack_coords``), is kept as the reference for ``assemble_phi_matrix``.
 
 The library writes the Gassner letters once in closed form and
 instantiates them in each ring.  The two conversions of exact Laurent
@@ -59,9 +63,11 @@ from itertools import combinations
 from gassner.graded import (
     Coord,
     GradedClass,
+    IntMatrix,
     _bareiss,
     _commutator_matrix,
     _monomial_of,
+    _monomials,
 )
 from gassner.hall import CommutatorTerm, basic_commutators
 from gassner.laurent import (
@@ -71,6 +77,8 @@ from gassner.laurent import (
     TruncatedSeries,
     UsageError,
     _check_max_deg,
+    _index_bits,
+    _unpack,
 )
 from gassner.search import (
     _SPECIALIZATION_COUNT,
@@ -175,6 +183,48 @@ def pi_from_parts(x: SquareMatrix, i: int) -> GradedClass:
         for (row, col, exps), coeff in congruent_parts(x, i).get(i, {}).items()
     }
     return GradedClass(x.size, i, coords)
+
+
+def degree_coords(x: SquareMatrix, i: int, low: int) -> dict[Coord, int]:
+    """Degree-i coordinates of X = M - I for a series matrix M = I mod J^low.
+
+    Decodes each degree-i packed key into a (monomial, row, col) coordinate,
+    1-based, through ``graded._monomials``; raises ``DomainError`` naming
+    the least term below degree ``low``, by degree, row, column, then
+    exponents.
+    """
+    n_vars, bits = x.n_vars, _index_bits(x.size)
+    mask, shift = (1 << bits) - 1, 2 * bits + 8 * n_vars
+    monomials = _monomials(n_vars)
+    coords: dict[Coord, int] = {}
+    below = []
+    for key, coeff in x._terms.items():
+        d = key >> shift
+        if d == i:
+            m = key >> 2 * bits
+            mono = monomials.get(m)
+            if mono is None:
+                mono = monomials[m] = _monomial_of(_unpack(m, n_vars))
+            coords[(mono, (key >> bits & mask) + 1, (key & mask) + 1)] = coeff
+        elif d < low:
+            exps = _unpack(key >> 2 * bits, n_vars)
+            below.append((d, (key >> bits & mask) + 1, (key & mask) + 1, exps))
+    if below:
+        d, row, col, exps = min(below)
+        raise DomainError(
+            f"matrix is not congruent to I mod J^{low}: entry ({row},{col}) "
+            f"has a degree-{d} term at monomial {_monomial_of(exps)}"
+        )
+    return coords
+
+
+def stack_coords(labels, coords: list[dict[Coord, int]]) -> IntMatrix:
+    """Sparse rows of classes given by their coordinates, over the sorted
+    coordinates that occur."""
+    col_labels = tuple(sorted({key for c in coords for key in c}))
+    index = {key: k for k, key in enumerate(col_labels)}
+    rows = tuple({index[key]: v for key, v in c.items()} for c in coords)
+    return IntMatrix(tuple(labels), col_labels, rows)
 
 
 def laurent_determinant(m: SquareMatrix) -> LaurentPoly:

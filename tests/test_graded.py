@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import operator
 import random
 import sys
 from collections import Counter
@@ -19,7 +20,10 @@ from gassner.graded import (
     IntMatrix,
     _commutator_matrix,
     _compose,
-    _degree_coords,
+    _decode,
+    _degree_terms,
+    _lift,
+    _ring_bracket,
     assemble_phi_matrix,
     first_degree,
     integer_kernel,
@@ -44,14 +48,18 @@ from gassner.laurent import (
 from oracle import (
     bracket,
     congruent_parts,
+    degree_coords,
     dense_bareiss,
     dense_rank,
     graded_parts,
+    matrix_entrywise,
+    matrix_product,
     minus_identity,
     pi_from_parts,
     retruncate,
+    stack_coords,
 )
-from test_laurent import COPIES
+from test_laurent import COPIES, series_matrix_pairs
 
 
 def _oracle_rank(rows):
@@ -296,7 +304,8 @@ class TestGradedParts:
 
 
 class TestDegreeCoords:
-    # the one reader of packed keys against the oracle's homogeneous parts
+    # the one reader of packed keys, decoded, against the oracle's
+    # homogeneous parts and the tuple reader it replaced
     @settings(max_examples=150, deadline=None)
     @given(near_identity_series_matrices(), st.integers(1, 4))
     def test_reader_matches_parts_rekeyed(self, m, low):
@@ -308,9 +317,10 @@ class TestDegreeCoords:
             congruent_parts(m, low)
         except DomainError as want:
             for i in range(low, max_deg + 1):
-                with pytest.raises(DomainError) as got:
-                    _degree_coords(m, i, low)
-                assert str(got.value) == str(want)
+                for reader in (_degree_terms, degree_coords):
+                    with pytest.raises(DomainError) as got:
+                        reader(m, i, low)
+                    assert str(got.value) == str(want)
             return
         for i in range(low, max_deg + 1):
             expected = {
@@ -318,7 +328,11 @@ class TestDegreeCoords:
                  row + 1, col + 1): c
                 for (row, col, exps), c in parts.get(i, {}).items()
             }
-            assert _degree_coords(m, i, low) == expected
+            terms = _degree_terms(m, i, low)
+            assert dict(zip(_decode(m.size, terms), terms.values())) == expected
+            assert degree_coords(m, i, low) == expected
+            # a map of degree-i keys only is returned as it is
+            assert (terms is m._terms) == (set(parts) <= {i})
 
 
 class TestPiAgainstParts:
@@ -342,7 +356,9 @@ class TestPiAgainstParts:
             for w in range(1, 5):
                 for term in basic_commutators(n - 1, w):
                     x = _commutator_matrix(term, n, w + 1, 1)
-                    assert pi(x, w) == pi_from_parts(x, w), (n, str(term))
+                    cls, want = pi(x, w), pi_from_parts(x, w)
+                    assert cls == want, (n, str(term))
+                    assert cls.coords == want.coords, (n, str(term))
         assert graded._monomials.cache_info().currsize == 2
 
     def test_image_read_above_its_weight_raises_the_parts_error(self):
@@ -526,6 +542,22 @@ class TestFlatImages:
                     [[retruncate(e, 2 * w + 1) for e in row] for row in image.rows]
                 )
 
+    # the recursion's bracket xy - yx subtracts y·x in place from the fresh
+    # map of x * y; operands are lifted as the recursion lifts its children,
+    # so their products reach past the truncation degree and are cut there
+    @settings(max_examples=200, deadline=None)
+    @given(series_matrix_pairs(), st.integers(0, 3))
+    def test_in_place_bracket_matches_the_oracle(self, pair, extra):
+        x, y = (_lift(m, m.max_deg + extra) for m in pair)
+        before = dict(x._terms), dict(y._terms)
+        got = _ring_bracket(x, y)
+        want = matrix_entrywise(
+            matrix_product(x, y), matrix_product(y, x), operator.sub
+        )
+        assert got == want and got.rows == want.rows
+        assert 0 not in got._terms.values()
+        assert (x._terms, y._terms) == before
+
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_images_round_trip_through_rows(self, w):
         for term in basic_commutators(3, w):
@@ -537,7 +569,58 @@ class TestFlatImages:
                     assert how(image) == image
 
 
+@st.composite
+def class_coords(draw, n=None, degree=None):
+    """(n, degree, coords) of a valid class, every coefficient nonzero."""
+    n = draw(st.integers(1, 5)) if n is None else n
+    degree = draw(st.integers(1, 4)) if degree is None else degree
+    mono = st.lists(st.integers(1, n), min_size=degree, max_size=degree).map(
+        lambda ls: tuple(sorted(ls))
+    )
+    coord = st.tuples(mono, st.integers(1, n), st.integers(1, n))
+    value = st.integers(-3, 3).filter(bool) | st.just(10**30)
+    return n, degree, draw(st.dictionaries(coord, value, max_size=8))
+
+
+@st.composite
+def class_coords_pairs(draw):
+    """Two classes' (n, degree, coords): equal with the coordinates listed
+    in reverse, on one more strand, with one coefficient changed, or drawn
+    independently of one size."""
+    n, degree, coords = first = draw(class_coords())
+    how = draw(st.sampled_from(["reversed", "wider", "changed", "drawn"]))
+    if how == "reversed":
+        return first, (n, degree, dict(reversed(coords.items())))
+    if how == "wider":
+        return first, (n + 1, degree, coords)
+    if how == "changed" and coords:
+        key = draw(st.sampled_from(sorted(coords)))
+        return first, (n, degree, {**coords, key: coords[key] + 1 or 1})
+    return first, draw(class_coords(n, degree))
+
+
 class TestGradedClass:
+    # a class holds packed keys; its coords are decoded from them, and
+    # equality, hashing, copies and pickles follow equality of the coords
+    @settings(max_examples=200, deadline=None)
+    @given(class_coords_pairs())
+    def test_packed_class_follows_its_coords(self, pair):
+        (n, degree, coords), other = pair
+        cls, second = GradedClass(n, degree, coords), GradedClass(*other)
+        assert cls.coords == coords and second.coords == other[2]
+        same = (n, degree, coords) == other
+        assert (cls == second) == same and (second == cls) == same
+        if same:
+            assert hash(cls) == hash(second)
+        if other[:2] == (n, degree):
+            assert cls - second == -(second - cls)
+            assert (cls - second).is_zero() == same
+        for how in COPIES.values():
+            copied = how(cls)
+            assert copied.coords == coords
+            assert copied == cls and hash(copied) == hash(cls)
+            assert (copied == second) == same
+
     def test_zero_coefficients_pruned(self):
         cls = GradedClass(3, 1, {((1,), 1, 1): 1}) - GradedClass(
             3, 1, {((1,), 1, 1): 1}
@@ -551,6 +634,9 @@ class TestGradedClass:
             GradedClass(3, 2, {((1, 4), 1, 1): 1})  # index out of range
         with pytest.raises(UsageError):
             GradedClass(3, 1, {((1,), 0, 1): 1})  # bad position
+        with pytest.raises(UsageError):
+            # a packed exponent takes one byte, as in a series key
+            GradedClass(1, 256, {((1,) * 256, 1, 1): 1})
 
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):
@@ -581,6 +667,21 @@ class TestIntMatrix:
             assert all(row.values())
             assert all(c in range(m.col_count) for c in row)
             assert {m.col_labels[c]: v for c, v in row.items()} == phi(term, n).coords
+
+    @pytest.mark.parametrize("n,w", [(4, 5), (5, 5), (4, 6), (3, 6), (6, 5)])
+    def test_stacking_matches_the_tuple_route(self, n, w):
+        # the oracle decodes every class to coordinates before stacking;
+        # the library decodes each distinct packed key once
+        m = assemble_phi_matrix(n, w)
+        basis = basic_commutators(n - 1, w)
+        want = stack_coords(
+            basis, [degree_coords(_commutator_matrix(t, n, w, 1), w, w) for t in basis]
+        )
+        assert m.row_labels == want.row_labels
+        assert m.col_labels == want.col_labels
+        assert [sorted(r.items()) for r in m.rows] == [
+            sorted(r.items()) for r in want.rows
+        ]
 
     def test_elimination_leaves_rows_unchanged(self):
         m = assemble_phi_matrix(4, 5)

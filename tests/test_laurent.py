@@ -847,7 +847,9 @@ class TestRawBuilders:
     # the unchecked builder sets slots through member descriptors; what it
     # builds must be indistinguishable from a constructor-built value.  A
     # 2 x 2 matrix has index width b = 1: the term of monomial key m at row
-    # i and column j has key m << 2 | i << 1 | j
+    # i and column j has key m << 2 | i << 1 | j.  A class on 3 strands has
+    # b = 2, and keys of 0-based row and column over the exponents of its
+    # 1-based monomial
     @staticmethod
     def _pair(kind):
         rows = identity_rows(2, u(1, 2, 3))
@@ -875,7 +877,13 @@ class TestRawBuilders:
                     for key, coeff in ((_pack_laurent((1, -2)), 3), (0, -(10**30)))
                 }),
             ),
-            "class": (GradedClass(3, 2, coords), _raw_class(3, 2, dict(coords))),
+            "class": (
+                GradedClass(3, 2, coords),
+                _raw_class(3, 2, {
+                    _pack((1, 1, 0), 3) << 4 | 0 << 2 | 2: -4,
+                    _pack((0, 2, 0), 3) << 4 | 1 << 2 | 0: 10**30,
+                }),
+            ),
         }[kind]
 
     @pytest.mark.parametrize("how", sorted(COPIES))

@@ -9,11 +9,12 @@ nothing calls it.
 The packed-key layout of ``_terms``, the one map of a ``LaurentPoly``, a
 ``TruncatedSeries`` or a ``SquareMatrix`` over either ring, whose key packs
 the monomial key, the row and the column, is known to two modules:
-``laurent``, which defines it, and ``graded``, whose one reader decodes
-series keys.  Any other module reading ``._terms`` fails here.  ``laurent``
-holds one body of each arithmetic operation, shared by the values of both
-rings and by matrices, and one unchecked builder; no name of the second
-matrix layout it replaced is left in the package.
+``laurent``, which defines it, and ``graded``, whose one reader slices
+series keys by degree and whose classes keep them.  Any other module
+reading ``._terms`` fails here.  ``laurent`` holds one body of each
+arithmetic operation, shared by the values of both rings and by matrices,
+and one unchecked builder; no name of the second matrix layout it
+replaced, nor of the tuple-keyed class reader, is left in the package.
 
 Every command pays for ``import gassner.cli``, so the package loads no
 ``dataclasses``, ``inspect`` or ``typing``: their import and the source a
@@ -147,6 +148,17 @@ def _identifiers(tree):
 def test_no_name_of_the_tuple_keyed_matrix_layout_is_left(path):
     names = set(_identifiers(ast.parse(path.read_text())))
     assert not names & set(SECOND_LAYOUT_NAMES), sorted(names & set(SECOND_LAYOUT_NAMES))
+
+
+# a class keeps the packed keys of the matrix it is read from; the reader
+# that decoded them into (monomial, row, col) tuples is ``oracle.degree_coords``
+TUPLE_CLASS_NAMES = ("_degree_coords",)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_tuple_keyed_class_reader_is_left(path):
+    names = set(_identifiers(ast.parse(path.read_text())))
+    assert not names & set(TUPLE_CLASS_NAMES), sorted(names & set(TUPLE_CLASS_NAMES))
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
