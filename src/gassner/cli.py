@@ -6,8 +6,14 @@ Subcommands expose the workbench operations with machine-readable output:
     eval     evaluate a word, exact or truncated
     rank     rank of the weight-w class matrix against the Witt number
     kernel   rank plus a primitive basis of the left kernel
-    verify   run the reference-table / left-normed / breakdown suites
+    verify   run a suite of the table SUITES, or the tuple ALL
     search   enumerate and test kernel candidates, one JSON line each
+
+SUITES maps each verify suite to a function of (n, weight) that returns its
+JSON dict, with "ok", and its pretty lines; only sfold reads the weight.
+``--suite all`` runs ALL in order: tables, sfold, and the breakdown at 4
+strands.  Nothing is printed before every suite has run.  A new suite is
+one function and one entry in SUITES, not in ALL.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141 (128 +
 SIGPIPE) when the reader of stdout goes away before the output is written,
@@ -84,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=("tables", "sfold", "breakdown", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p_verify.add_argument("--n", type=_ascii_int, default=4)
@@ -165,51 +171,42 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+def _tables_suite(n: int, weight: int):
+    report = verify_tables(n)
+    resolution = report.duplicate_resolution()
+    data = {"ok": report.ok("corrected"), "duplicate_resolution": resolution,
+            "report": report.to_dict()}
+    return data, [f"  repeated-term reading: {resolution}"]
+
+
+def _sfold_suite(n: int, weight: int):
+    data = sfold_property_check(n, weight).to_dict()
+    rows, rank = data["left_normed_count"], data["submatrix_rank"]
+    return data, [f"  left-normed rows {rows}, submatrix rank {rank}"]
+
+
+def _breakdown_suite(n: int, weight: int):
+    try:
+        report = breakdown_regression(n)
+    except RegressionError as exc:
+        return {"ok": False, "error": str(exc)}, []
+    degree = report.first_difference_degree
+    return {"ok": True, "report": report.to_dict()}, [f"  first difference degree: {degree}"]
+
+
+SUITES = {"tables": _tables_suite, "sfold": _sfold_suite, "breakdown": _breakdown_suite}
+ALL = (("tables", None), ("sfold", None), ("breakdown", 4))  # (suite, strands or --n)
+
+
 def _cmd_verify(args) -> int:
-    failed = False
-    results = {}
-    if args.suite in ("tables", "all"):
-        report = verify_tables(args.n)
-        ok = report.ok("corrected")
-        failed |= not ok
-        results["tables"] = {
-            "ok": ok,
-            "duplicate_resolution": report.duplicate_resolution(),
-            "report": report.to_dict(),
-        }
-    if args.suite in ("sfold", "all"):
-        report = sfold_property_check(args.n, args.weight)
-        failed |= not report.ok
-        results["sfold"] = report.to_dict()
-    if args.suite in ("breakdown", "all"):
-        try:
-            # --suite all runs the breakdown at 4 strands whatever --n is
-            report = breakdown_regression(args.n if args.suite == "breakdown" else 4)
-            results["breakdown"] = {"ok": True, "report": report.to_dict()}
-        except RegressionError as exc:
-            failed = True
-            results["breakdown"] = {"ok": False, "error": str(exc)}
+    runs = ALL if args.suite == "all" else ((args.suite, None),)
+    results = {name: SUITES[name](args.n if n is None else n, args.weight) for name, n in runs}
     if args.format == "json":
-        print(json.dumps(results, sort_keys=True))
+        print(json.dumps({name: data for name, (data, _) in results.items()}, sort_keys=True))
     else:
-        for name, data in results.items():
-            print(f"{name}: {'pass' if data['ok'] else 'MISMATCH'}")
-            if name == "tables":
-                print(
-                    "  repeated-term reading: "
-                    f"{data['duplicate_resolution']}"
-                )
-            if name == "sfold":
-                print(
-                    f"  left-normed rows {data['left_normed_count']}, "
-                    f"submatrix rank {data['submatrix_rank']}"
-                )
-            if name == "breakdown" and data["ok"]:
-                print(
-                    "  first difference degree: "
-                    f"{data['report']['first_difference_degree']}"
-                )
-    return MISMATCH if failed else 0
+        for name, (data, lines) in results.items():
+            print(f"{name}: {'pass' if data['ok'] else 'MISMATCH'}", *lines, sep="\n")
+    return 0 if all(data["ok"] for data, _ in results.values()) else MISMATCH
 
 
 def _cmd_search(args) -> int:

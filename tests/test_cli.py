@@ -1,9 +1,11 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
+from gassner import cli
 from gassner.cli import main
 
 
@@ -441,6 +443,74 @@ class TestVerify:
         data = json.loads(out)
         assert data["tables"]["ok"] is True
         assert data["tables"]["duplicate_resolution"] == "-1"
+
+
+# (verify arguments, exit code, sha256 of stdout), as printed by the
+# per-suite branches that cli.SUITES replaced; e3b0c442... is empty stdout
+SUITE_DIGESTS = [
+    ("tables --n 4 --format pretty", 0, "36bd46ff0ae2cad503bcb3ce27fb840f73325aee975338ce20b1562cdc05a23b"),
+    ("tables --n 4 --format json", 0, "3ace0d24ab02ea9bcafa80ed64fb517a09943fbd8316d783cbd46364dddc2e4e"),
+    ("tables --n 5 --format pretty", 0, "36bd46ff0ae2cad503bcb3ce27fb840f73325aee975338ce20b1562cdc05a23b"),
+    ("tables --n 5 --format json", 0, "1cbb6b034f4b3baa83afc058824e20378a4888623719ff4db5214607abcbbaba"),
+    ("sfold --n 4 --format pretty --weight 3", 0, "80d577c9d6176c6b9a1a2076f4411a1af303e7a836111e103b6bbb5ad75a5464"),
+    ("sfold --n 4 --format pretty --weight 6", 0, "3ca1bfddacbf7e075a7a0597a8b4652e324c2b31c45374fcbb7b6d8e8957adcb"),
+    ("sfold --n 4 --format json --weight 3", 0, "56e0ef2c08381ebf18049b1622d61148e723f7c22ded382ff1127abf95f050e0"),
+    ("sfold --n 4 --format json --weight 6", 0, "7922fd6c39ecb18c785c238d7d27527ce6d34932a6174fd9749289c01900ebf6"),
+    ("sfold --n 5 --format pretty --weight 3", 0, "14326dc320ced0ad192cd7719bd60079b20d707b67b29fe4ded47677e924989a"),
+    ("sfold --n 5 --format pretty --weight 6", 0, "6c151d8c40846df2ba1383caadfa85a34cb0bbee4c9ec8444eebc86e786b5b68"),
+    ("sfold --n 5 --format json --weight 3", 0, "11d199cd5dc8c0df6632f0a73078d0f223e103d4aac547684f0380294e991027"),
+    ("sfold --n 5 --format json --weight 6", 0, "29e0de4e788f6b8176dc1396ee349a4f7f8a291bdc93932f310d4e2dc1c4ed2d"),
+    ("breakdown --n 4 --format pretty", 0, "1d9518743d324b8d6177da8d5be98bf18ea6d36f6a78d9a11d5f20ce249deb9b"),
+    ("breakdown --n 4 --format json", 0, "21c7c39579b646c9571eb50a186f51ec4ba7f91c2974ea6c194ba7f939b09437"),
+    ("breakdown --n 5 --format pretty", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("breakdown --n 5 --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("all --n 4 --format pretty --weight 3", 0, "530ad4a64d500f36884022f5f5b0fa5fe8651b9705e9dafe1317221e62802cd2"),
+    ("all --n 4 --format pretty --weight 6", 0, "828bfc66273a8e3248b6b019d9e369a7ed2534dcd394338d424e9a9c091ae8f6"),
+    ("all --n 4 --format json --weight 3", 0, "b34968245251e7d17e04efa9cda1677d0a8404b1ea9ea170101ce749f7ceab54"),
+    ("all --n 4 --format json --weight 6", 0, "76e24ff183deb0054dc36ab591ed3cc509047a42f543f8e0fde3b21533c60633"),
+    ("all --n 5 --format pretty --weight 3", 0, "e7c5eca813bc4ef3bbb4ed67049a9362d8b856b897312bce1f2a93b98442fc18"),
+    ("all --n 5 --format pretty --weight 6", 0, "ce4d9641836ca845bdb0b233c2423d74f658de596ab75e39566572c97930f8c4"),
+    ("all --n 5 --format json --weight 3", 0, "c2bc9bcfee207d2b4bfcbd7be6f272aecd0e24b24f8e27b266d6d65571be5fd7"),
+    ("all --n 5 --format json --weight 6", 0, "f56927d76b5d2f540ee671870e15239a19ae5dae979f2980e5ac57274ec5236a"),
+]
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize(
+        "args, code, digest", SUITE_DIGESTS, ids=[a for a, _, _ in SUITE_DIGESTS]
+    )
+    def test_output_is_pinned(self, capsys, args, code, digest):
+        got, out, _ = run(capsys, "verify", "--suite", *args.split())
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_registered_suite_runs_by_name_and_not_under_all(self, capsys, monkeypatch):
+        calls = []
+
+        def dummy(n, weight):
+            calls.append((n, weight))
+            return {"ok": False, "seen": [n, weight]}, ["  dummy line"]
+
+        monkeypatch.setitem(cli.SUITES, "dummy", dummy)
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--suite {tables,sfold,breakdown,dummy,all}" in capsys.readouterr().out
+        code, out, _ = run(capsys, "verify", "--suite", "dummy", "--n", "5", "--weight", "7")
+        assert (code, out) == (1, "dummy: MISMATCH\n  dummy line\n")
+        code, out, _ = run(capsys, "verify", "--suite", "dummy", "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {"dummy": {"ok": False, "seen": [4, 5]}}
+        assert calls == [(5, 7), (4, 5)]
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+        assert code == 0
+        assert sorted(json.loads(out)) == ["breakdown", "sfold", "tables"]
+        assert len(calls) == 2
+
+    def test_all_prints_nothing_when_a_suite_rejects_its_input(self, capsys):
+        # the tables suite is defined on 4 and 5 strands only
+        code, out, err = run(capsys, "verify", "--suite", "all", "--n", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: table verification is defined for n in {4, 5}\n"
 
 
 class TestStrandCount:

@@ -116,6 +116,24 @@ class TestGeneration:
         with pytest.raises(UsageError, match="capped"):
             check_basis_size(7, 2)
 
+    def test_basis_on_m_is_basis_on_m_plus_one_filtered(self):
+        # one ascending family per weight serves every generator count: the
+        # basis on m generators is the basis on m + 1 restricted to terms
+        # whose leaves are all <= m, in the same order, at each of the 34
+        # pairs with m + 1 <= 6 where the caps admit the larger basis
+        pairs = []
+        for m in range(1, 6):
+            for w in range(1, 9):
+                try:
+                    check_basis_size(m + 1, w)
+                except UsageError:
+                    continue
+                pairs.append((m, w))
+                larger = basic_commutators(m + 1, w)
+                filtered = [str(t) for t in larger if max(leaf_sequence(t)) <= m]
+                assert [str(t) for t in basic_commutators(m, w)] == filtered
+        assert len(pairs) == 34
+
 
 COPIES = {
     "copy": copy.copy,

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from gassner.braid import BraidWord, evaluate_exact, evaluate_truncated, parse_word
 from gassner.graded import (
+    IntMatrix,
     _commutator_matrix,
     _compose,
     _dense,
     first_degree,
+    integer_rank,
     kernel_report,
     phi,
     pi,
@@ -372,6 +374,36 @@ class TestKernelScreen:
         assert report.kernel
         for k in range(len(report.kernel)):
             assert screen._column(k, w) == {}
+
+    @pytest.mark.parametrize(
+        "n, w, depth",
+        [(4, 5, 6), (5, 5, 6), (6, 5, 6), (7, 5, 6), (3, 6, 7), (4, 6, 7), (3, 7, 9), (3, 8, 11)],
+    )
+    def test_screen_decides_every_kernel_vector_below_twice_the_weight(
+        self, n, w, depth
+    ):
+        # a combination sum c_k K_k vanishes through degree D exactly when c
+        # is in the rational left kernel of the columns K_d[k] stacked over
+        # d = w+1..D; full rank at D means no nonzero kernel vector is
+        # invisible through D, so the screen decides every candidate by D,
+        # and D <= 2w - 1 leaves no candidate for the rungs past it.  D is
+        # the least such degree
+        report, screen = shared_screen(n, w)
+
+        def stacked_rank(top):
+            keys, rows = {}, []
+            for k in range(len(report.kernel)):
+                row = {}
+                for d in range(w + 1, top + 1):
+                    for key, v in screen._column(k, d).items():
+                        row[keys.setdefault((d, key), len(keys))] = v
+                rows.append(row)
+            return integer_rank(IntMatrix(report.kernel, tuple(keys), tuple(rows)))
+
+        assert report.kernel and depth <= 2 * w - 1
+        assert stacked_rank(depth) == len(report.kernel)
+        if depth - 1 >= w + 1:
+            assert stacked_rank(depth - 1) < len(report.kernel)
 
     def test_probe_at_weight_reads_no_kernel_column(self, monkeypatch):
         # with --degree-probe w the screen has no degree to read or pack,
