@@ -15,13 +15,13 @@ of the congruence filtration.  ``first_degree`` reads the least degree.
 
 ``assemble_phi_matrix`` stacks the classes of all weight-w basic commutators
 into one sparse integer matrix, each row a map from column index to nonzero
-entry; each distinct key is decoded once (``_decode``), to sort the
-columns.  One exact fraction-free elimination of that matrix augmented
-with the identity yields its rank and a primitive integer basis of its
-left kernel (``integer_kernel``); ``integer_rank`` runs it without the
-augmentation.  It divides each updated row by its content and takes the
-pivots of Bareiss elimination, found by filing each row once under its
-least column, so it returns the same rank and kernel basis.
+entry, its columns the packed keys sorted on their monomial's rank.
+``integer_rank`` reduces the rows, shortest first, against the pivots kept
+so far (``_echelon``).  One exact fraction-free elimination of the matrix
+augmented with the identity yields a primitive integer basis of its left
+kernel (``integer_kernel``).  It divides each updated row by its content
+and takes the pivots of Bareiss elimination, found by filing each row once
+under its least column, so it returns the same kernel basis.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
 """
@@ -180,8 +180,8 @@ def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _monomials(n_vars: int) -> dict[int, tuple[int, ...]]:
-    # The monomial of each packed monomial key decoded so far (``_decode``),
-    # in a functools cache, so it is cleared with the image caches.
+    # The monomial of each packed monomial key decoded so far (``_decode``,
+    # ``_stack``), in a functools cache, cleared with the image caches.
     return {}
 
 
@@ -372,22 +372,51 @@ def assemble_phi_matrix(n: int, w: int) -> IntMatrix:
     return _stack(basis, [phi(term, n) for term in basis])
 
 
-def _stack(
-    labels: tuple[CommutatorTerm, ...] | list[CommutatorTerm],
-    classes: list[GradedClass],
-) -> IntMatrix:
-    """Sparse rows of ``classes``, all over one n, over the sorted coordinates
-    that occur: each distinct packed key is decoded once."""
+def _stack(labels: Iterable[CommutatorTerm], classes: list[GradedClass]) -> IntMatrix:
+    """Sparse rows of ``classes``, all over one n, over the coordinates that
+    occur, sorted as ``rank(monomial) << 2b | row << b | col``."""
     keys = set().union(*[cls._terms for cls in classes])
-    columns = sorted(zip(_decode(classes[0].n, keys), keys)) if keys else []
-    index = {key: k for k, (_, key) in enumerate(columns)}
+    n = classes[0].n if classes else 1
+    shift, monomials = 2 * _index_bits(n), _monomials(n)
+    used = {key >> shift for key in keys}
+    for m in used - monomials.keys():
+        monomials[m] = _monomial_of(_unpack(m, n))
+    rank = {m: r for r, m in enumerate(sorted(used, key=monomials.get))}
+    low = (1 << shift) - 1
+    order = sorted(keys, key=lambda key: rank[key >> shift] << shift | key & low)
+    index = {key: k for k, key in enumerate(order)}
     rows = tuple({index[key]: v for key, v in cls._terms.items()} for cls in classes)
-    return IntMatrix(tuple(labels), tuple(coord for coord, _ in columns), rows)
+    return IntMatrix(tuple(labels), tuple(_decode(n, order)), rows)
 
 
 def integer_rank(m: IntMatrix) -> int:
-    """Rank over the rationals by exact fraction-free sparse elimination."""
-    return _bareiss(list(m.rows), m.col_count)
+    """Rank over the rationals: the pivots of the rows, shortest first."""
+    return len(_echelon(sorted(m.rows, key=len)))
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Pivot rows by leading column c: a row meeting pivot p at c becomes
+    ``(p[c]/g)·row - (row[c]/g)·p`` (g their gcd) divided by its content,
+    until its leading column is free.  No given row dict is mutated."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot_row = pivots.setdefault(c, row)
+            if pivot_row is row:
+                break
+            g = gcd(pivot_row[c], row[c])
+            a, b = pivot_row[c] // g, row[c] // g
+            new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+            for j, v in pivot_row.items():
+                value = new.get(j, 0) - b * v
+                if value:
+                    new[j] = value
+                else:
+                    del new[j]
+            content = gcd(*new.values())
+            row = {j: v // content for j, v in new.items()} if content > 1 else new
+    return pivots
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:

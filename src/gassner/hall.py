@@ -131,6 +131,7 @@ def sort_key(term: CommutatorTerm):
     return (weight(term), sort_key(term.left), sort_key(term.right))
 
 
+@lru_cache(maxsize=None)
 def leaf_sequence(term: CommutatorTerm) -> tuple[int, ...]:
     """Generator indices in left-to-right order; identifies a basic term."""
     if term.is_leaf:

@@ -373,10 +373,12 @@ def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
 
 
 def dense_rank(rows: list[list[int]]) -> int:
-    """Rational rank of dense integer rows, by the library's one elimination.
+    """Rational rank of dense integer rows, by ``graded._bareiss``.
 
-    ``graded.integer_rank`` takes only an ``IntMatrix``; the tests that
-    hold plain vectors (kernel bases, candidate lists) pass them here.
+    That is the kernel's elimination, a route independent of the row order
+    ``graded.integer_rank`` reduces in.  ``integer_rank`` takes only an
+    ``IntMatrix``; the tests that hold plain vectors (kernel bases,
+    candidate lists) pass them here.
     """
     return _bareiss(
         [{j: v for j, v in enumerate(row) if v} for row in rows],

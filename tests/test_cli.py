@@ -355,6 +355,19 @@ class TestRankKernel:
             0, json.dumps(data, sort_keys=True) + "\n", ""
         )
 
+    def test_rank_runs_no_bareiss_elimination(self, capsys, monkeypatch):
+        # integer_rank reduces rows in order, shortest first; Bareiss's
+        # pivots are kept for the printed kernel only
+        from gassner import graded
+
+        def refuse(rows, pivot_cols):
+            raise AssertionError("rank ran the Bareiss elimination")
+
+        monkeypatch.setattr(graded, "_bareiss", refuse)
+        assert run(capsys, "rank", "--n", "5", "--weight", "5") == (
+            0, "rank 169, expected 204, not injective (204 basis elements)\n", ""
+        )
+
     def test_jobs_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--n", "4", "--weight", "4", "--jobs", "2"])

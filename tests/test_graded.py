@@ -668,10 +668,13 @@ class TestIntMatrix:
             assert all(c in range(m.col_count) for c in row)
             assert {m.col_labels[c]: v for c, v in row.items()} == phi(term, n).coords
 
-    @pytest.mark.parametrize("n,w", [(4, 5), (5, 5), (4, 6), (3, 6), (6, 5)])
+    @pytest.mark.parametrize(
+        "n,w", [(4, 5), (5, 5), (4, 6), (3, 6), (6, 5), (3, 8), (5, 6), (2, 3)]
+    )
     def test_stacking_matches_the_tuple_route(self, n, w):
         # the oracle decodes every class to coordinates before stacking;
-        # the library decodes each distinct packed key once
+        # the library ranks the distinct monomials and sorts packed keys.
+        # (3,6) has classes that are zero and (2,3) an empty basis
         m = assemble_phi_matrix(n, w)
         basis = basic_commutators(n - 1, w)
         want = stack_coords(
@@ -682,6 +685,22 @@ class TestIntMatrix:
         assert [sorted(r.items()) for r in m.rows] == [
             sorted(r.items()) for r in want.rows
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7).flatmap(
+        lambda n: st.integers(1, 8).flatmap(
+            lambda d: st.lists(class_coords(n, d), max_size=5)
+        )
+    ))
+    def test_stacking_sorts_packed_keys_as_coordinates(self, drawn):
+        # up to 7 variables and degree 8, so monomial keys span several
+        # exponent bytes and the ranked monomial sits above row and column
+        classes = [GradedClass(*c) for c in drawn]
+        labels = tuple(range(len(classes)))
+        got = graded._stack(labels, classes)
+        want = stack_coords(labels, [c[2] for c in drawn])
+        assert got.col_labels == want.col_labels
+        assert got.rows == want.rows
 
     def test_elimination_leaves_rows_unchanged(self):
         m = assemble_phi_matrix(4, 5)
@@ -766,6 +785,25 @@ class TestIntMatrix:
             )
         assert integer_rank(_int_matrix(rows)) == _oracle_rank(rows)
         assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(degenerate_int_matrices(), swap_forcing_int_matrices()), st.data()
+    )
+    def test_rank_is_free_of_row_and_column_order(self, rows, data):
+        # integer_rank reduces rows shortest first, against pivots keyed by
+        # leading column, so every order of rows and columns is exercised
+        perm_rows = data.draw(st.permutations(rows))
+        perm_cols = data.draw(st.permutations(range(len(rows[0]))))
+        permuted = [[row[j] for j in perm_cols] for row in perm_rows]
+        assert integer_rank(_int_matrix(permuted)) == _oracle_rank(rows)
+
+    @pytest.mark.parametrize(
+        "n,w", [(4, 5), (5, 5), (4, 6), (3, 6), (6, 5), (5, 6), (4, 7)]
+    )
+    def test_row_order_rank_matches_the_bareiss_route(self, n, w):
+        m = assemble_phi_matrix(n, w)
+        assert integer_rank(m) == dense_rank(_dense_rows(m))
 
     @pytest.mark.parametrize("n,w", [(4, 5), (4, 6)])
     def test_class_matrix_kernel_matches_dense_bareiss(self, n, w):
