@@ -19,9 +19,9 @@ entry, its columns the packed keys sorted on their monomial's rank.
 ``integer_rank`` reduces the rows, shortest first, against the pivots kept
 so far (``_echelon``).  One exact fraction-free elimination of the matrix
 augmented with the identity yields a primitive integer basis of its left
-kernel (``integer_kernel``).  It divides each updated row by its content
-and takes the pivots of Bareiss elimination, found by filing each row once
-under its least column, so it returns the same kernel basis.
+kernel (``integer_kernel``).  It takes the pivots of Bareiss elimination,
+found by filing each row once under its least column, so it returns the
+same kernel basis.  Both sweeps reduce a row by one step, ``_reduce``.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
 """
@@ -46,13 +46,15 @@ from .hall import (
     witt_rank,
 )
 from .laurent import (
+    _MAX_TRUNC_DEG,
     DomainError,
+    PackedValue,
     SquareMatrix,
     UsageError,
     _add_product,
-    _check_max_deg,
+    _check_coeff,
+    _fill,
     _index_bits,
-    _merged,
     _pack,
     _unpack,
 )
@@ -60,18 +62,23 @@ from .laurent import (
 Coord = tuple[tuple[int, ...], int, int]  # (monomial, row, col), all 1-based
 
 
-class GradedClass:
+class GradedClass(PackedValue):
     """Degree-i element of the direct sum of matrix blocks over monomials.
 
-    ``coords`` maps (monomial, row, col) to a nonzero integer, where the
-    monomial is the sorted tuple (l_1 <= ... <= l_i) of variable indices;
-    it is a read-only view decoded from ``_terms``, the term map of a
-    ``SquareMatrix`` of size n over n variables (``laurent.PackedValue``).
+    A ``PackedValue`` of size n over n variables and ``max_deg`` i, with
+    keys of degree i only and no product.  ``coords`` maps (monomial, row,
+    col) to a nonzero integer, the monomial the sorted tuple (l_1 <= ... <=
+    l_i) of variable indices: a read-only view decoded from ``_terms``.
     """
 
-    __slots__ = ("n", "degree", "_terms")
+    __slots__ = ()
+    __mul__ = None
 
     def __init__(self, n: int, degree: int, coords: dict[Coord, int] | None = None):
+        if type(n) is not int or n < 1:
+            raise UsageError(f"a class needs an int n >= 1, got {n!r}")
+        if type(degree) is not int or not 1 <= degree <= _MAX_TRUNC_DEG:
+            raise UsageError(f"class degree must be an int in 1..{_MAX_TRUNC_DEG}")
         bits = _index_bits(n)
         terms: dict[int, int] = {}
         for (mono, row, col), value in (coords or {}).items():
@@ -82,22 +89,19 @@ class GradedClass:
                 raise UsageError(f"monomial {mono} is not sorted")
             if not (1 <= row <= n and 1 <= col <= n):
                 raise UsageError(f"position ({row},{col}) out of range 1..{n}")
-            _check_max_deg(degree)
+            _check_coeff(value, (mono, row, col))
             if value:
                 m = _pack(tuple(map(mono.count, range(1, n + 1))), n)
                 terms[m << 2 * bits | (row - 1) << bits | (col - 1)] = value
-        _set_class_n(self, n)
-        _set_class_degree(self, degree)
-        _set_class_terms(self, terms)
+        _fill(self, n, n, degree, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedClass is immutable")
+    @property
+    def n(self) -> int:
+        return self.size
 
-    def __delattr__(self, name):
-        raise AttributeError("GradedClass is immutable")
-
-    def __reduce__(self):
-        return _raw_class, (self.n, self.degree, self._terms)
+    @property
+    def degree(self) -> int:
+        return self.max_deg
 
     @property
     def coords(self) -> Mapping[Coord, int]:
@@ -105,34 +109,6 @@ class GradedClass:
         return MappingProxyType(
             dict(zip(_decode(self.n, self._terms), self._terms.values()))
         )
-
-    def __add__(self, other: "GradedClass") -> "GradedClass":
-        if self.n != other.n or self.degree != other.degree:
-            raise UsageError(
-                f"mismatched classes: (n={self.n}, i={self.degree}) vs "
-                f"(n={other.n}, i={other.degree})"
-            )
-        return _raw_class(self.n, self.degree, _merged(self._terms, other._terms, 1))
-
-    def __neg__(self) -> "GradedClass":
-        return _raw_class(self.n, self.degree, {k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedClass)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.degree, frozenset(self._terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def monomials(self) -> list[tuple[int, ...]]:
         return sorted({mono for mono, _, _ in self.coords})
@@ -157,21 +133,6 @@ class GradedClass:
 
     def __repr__(self) -> str:
         return f"GradedClass(n={self.n}, degree={self.degree}, {len(self._terms)} coords)"
-
-
-_set_class_n = GradedClass.n.__set__
-_set_class_degree = GradedClass.degree.__set__
-_set_class_terms = GradedClass._terms.__set__
-
-
-def _raw_class(n: int, degree: int, terms: dict[int, int]) -> GradedClass:
-    # Internal fast path: ``terms`` maps valid packed keys of degree-``degree``
-    # monomials to nonzero ints; slots are set as in ``laurent.PackedValue._raw``.
-    cls = object.__new__(GradedClass)
-    _set_class_n(cls, n)
-    _set_class_degree(cls, degree)
-    _set_class_terms(cls, terms)
-    return cls
 
 
 def _monomial_of(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,7 +216,7 @@ def pi(x: SquareMatrix, i: int) -> GradedClass:
         raise UsageError(f"matrix truncation degree {x.max_deg} is below {i}")
     if x.n_vars != x.size:
         raise UsageError("a class is read from an n x n matrix over n variables")
-    return _raw_class(x.size, i, _degree_terms(x, i, i))
+    return GradedClass._raw(x.size, x.size, i, _degree_terms(x, i, i))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +356,9 @@ def integer_rank(m: IntMatrix) -> int:
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Pivot rows by leading column c: a row meeting pivot p at c becomes
-    ``(p[c]/g)·row - (row[c]/g)·p`` (g their gcd) divided by its content,
-    until its leading column is free.  No given row dict is mutated."""
+    """Pivot rows by leading column c: a row meeting pivot p at c is
+    reduced by it (``_reduce``) until its leading column is free.  No given
+    row dict is mutated."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         while row:
@@ -405,18 +366,24 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
             pivot_row = pivots.setdefault(c, row)
             if pivot_row is row:
                 break
-            g = gcd(pivot_row[c], row[c])
-            a, b = pivot_row[c] // g, row[c] // g
-            new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
-            for j, v in pivot_row.items():
-                value = new.get(j, 0) - b * v
-                if value:
-                    new[j] = value
-                else:
-                    del new[j]
-            content = gcd(*new.values())
-            row = {j: v // content for j, v in new.items()} if content > 1 else new
+            row = _reduce(row, pivot_row, c)
     return pivots
+
+
+def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """A new row ``(p[c]/g)·row - (row[c]/g)·p``, zero at c, for the pivot
+    row p and g = gcd(p[c], row[c]), divided by its content."""
+    g = gcd(pivot_row[c], row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in pivot_row.items():
+        value = new.get(j, 0) - b * v
+        if value:
+            new[j] = value
+        else:
+            del new[j]
+    content = gcd(*new.values())
+    return {j: v // content for j, v in new.items()} if content > 1 else new
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -450,12 +417,11 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
     the caller keeps.
 
     The pivot rule is Bareiss's: the first row at or below ``r`` with a
-    nonzero entry in column ``c`` is swapped into row ``r``.  Each later row
-    with a nonzero entry there becomes ``(pivot/g)·row_i - (factor/g)·row_r``
-    with ``g = gcd(pivot, factor)``, divided by its content.  By induction
-    every row stays a nonzero rational multiple of the row dense Bareiss
-    has at the same position, so the zero pattern, the pivots, the swaps
-    and the rank agree with it, while entries stay as small as the
+    nonzero entry in column ``c`` is swapped into row ``r``, and each later
+    row with a nonzero entry there is reduced by it (``_reduce``).  By
+    induction every row stays a nonzero rational multiple of the row dense
+    Bareiss has at the same position, so the zero pattern, the pivots, the
+    swaps and the rank agree with it, while entries stay as small as the
     content allows.
 
     ``leading`` files each row not yet used as a pivot once, under its
@@ -486,23 +452,8 @@ def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
                 filed.remove(r)
                 filed.add(pivot_row)
             rows[r], rows[pivot_row] = row_r, displaced
-        pivot = row_r[c]
         for i in held:
-            row_i = rows[i]
-            factor = row_i[c]
-            g = gcd(pivot, factor)
-            a, b = pivot // g, factor // g
-            new = {j: a * v for j, v in row_i.items()}
-            for j, v in row_r.items():
-                value = new.get(j, 0) - b * v
-                if value:
-                    new[j] = value
-                else:
-                    del new[j]
-            content = gcd(*new.values())
-            if content > 1:
-                new = {j: v // content for j, v in new.items()}
-            rows[i] = new
+            rows[i] = new = _reduce(rows[i], row_r, c)
             if new:
                 leading.setdefault(min(new), set()).add(i)
         r += 1

@@ -24,8 +24,10 @@ product differs by ring only in the series cutoff (shifted up by 2b) or
 the Laurent range check.  A matrix's grid of entries, ``rows``, is decoded
 from the map on each read.  The public constructors validate their input;
 operations check their operands once and build the result unchecked
-(``_raw``).  No runtime path inverts a series matrix;
-``series_matrix_inverse`` stays because the benchmark's tracer names it.
+(``_raw``).  A ``graded.GradedClass`` is a ``PackedValue`` too and shares
+the layout and the bodies, all but the product.  No runtime path inverts a
+series matrix; ``series_matrix_inverse`` stays because the benchmark's
+tracer names it.
 
 All values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads or processes,
@@ -152,14 +154,18 @@ def _packed(n_vars: int, max_deg: int | None, terms: dict | None) -> dict[int, i
             raise UsageError(f"term {exps} exceeds truncation degree {max_deg}")
         else:
             key = _pack(exps, n_vars)
-        if type(coeff) is not int:
-            raise UsageError(
-                f"coefficient {coeff!r} of term {exps} is a "
-                f"{type(coeff).__name__}, not an int"
-            )
+        _check_coeff(coeff, exps)
         if coeff:
             packed[key] = coeff
     return packed
+
+
+def _check_coeff(coeff, term) -> None:
+    if type(coeff) is not int:
+        raise UsageError(
+            f"coefficient {coeff!r} of term {term} is a "
+            f"{type(coeff).__name__}, not an int"
+        )
 
 
 def _merged(terms: dict, other: dict, sign: int) -> dict:
@@ -341,13 +347,15 @@ class RingElement(PackedValue):
 
     __slots__ = ()
 
-    def _exponent_terms(self) -> dict[tuple[int, ...], int]:
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """The terms keyed by exponent tuple, a read-only decoded view."""
         n = self.n_vars
         unpack = _unpack_laurent if self.max_deg is None else _unpack
-        return {unpack(k, n): c for k, c in self._terms.items()}
+        return MappingProxyType({unpack(k, n): c for k, c in self._terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self._exponent_terms().items())
+        return sorted(self.terms.items())
 
     def to_dict(self) -> dict:
         out: dict = {"n_vars": self.n_vars}
@@ -396,11 +404,6 @@ class LaurentPoly(RingElement):
 
     def __init__(self, n_vars: int, terms: dict[tuple[int, ...], int] | None = None):
         _fill(self, 1, n_vars, None, _packed(n_vars, None, terms))
-
-    @property
-    def terms(self) -> Mapping[tuple[int, ...], int]:
-        """The terms keyed by exponent tuple, a read-only decoded view."""
-        return MappingProxyType(self._exponent_terms())
 
     @classmethod
     def zero(cls, n_vars: int) -> "LaurentPoly":
@@ -465,9 +468,6 @@ class TruncatedSeries(RingElement):
         return cls(
             n_vars, max_deg, {head + (k,) + tail: power**k for k in range(top + 1)}
         )
-
-    def terms(self) -> dict[tuple[int, ...], int]:
-        return self._exponent_terms()
 
     def constant_term(self) -> int:
         return self._terms.get(0, 0)

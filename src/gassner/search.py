@@ -44,12 +44,12 @@ from operator import mul
 
 from .braid import MAX_EXACT_WORK, BraidWord, _letter_rows, evaluate_exact
 from .graded import (
+    GradedClass,
     _commutator_matrix,
     _compose,
     _degree_terms,
     _dense,
     _primitive,
-    _raw_class,
     first_degree,
     kernel_report,
     phi,
@@ -650,5 +650,5 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
         exact_equal=False,
         classes_equal=True,
         first_difference_degree=first,
-        difference_class=_raw_class(n, first, screen._column(0, first)),
+        difference_class=GradedClass._raw(n, n, first, screen._column(0, first)),
     )

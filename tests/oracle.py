@@ -23,7 +23,7 @@ with ``graded._monomial_of`` into a validated ``GradedClass``.
 The library reads the degree-d data of a deviation X = M - I through one
 routine, ``graded._degree_terms``, which keeps the packed series keys, and
 a ``GradedClass`` holds that packed map.  The readers it replaced split X
-into homogeneous parts through the public ``terms()`` of each entry, keyed
+into homogeneous parts through the public ``terms`` of each entry, keyed
 by 0-based (row, col, exponents): ``graded_parts`` all of them,
 ``congruent_parts`` after checking that none lies below a given degree.
 They are kept here as the reference the one reader, ``pi`` and
@@ -149,7 +149,7 @@ def graded_parts(x: SquareMatrix) -> dict[int, Part]:
     parts: dict[int, Part] = {}
     for row, entries in enumerate(x.rows):
         for col, e in enumerate(entries):
-            for exps, coeff in e.terms().items():
+            for exps, coeff in e.terms.items():
                 parts.setdefault(sum(exps), {})[(row, col, exps)] = coeff
     return parts
 

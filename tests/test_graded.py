@@ -637,6 +637,16 @@ class TestGradedClass:
         with pytest.raises(UsageError):
             # a packed exponent takes one byte, as in a series key
             GradedClass(1, 256, {((1,) * 256, 1, 1): 1})
+        # n and the degree are checked where they enter, with no coords
+        for n, degree in [
+            (-2, 5), (0, 1), (3, 0), (3, 300), (3, -1), (2.5, 1), (3, 1.5), ("3", 1)
+        ]:
+            with pytest.raises(UsageError):
+                GradedClass(n, degree)
+        # a coefficient is an int, as in a ring value
+        for value in (1.5, "2", True):
+            with pytest.raises(UsageError, match="not an int"):
+                GradedClass(3, 1, {((1,), 1, 1): value})
 
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassner.graded import GradedClass, _raw_class
+from gassner.graded import GradedClass
 from gassner.laurent import (
     DomainError,
     LaurentPoly,
@@ -246,7 +246,7 @@ class TestRetruncate:
         lowered = retruncate(s, low)
         assert lowered == from_laurent(p, low)
         assert lowered == TruncatedSeries(
-            2, low, {e: c for e, c in s.terms().items() if sum(e) <= low}
+            2, low, {e: c for e, c in s.terms.items() if sum(e) <= low}
         )
         assert retruncate(retruncate(s, top + extra), top) == s
 
@@ -261,7 +261,7 @@ class TestRetruncate:
         x = from_laurent(p, top)
         y = from_laurent(q, top)
         y = TruncatedSeries(
-            2, top, {e: c for e, c in y.terms().items() if sum(e) >= gap}
+            2, top, {e: c for e, c in y.terms.items() if sum(e) >= gap}
         )
         assert retruncate(retruncate(x, top - gap), top) * y == x * y
 
@@ -879,7 +879,7 @@ class TestRawBuilders:
             ),
             "class": (
                 GradedClass(3, 2, coords),
-                _raw_class(3, 2, {
+                GradedClass._raw(3, 3, 2, {
                     _pack((1, 1, 0), 3) << 4 | 0 << 2 | 2: -4,
                     _pack((0, 2, 0), 3) << 4 | 1 << 2 | 0: 10**30,
                 }),
@@ -925,7 +925,7 @@ class TestZeroOperands:
     )
     def test_zero_operand_returns_the_other(self, a):
         zero = zero_like(a)
-        rebuilt = TruncatedSeries(a.n_vars, a.max_deg, a.terms())
+        rebuilt = TruncatedSeries(a.n_vars, a.max_deg, a.terms)
         for got in (a + zero, zero + a, a - zero):
             assert got is a
             assert got == rebuilt and hash(got) == hash(rebuilt)

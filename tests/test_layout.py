@@ -15,6 +15,8 @@ reading ``._terms`` fails here.  ``laurent`` holds one body of each
 arithmetic operation, shared by the values of both rings and by matrices,
 and one unchecked builder; no name of the second matrix layout it
 replaced, nor of the tuple-keyed class reader, is left in the package.
+A graded class is such a value too, and shares all of it but the product;
+rank and kernel elimination share one row step.
 
 Every command pays for ``import gassner.cli``, so the package loads no
 ``dataclasses``, ``inspect`` or ``typing``: their import and the source a
@@ -117,14 +119,21 @@ def test_laurent_defines_each_arithmetic_operation_at_most_once():
 
 
 def test_both_rings_share_each_arithmetic_body():
-    # and matrices share them too
-    from gassner.laurent import LaurentPoly, SquareMatrix, TruncatedSeries
+    # and matrices share them too, and graded classes all but the product
+    from gassner.graded import GradedClass
+    from gassner.laurent import LaurentPoly, PackedValue, SquareMatrix, TruncatedSeries
 
     assert SquareMatrix.__mul__ is LaurentPoly.__mul__ is TruncatedSeries.__mul__
     for name in ARITHMETIC:
         body = getattr(LaurentPoly, name)
         assert getattr(TruncatedSeries, name) is body, name
         assert getattr(SquareMatrix, name) is body, name
+    assert issubclass(GradedClass, PackedValue)
+    for name in ("__add__", "__sub__", "__neg__", "__eq__", "__hash__"):
+        assert getattr(GradedClass, name) is getattr(PackedValue, name), name
+    assert GradedClass._raw.__func__ is PackedValue._raw.__func__
+    with pytest.raises(TypeError):
+        GradedClass(3, 1) * GradedClass(3, 1)
 
 
 SECOND_LAYOUT_NAMES = ("_flat", "_raw_flat", "_raw_element", "_rows")
@@ -159,6 +168,43 @@ TUPLE_CLASS_NAMES = ("_degree_coords",)
 def test_no_name_of_the_tuple_keyed_class_reader_is_left(path):
     names = set(_identifiers(ast.parse(path.read_text())))
     assert not names & set(TUPLE_CLASS_NAMES), sorted(names & set(TUPLE_CLASS_NAMES))
+
+
+# a graded class is a ``PackedValue``: its own builder and slot setters are
+# gone, and of the two modules that know the packed layout only ``laurent``
+# guards slots
+CLASS_VALUE_NAMES = (
+    "_raw_class", "_set_class_n", "_set_class_degree", "_set_class_terms"
+)
+GUARDS = ("__setattr__", "__delattr__", "__reduce__")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_of_the_second_class_value_is_left(path):
+    tree = ast.parse(path.read_text())
+    names = set(_identifiers(tree))
+    assert not names & set(CLASS_VALUE_NAMES), sorted(names & set(CLASS_VALUE_NAMES))
+    if path.name == "graded.py":
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not defined & set(GUARDS), sorted(defined & set(GUARDS))
+
+
+def test_both_sweeps_share_one_row_step():
+    # ``_reduce`` is the one fraction-free row update of rank and kernel
+    tree = ast.parse((SRC / "graded.py").read_text())
+    sweeps = {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_echelon", "_bareiss")
+    }
+    assert sorted(sweeps) == ["_bareiss", "_echelon"]
+    for name, called in sweeps.items():
+        assert "_reduce" in called and "gcd" not in called, name
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():

@@ -938,7 +938,7 @@ class TestBreakdownRegression:
             (sum(exps), i, j, exps, c)
             for i, row in enumerate(diff.rows)
             for j, e in enumerate(row)
-            for exps, c in e.terms().items()
+            for exps, c in e.terms.items()
         ]
         assert min(degree for degree, *_ in terms) == 6
         got = {
