@@ -95,6 +95,11 @@ class GradedClass(PackedValue):
                 terms[m << 2 * bits | (row - 1) << bits | (col - 1)] = value
         _fill(self, n, n, degree, terms)
 
+    def _check_compat(self, other: PackedValue) -> None:
+        if type(other) is GradedClass and (other.n, other.degree) != (self.n, self.degree):
+            raise UsageError(f"mismatched classes: {self!r} vs {other!r}")
+        PackedValue._check_compat(self, other)
+
     @property
     def n(self) -> int:
         return self.size

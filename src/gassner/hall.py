@@ -12,7 +12,10 @@ number of them given by the Witt formula.  The total order used in (2)
 compares weight first and then the left and right components recursively,
 with generators ordered x_m > ... > x_1; this reproduces the usual ordering
 of weights one and two.  Bases are returned as ascending sequences (least
-element first) and generation is deterministic.
+element first) and generation is deterministic.  Terms are interned, one
+object per tree, so a term shared by the bases on m and on m + 1
+generators is the same object and every term-keyed cache matches it by
+identity.
 
 Commutator text c := "x" int | "[" c "," c "]" is a sub-grammar of the
 braid word grammar and is read from the same tokens under the same bracket
@@ -32,29 +35,41 @@ MAX_GENERATORS = 6
 MAX_WEIGHT = 8
 MAX_BASIS_SIZE = 3000
 
+# (gen, left, right) -> the one term of that tree.  A plain dict, not a
+# functools cache: clearing it would let one tree become two unequal objects
+_TERMS: dict = {}
+
 
 class CommutatorTerm:
     """A leaf generator x_j or a bracket of two commutator terms.
 
-    Terms are immutable.  The hash of (gen, left, right) is computed once,
-    from the children's cached hashes, so a cache keyed by a term does not
-    walk its tree, and equality compares identity, then that hash, before
-    the fields.  A copy or pickle rebuilds the term from its three fields
-    and so recomputes the hash in the process that loads it.
+    Terms are immutable and interned: every route that builds a tree (the
+    constructor, ``leaf``, ``bracket``, the parser, the bases, copy,
+    deepcopy and pickle) returns the one object ``_TERMS`` holds for it,
+    so equality and hashing are ``object``'s, by identity.
     """
 
-    __slots__ = ("gen", "left", "right", "_hash")
+    __slots__ = ("gen", "left", "right")
 
-    def __init__(
-        self,
-        gen: int | None = None,
-        left: "CommutatorTerm | None" = None,
-        right: "CommutatorTerm | None" = None,
-    ):
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash((gen, left, right)))
+    def __new__(cls, gen=None, left=None, right=None):
+        key = (gen, left, right)
+        term = _TERMS.get(key)
+        # True and 1.0 equal 1, so they find the leaf x1 and are then rejected
+        if term is not None and term.gen.__class__ is gen.__class__:
+            return term
+        leaf = gen.__class__ is int and left is None and right is None
+        if not (leaf or gen is None and left.__class__ is right.__class__ is cls):
+            raise UsageError(
+                f"a term is a leaf (an int gen) or a bracket (two terms), "
+                f"got {gen!r}, {left!r}, {right!r}"
+            )
+        if leaf and gen < 1:
+            raise UsageError(f"generator index must be positive, got {gen}")
+        term = _TERMS[key] = object.__new__(cls)
+        object.__setattr__(term, "gen", gen)
+        object.__setattr__(term, "left", left)
+        object.__setattr__(term, "right", right)
+        return term
 
     def __setattr__(self, name, value):
         raise AttributeError("CommutatorTerm is immutable")
@@ -62,25 +77,11 @@ class CommutatorTerm:
     def __delattr__(self, name):
         raise AttributeError("CommutatorTerm is immutable")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return (self.gen, self.left, self.right) == (other.gen, other.left, other.right)
-
     def __reduce__(self):
         return CommutatorTerm, (self.gen, self.left, self.right)
 
     @classmethod
     def leaf(cls, j: int) -> "CommutatorTerm":
-        if j < 1:
-            raise UsageError(f"generator index must be positive, got {j}")
         return cls(gen=j)
 
     @classmethod
@@ -207,14 +208,7 @@ def check_basis_size(m: int, w: int) -> None:
 
 
 def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _mobius(n: int) -> int:

@@ -700,6 +700,37 @@ class TestClosedStdout:
         assert proc.returncode == 141
 
 
+class TestHashSeed:
+    # terms hash by identity, so term-keyed maps may lay out differently
+    # from run to run; what a command prints must not follow them
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel", "--n", "4", "--weight", "6", "--format", "json"),
+            ("search", "--format", "json"),
+        ],
+        ids=["kernel-json", "search-json"],
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "gassner.cli", *argv],
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                timeout=120,
+            )
+            for seed in ("0", "1")
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout and outputs[0].stdout
+
+
 class TestIntegerFlags:
     # Python's int reads these as 4, 4, 4 and 10
     @pytest.mark.parametrize(

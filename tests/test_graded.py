@@ -652,6 +652,20 @@ class TestGradedClass:
         with pytest.raises(UsageError):
             GradedClass(3, 1) + GradedClass(3, 2)
 
+    @pytest.mark.parametrize(
+        "shape, named", [((3, 2), "n=3, degree=2"), ((4, 1), "n=4, degree=1")]
+    )
+    def test_mismatch_names_each_class_n_and_degree(self, shape, named):
+        # not as a ring's truncation degree or a matrix size
+        one, other = GradedClass(3, 1, {((1,), 1, 1): 1}), GradedClass(*shape)
+        for a, b in ((one, other), (other, one)):
+            for combine in (lambda: a + b, lambda: a - b):
+                with pytest.raises(UsageError, match="mismatched classes") as info:
+                    combine()
+                text = str(info.value)
+                assert "n=3, degree=1" in text and named in text
+                assert "max_deg" not in text and "size" not in text
+
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_copy_and_pickle_round_trip(self, how):
         value = GradedClass(3, 2, {((1, 2), 1, 3): -4, ((2, 2), 2, 1): 10**30})

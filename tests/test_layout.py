@@ -16,7 +16,8 @@ arithmetic operation, shared by the values of both rings and by matrices,
 and one unchecked builder; no name of the second matrix layout it
 replaced, nor of the tuple-keyed class reader, is left in the package.
 A graded class is such a value too, and shares all of it but the product;
-rank and kernel elimination share one row step.
+rank and kernel elimination share one row step.  Hall commutator terms
+are interned, so ``hall`` defines no equality or hash of its own.
 
 Every command pays for ``import gassner.cli``, so the package loads no
 ``dataclasses``, ``inspect`` or ``typing``: their import and the source a
@@ -205,6 +206,15 @@ def test_both_sweeps_share_one_row_step():
     assert sorted(sweeps) == ["_bareiss", "_echelon"]
     for name, called in sweeps.items():
         assert "_reduce" in called and "gcd" not in called, name
+
+
+def test_hall_terms_compare_and_hash_by_identity():
+    # terms are interned, so ``object``'s identity equality and hash serve;
+    # no method or stored hash may come back to compare trees
+    tree = ast.parse((SRC / "hall.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"__eq__", "__ne__", "__hash__"}, sorted(defined)
+    assert "_hash" not in set(_identifiers(tree))
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
