@@ -167,7 +167,7 @@ def _cmd_kernel(args) -> int:
         )
         texts = report.label_texts()
         for vec in report.kernel:
-            print("  " + " ".join(f"{m:+d}*{texts[i]}" for i, m in enumerate(vec) if m))
+            print("  " + " ".join(f"{m:+d}*{texts[i]}" for i, m in vec))
     return 0
 
 

@@ -19,9 +19,10 @@ entry, its columns the packed keys sorted on their monomial's rank.
 ``integer_rank`` reduces the rows, shortest first, against the pivots kept
 so far (``_echelon``).  One exact fraction-free elimination of the matrix
 augmented with the identity yields a primitive integer basis of its left
-kernel (``integer_kernel``).  It takes the pivots of Bareiss elimination,
-found by filing each row once under its least column, so it returns the
-same kernel basis.  Both sweeps reduce a row by one step, ``_reduce``.
+kernel (``integer_kernel``), as supports ((i, m_i), ...).  It takes the
+pivots of Bareiss elimination, found by filing each row once under its
+least column, so it returns the same kernel basis.  Both sweeps reduce a
+row by one step, ``_reduce``.
 ``verify_tables`` and ``sfold_property_check`` compare computed classes
 against the embedded reference tables and the left-normed contribution law.
 """
@@ -81,8 +82,13 @@ class GradedClass(PackedValue):
             raise UsageError(f"class degree must be an int in 1..{_MAX_TRUNC_DEG}")
         bits = _index_bits(n)
         terms: dict[int, int] = {}
-        for (mono, row, col), value in (coords or {}).items():
-            mono = tuple(mono)
+        for key, value in (coords or {}).items():
+            ok = type(key) is tuple and len(key) == 3 and type(key[0]) is tuple
+            if not ok or any(type(x) is not int for x in (*key[0], *key[1:])):
+                raise UsageError(
+                    f"a class coordinate is (monomial, row, col) of ints, got {key!r}"
+                )
+            mono, row, col = key
             if len(mono) != degree or any(not 1 <= l <= n for l in mono):
                 raise UsageError(f"bad monomial {mono} for degree {degree}, n={n}")
             if tuple(sorted(mono)) != mono:
@@ -391,7 +397,7 @@ def _reduce(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int,
     return {j: v // content for j, v in new.items()} if content > 1 else new
 
 
-def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
+def integer_kernel(m: IntMatrix) -> list[tuple[tuple[int, int], ...]]:
     """Primitive integer basis of the left kernel (vectors v with v·M = 0).
 
     Fraction-free elimination runs on the matrix augmented with the
@@ -400,16 +406,12 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     entry, is a kernel vector.  Each such row is a rational multiple of the
     row dense Bareiss elimination leaves there, so the basis is the same.
     Only a row's nonzero entries are read; all of them lie in the identity
-    part.
+    part.  Each vector is returned as its support ((i, v_i), ...).
     """
-    n_rows = m.row_count
     n_cols = m.col_count
     rows = [{**row, n_cols + i: 1} for i, row in enumerate(m.rows)]
     rank = _bareiss(rows, n_cols)
-    return [
-        _dense(_primitive({j - n_cols: v for j, v in row.items()}), n_rows)
-        for row in rows[rank:]
-    ]
+    return [_primitive({j - n_cols: v for j, v in row.items()}) for row in rows[rank:]]
 
 
 def _bareiss(rows: list[dict[int, int]], pivot_cols: int) -> int:
@@ -480,21 +482,13 @@ def _primitive(entries: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple((k, v // content) for k, v in sorted(entries.items()))
 
 
-def _dense(support: tuple[tuple[int, int], ...], length: int) -> tuple[int, ...]:
-    """The length-``length`` vector with this support ((position, value), ...)."""
-    vector = [0] * length
-    for k, v in support:
-        vector[k] = v
-    return tuple(vector)
-
-
 class KernelReport(
     namedtuple("KernelReport", "n weight rank expected row_labels kernel")
 ):
     """Rank/kernel summary of the weight-w class matrix.
 
     ``expected`` is the Witt number, ``row_labels`` the basis terms and
-    ``kernel`` a list of integer vectors over them.
+    ``kernel`` a list of primitive supports ((i, m_i), ...) over them.
     """
 
     __slots__ = ()
@@ -505,7 +499,7 @@ class KernelReport(
 
     def label_texts(self) -> dict[int, str]:
         """The text of each row label some kernel vector uses, by row index."""
-        used = {i for vec in self.kernel for i, v in enumerate(vec) if v}
+        used = {i for vec in self.kernel for i, _ in vec}
         return {i: str(self.row_labels[i]) for i in used}
 
     def to_dict(self) -> dict:
@@ -517,7 +511,7 @@ class KernelReport(
             "expected": self.expected,
             "injective": self.injective,
             "kernel": [
-                [{"commutator": texts[i], "m": str(v)} for i, v in enumerate(vec) if v]
+                [{"commutator": texts[i], "m": str(v)} for i, v in vec]
                 for vec in self.kernel
             ],
         }

@@ -53,7 +53,10 @@ class CommutatorTerm:
 
     def __new__(cls, gen=None, left=None, right=None):
         key = (gen, left, right)
-        term = _TERMS.get(key)
+        try:
+            term = _TERMS.get(key)
+        except TypeError:  # an unhashable field, neither an int nor a term
+            term = None
         # True and 1.0 equal 1, so they find the leaf x1 and are then rejected
         if term is not None and term.gen.__class__ is gen.__class__:
             return term

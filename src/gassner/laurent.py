@@ -81,6 +81,11 @@ def _check_max_deg(max_deg: int) -> None:
         raise UsageError(f"truncation degree must be in 0..{_MAX_TRUNC_DEG}")
 
 
+def _check_var(n_vars: int, i: int) -> None:
+    if type(i) is not int or not 1 <= i <= n_vars:
+        raise UsageError(f"variable index {i!r} out of range 1..{n_vars}")
+
+
 def _unpack(key: int, n_vars: int) -> tuple[int, ...]:
     return tuple((key >> (8 * i)) & 0xFF for i in range(n_vars))
 
@@ -416,8 +421,7 @@ class LaurentPoly(RingElement):
     @classmethod
     def var(cls, n_vars: int, i: int, power: int = 1) -> "LaurentPoly":
         """The monomial t_i^power; ``i`` is 1-based."""
-        if not 1 <= i <= n_vars:
-            raise UsageError(f"variable index {i} out of range 1..{n_vars}")
+        _check_var(n_vars, i)
         exps = [0] * n_vars
         exps[i - 1] = power
         return cls(n_vars, {tuple(exps): 1})
@@ -463,6 +467,7 @@ class TruncatedSeries(RingElement):
         """
         if power not in (1, -1):
             raise UsageError(f"series variable power must be ±1, got {power}")
+        _check_var(n_vars, i)
         head, tail = (0,) * (i - 1), (0,) * (n_vars - i)
         top = max_deg if power == -1 else min(1, max_deg)
         return cls(

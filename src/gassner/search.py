@@ -4,7 +4,8 @@ The weight-w class matrix has a left kernel: integer combinations of basic
 commutators whose degree-w data vanishes.  Words representing those
 combinations are the only candidates that can evaluate to the identity, so
 the harness enumerates bounded integer combinations of the kernel basis,
-builds a representative word for each, and tests it.
+builds a representative word for each, and tests it.  Vectors are kept
+as supports ((i, m_i), ...), as ``graded.integer_kernel`` returns them.
 
 Every weight-w basic commutator g_i is I modulo J^w, J = (t_1 - 1, ...,
 t_n - 1), so below degree 2w the image of prod g_i^{m_i} minus I is
@@ -48,7 +49,6 @@ from .graded import (
     _commutator_matrix,
     _compose,
     _degree_terms,
-    _dense,
     _primitive,
     first_degree,
     kernel_report,
@@ -74,6 +74,9 @@ class SearchConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if type(value) is not int:
+                raise UsageError(f"search {name} must be an int, got {value!r}")
         if min(self.coeff_bound, self.support_bound, self.degree_probe) < 1:
             raise UsageError("search bounds must be positive")
         if self.degree_probe > _MAX_TRUNC_DEG:
@@ -157,11 +160,6 @@ def _combine(
     return _primitive({k: v for k, v in sums.items() if v})
 
 
-def _support(vector: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The nonzero entries (i, v_i) of ``vector``, i increasing."""
-    return tuple((k, v) for k, v in enumerate(vector) if v)
-
-
 def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero tuples in [-bound, bound] with a positive first entry.
 
@@ -177,17 +175,22 @@ def _coefficient_tuples(size: int, bound: int) -> Iterator[tuple[int, ...]]:
     return tuples
 
 
-def vector_to_word(vector: tuple[int, ...], n: int, w: int) -> BraidWord:
-    """Concatenate commutator words in basis order with their multiplicities."""
+def vector_to_word(support: tuple[tuple[int, int], ...], n: int, w: int) -> BraidWord:
+    """Concatenate commutator words in basis order with their multiplicities.
+
+    ``support`` ((i, m_i), ...): int i increasing in the basis, int m_i != 0.
+    """
     basis = basic_commutators(n - 1, w)
-    if len(vector) != len(basis):
-        raise UsageError(
-            f"vector length {len(vector)} does not match basis size {len(basis)}"
-        )
-    word = BraidWord.identity(n)
-    for term, m in zip(basis, vector):
-        if m:
-            word = word * commutator_to_word(term, n) ** m
+    word, previous = BraidWord.identity(n), -1
+    for entry in support:
+        i, m = entry if type(entry) is tuple and len(entry) == 2 else (None, None)
+        if not (type(i) is type(m) is int and previous < i < len(basis) and m):
+            raise UsageError(
+                f"a support is ((i, m_i), ...), int indices increasing in "
+                f"0..{len(basis) - 1} with nonzero int multiplicities; got {entry!r}"
+            )
+        previous = i
+        word = word * commutator_to_word(basis[i], n) ** m
     return word
 
 
@@ -219,11 +222,11 @@ def _commutator_power(
 
 
 def _candidate_matrix(
-    vector: tuple[int, ...], n: int, w: int, max_deg: int
+    support: tuple[tuple[int, int], ...], n: int, w: int, max_deg: int
 ) -> SquareMatrix:
-    """The image of a nonzero candidate ``vector`` minus I, at ``max_deg``."""
+    """The image of a nonzero candidate ((i, m_i), ...) minus I, at ``max_deg``."""
     basis = basic_commutators(n - 1, w)
-    powers = (_commutator_power(t, n, max_deg, m) for t, m in zip(basis, vector) if m)
+    powers = (_commutator_power(basis[i], n, max_deg, m) for i, m in support)
     return reduce(_compose, powers)
 
 
@@ -272,16 +275,15 @@ class _LinearScreen:
     vanishing pattern, so the first nonvanishing degree is the same.  It
     starts at degree w + 1: K_w[k] is the class of a kernel vector, zero.
 
-    Degrees and columns are built on demand, one column per (k, d) the
-    first time a candidate needs it: that column reads (g_i - I)_d, for
-    each i in the support of K_k, from the image truncated at d.
-    Truncation at d is a ring homomorphism, so that part equals the
-    degree-d part of the image at any greater depth.
+    ``kernel`` holds each K_k as its support ((i, m_i), ...), as
+    ``integer_kernel`` returns it.  Degrees and columns are built on
+    demand, one column per (k, d) the first time a candidate needs it: that
+    column reads (g_i - I)_d, for each i in the support of K_k, from the
+    image truncated at d.  Truncation at d is a ring homomorphism, so that
+    part equals the degree-d part of the image at any greater depth.
     """
 
-    def __init__(
-        self, basis, kernel: list[tuple[int, ...]], n: int, w: int, depth: int
-    ):
+    def __init__(self, basis, kernel, n: int, w: int, depth: int):
         self.basis, self.kernel = basis, kernel
         self.n, self.w, self.depth = n, w, depth
         self._parts: dict[tuple[int, int], dict[int, int]] = {}
@@ -301,10 +303,9 @@ class _LinearScreen:
         column = self._columns.get((k, d))
         if column is None:
             acc: dict[int, int] = {}
-            for index, m in enumerate(self.kernel[k]):
-                if m:
-                    for key, c in self._part(index, d).items():
-                        acc[key] = acc.get(key, 0) + m * c
+            for index, m in self.kernel[k]:
+                for key, c in self._part(index, d).items():
+                    acc[key] = acc.get(key, 0) + m * c
             column = {key: c for key, c in acc.items() if c}
             self._columns[(k, d)] = column
         return column
@@ -516,17 +517,17 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
 
     Candidates are walked once, as kernel combinations ((k, c_k), ...)
     (``_kernel_combinations``), each made into the primitive support
-    ((i, m_i), ...) of its vector (``_combine``) over the kernel basis
-    vectors' supports.  Through degree min(probe, 2w - 1) each combination
-    is read off the linear screen (``_LinearScreen``) in kernel
-    coordinates: at most ``support_bound`` multiply-adds of packed columns
-    per degree, each column packed when a candidate first needs it and the
-    packing widened when a candidate's coefficients need it.  Labels and
-    word lengths are read from the support, through one list of basis texts
-    and one of word lengths per run (``_word_length``), and so is the
-    specialization rung.  A dense vector is made only for the product of
-    deviations to the probe depth, which runs only when the probe reaches
-    2w, and for the exact rung.
+    ((i, m_i), ...) of its vector (``_combine``) over the kernel basis,
+    which ``kernel_report`` gives as supports.  Through degree
+    min(probe, 2w - 1) each combination is read off the linear screen
+    (``_LinearScreen``) in kernel coordinates: at most ``support_bound``
+    multiply-adds of packed columns per degree, each column packed when a
+    candidate first needs it and the packing widened when a candidate's
+    coefficients need it.  Labels and word lengths are read from the
+    support, through one list of basis texts and one of word lengths per
+    run (``_word_length``), and so are the specialization rung, the product
+    of deviations to the probe depth, which runs only when the probe reaches
+    2w, and the exact rung.
     """
     n, w = cfg.n, cfg.weight
     report = kernel_report(n, w)
@@ -540,24 +541,20 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchReport:
         return result
     labels = [str(t) for t in basis]
     word_lengths = [_word_length(t) for t in basis]
-    kernel = [_support(v) for v in report.kernel]
-    screen = _LinearScreen(
-        basis, report.kernel, n, w, min(cfg.degree_probe, 2 * w - 1)
-    )
+    kernel = report.kernel
+    screen = _LinearScreen(basis, kernel, n, w, min(cfg.degree_probe, 2 * w - 1))
     for combination in _kernel_combinations(cfg, len(kernel)):
         support = _combine(combination, kernel)
         first = screen.first_nonvanishing_degree(combination)
         is_identity = False
         if first is None:
             if cfg.degree_probe > screen.depth:
-                vector = _dense(support, len(basis))
-                first = first_degree(_candidate_matrix(vector, n, w, cfg.degree_probe))
+                first = first_degree(_candidate_matrix(support, n, w, cfg.degree_probe))
             is_identity = (
                 first is None
                 and _specialized_candidate_is_identity(support, n, w, cfg.seed)
                 and evaluate_exact(
-                    vector_to_word(_dense(support, len(basis)), n, w),
-                    MAX_EXACT_WORK,
+                    vector_to_word(support, n, w), MAX_EXACT_WORK
                 ).is_identity()
             )
         outcome = CandidateResult(
@@ -622,8 +619,8 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     exactly when their weight-5 classes do; the pair must then first differ
     in degree 6.  Any failure raises ``RegressionError``.  The pair is read
     as a two-term ``_LinearScreen``, basis (c1, c2) and kernel vector
-    (1, -1), probed to degree 8: below 2w = 10 the quotient of the images
-    minus I is the difference of their deviations, so no matrix is
+    ((0, 1), (1, -1)), probed to degree 8: below 2w = 10 the quotient of the
+    images minus I is the difference of their deviations, so no matrix is
     inverted, multiplied or subtracted.  The screen's first nonvanishing
     degree is the first difference degree, and its column there is the
     difference class.  As truncation is a ring homomorphism, a nonzero
@@ -639,7 +636,7 @@ def breakdown_regression(n: int = 4) -> BreakdownReport:
     if phi(c1, n) != phi(c2, n):
         raise RegressionError("weight-5 truncations no longer agree")
 
-    screen = _LinearScreen((c1, c2), [(1, -1)], n, 5, 8)
+    screen = _LinearScreen((c1, c2), [((0, 1), (1, -1))], n, 5, 8)
     first = screen.first_nonvanishing_degree(((0, 1),))
     if first != EXPECTED_FIRST_DIFFERENCE_DEGREE:
         raise RegressionError(

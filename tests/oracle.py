@@ -10,7 +10,9 @@ kernel coordinates, the substitution t_var = 1 with last-strand deletion
 (``is_basic``), the graded commutator of two classes (``bracket``), the
 rank of dense integer rows (``dense_rank``), and dense Bareiss elimination
 (``dense_bareiss``), the reference for the pivots, swaps and rows of
-``graded._bareiss``.
+``graded._bareiss``.  The library keeps every kernel vector as its support
+((i, m_i), ...), which ``is_primitive_support`` recognizes; ``densify``
+writes one out in full for the dense routes.
 
 ``SquareMatrix`` ring operations and ``graded.pi`` build their results
 without rechecking them.  The routes they replaced are kept here:
@@ -370,6 +372,29 @@ def bracket(x: GradedClass, y: GradedClass) -> GradedClass:
                 else:
                     del coords[key]
     return GradedClass(x.n, x.degree + y.degree, coords)
+
+
+def densify(support, length: int) -> tuple[int, ...]:
+    """The length-``length`` vector with this support ((i, m_i), ...)."""
+    vector = [0] * length
+    for i, m in support:
+        vector[i] = m
+    return tuple(vector)
+
+
+def is_primitive_support(support) -> bool:
+    """Whether ``support`` is ((i, m_i), ...) with int positions strictly
+    increasing, no zero entry, content 1 and a positive leading entry."""
+    if not support or not all(type(e) is tuple and len(e) == 2 for e in support):
+        return False
+    positions, values = zip(*support)
+    return (
+        all(type(x) is int for x in positions + values)
+        and list(positions) == sorted(set(positions))
+        and all(values)
+        and values[0] > 0
+        and math.gcd(*values) == 1
+    )
 
 
 def dense_rank(rows: list[list[int]]) -> int:

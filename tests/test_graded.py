@@ -51,7 +51,9 @@ from oracle import (
     degree_coords,
     dense_bareiss,
     dense_rank,
+    densify,
     graded_parts,
+    is_primitive_support,
     matrix_entrywise,
     matrix_product,
     minus_identity,
@@ -145,10 +147,19 @@ def _dense_rows(m):
     return [[row.get(c, 0) for c in range(m.col_count)] for row in m.rows]
 
 
+def _dense_kernel(m):
+    """``integer_kernel(m)``, each vector checked to be a primitive support
+    and written out as a dense vector."""
+    kernel = integer_kernel(m)
+    assert all(is_primitive_support(v) for v in kernel)
+    return [densify(v, m.row_count) for v in kernel]
+
+
 @lru_cache(maxsize=None)
 def _class_matrix_kernel(n, w):
-    """``integer_kernel`` of the weight-w class matrix, shared by the tests."""
-    return integer_kernel(assemble_phi_matrix(n, w))
+    """``integer_kernel`` of the weight-w class matrix as dense vectors,
+    shared by the tests."""
+    return _dense_kernel(assemble_phi_matrix(n, w))
 
 
 def _rank_mod_2(vectors):
@@ -647,6 +658,26 @@ class TestGradedClass:
         for value in (1.5, "2", True):
             with pytest.raises(UsageError, match="not an int"):
                 GradedClass(3, 1, {((1,), 1, 1): value})
+        # a coordinate is a 3-tuple: a tuple monomial of ints, an int row
+        # and an int column, none of them a bool
+        for key in [
+            (1,),
+            ((1,), 1),
+            ((1,), 1, 1, 1),
+            ((1,), 1.0, 1),
+            ((1,), 1, 1.0),
+            (("a",), 1, 1),
+            ((1.0,), 1, 1),
+            ((1,), True, 1),
+            ((1,), 1, True),
+            ((True,), 1, 1),
+            ("a", 1, 1),
+            (1, 1, 1),
+            "abc",
+            1,
+        ]:
+            with pytest.raises(UsageError, match="a class coordinate is"):
+                GradedClass(3, 1, {key: 1})
 
     def test_mismatch_rejected(self):
         with pytest.raises(UsageError):
@@ -775,7 +806,7 @@ class TestIntMatrix:
             ]
             rank = sympy.Matrix(m).rank()
             assert integer_rank(_int_matrix(m)) == rank
-            kernel = integer_kernel(_int_matrix(m))
+            kernel = _dense_kernel(_int_matrix(m))
             assert len(kernel) == rows - rank
             for vec in kernel:
                 for c in range(cols):
@@ -787,7 +818,7 @@ class TestIntMatrix:
     @given(degenerate_int_matrices())
     def test_elimination_matches_dense_bareiss(self, rows):
         assert integer_rank(_int_matrix(rows)) == _oracle_rank(rows)
-        assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
+        assert _dense_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(swap_forcing_int_matrices())
@@ -808,7 +839,7 @@ class TestIntMatrix:
                 got.get(j, 0) * want[lead] == v * got[lead] for j, v in enumerate(want)
             )
         assert integer_rank(_int_matrix(rows)) == _oracle_rank(rows)
-        assert integer_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
+        assert _dense_kernel(_int_matrix(rows)) == _oracle_kernel(rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -832,7 +863,7 @@ class TestIntMatrix:
     @pytest.mark.parametrize("n,w", [(4, 5), (4, 6)])
     def test_class_matrix_kernel_matches_dense_bareiss(self, n, w):
         m = assemble_phi_matrix(n, w)
-        assert integer_kernel(m) == _oracle_kernel(_dense_rows(m))
+        assert _dense_kernel(m) == _oracle_kernel(_dense_rows(m))
 
     def test_kernel_report_rank_matches_integer_rank(self):
         assert (
@@ -845,20 +876,24 @@ class TestIntMatrix:
         assert integer_kernel(assemble_phi_matrix(4, 4)) == []
 
     def test_kernel_vectors_are_primitive_and_annihilate(self):
+        # each vector is a support ((i, m_i), ...): positions strictly
+        # increasing, no zero entry, content 1, positive leading entry; it
+        # annihilates the matrix, and written out dense it is the vector
+        # of dense Bareiss elimination on [M | I]
         m = assemble_phi_matrix(4, 5)
         kernel = integer_kernel(m)
         assert kernel
-        from math import gcd
-
         for vec in kernel:
-            content = 0
-            for v in vec:
-                content = gcd(content, v)
-            assert content == 1
-            leading = next(v for v in vec if v)
-            assert leading > 0
-            for c in range(m.col_count):
-                assert sum(vec[r] * m.rows[r].get(c, 0) for r in range(48)) == 0
+            assert is_primitive_support(vec)
+            assert all(0 <= i < m.row_count for i, _ in vec)
+            column_sums = {}
+            for r, v in vec:
+                for c, x in m.rows[r].items():
+                    column_sums[c] = column_sums.get(c, 0) + v * x
+            assert not any(column_sums.values())
+        assert [densify(v, m.row_count) for v in kernel] == _oracle_kernel(
+            _dense_rows(m)
+        )
 
     def test_kernel_contains_known_relation(self):
         m = assemble_phi_matrix(4, 5)

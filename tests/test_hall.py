@@ -255,13 +255,17 @@ MALFORMED = {
     "leaf-with-children": {"gen": 1, "left": L(1), "right": L(2)},
     "one-child": {"left": L(1)},
     "non-term-children": {"left": 1, "right": 2},
+    # unhashable fields miss the intern table and are refused by its check
+    "unhashable-index": {"gen": [1]},
+    "unhashable-children": {"left": [1], "right": [2]},
+    "one-unhashable-child": {"left": L(1), "right": [2]},
 }
 
 
 class TestTermFields:
     @pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_term_rejected(self, fields):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="a term is a leaf|must be positive"):
             CommutatorTerm(**fields)
 
     def test_leaf_keeps_its_message(self):

@@ -9,6 +9,7 @@ import copy
 import operator
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,18 @@ class TestSeries:
     def test_var_rejects_powers_other_than_plus_minus_one(self, power):
         with pytest.raises(UsageError, match="must be ±1"):
             TruncatedSeries.var(2, 3, 1, power)
+
+    @pytest.mark.parametrize("i", [0, 3, 5, -1, True, 1.0])
+    def test_var_index_is_checked_alike_in_both_rings(self, i):
+        # one check and one message, whatever the truncation degree
+        message = re.escape(f"variable index {i!r} out of range 1..2")
+        for make in (
+            lambda: LaurentPoly.var(2, i),
+            lambda: TruncatedSeries.var(2, 3, i, 1),
+            lambda: TruncatedSeries.var(2, 0, i, -1),
+        ):
+            with pytest.raises(UsageError, match=message):
+                make()
 
     def test_inverse_pair_truncates_to_one(self):
         one = TruncatedSeries.one(2, 2)

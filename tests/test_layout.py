@@ -17,7 +17,10 @@ and one unchecked builder; no name of the second matrix layout it
 replaced, nor of the tuple-keyed class reader, is left in the package.
 A graded class is such a value too, and shares all of it but the product;
 rank and kernel elimination share one row step.  Hall commutator terms
-are interned, so ``hall`` defines no equality or hash of its own.
+are interned, so ``hall`` defines no equality or hash of its own.  A
+kernel vector has one format, its primitive support ((i, m_i), ...), from
+``integer_kernel`` to the printout: no module defines or imports a
+converter to or from a dense vector (``_dense``, ``_support``).
 
 Every command pays for ``import gassner.cli``, so the package loads no
 ``dataclasses``, ``inspect`` or ``typing``: their import and the source a
@@ -206,6 +209,19 @@ def test_both_sweeps_share_one_row_step():
     assert sorted(sweeps) == ["_bareiss", "_echelon"]
     for name, called in sweeps.items():
         assert "_reduce" in called and "gcd" not in called, name
+
+
+# a kernel vector and a search candidate are both the support
+# ((i, m_i), ...) ``graded._primitive`` makes; the dense tuple they were
+# padded to and stripped from is written out only in the tests
+# (``oracle.densify``)
+DENSE_VECTOR_NAMES = ("_dense", "_support")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_second_kernel_vector_format_is_left(path):
+    names = set(_bound_names(ast.parse(path.read_text())))
+    assert not names & set(DENSE_VECTOR_NAMES), sorted(names & set(DENSE_VECTOR_NAMES))
 
 
 def test_hall_terms_compare_and_hash_by_identity():

@@ -14,7 +14,6 @@ from gassner.graded import (
     IntMatrix,
     _commutator_matrix,
     _compose,
-    _dense,
     first_degree,
     integer_rank,
     kernel_report,
@@ -35,7 +34,6 @@ from gassner.search import (
     _commutator_power,
     _kernel_combinations,
     _LinearScreen,
-    _support,
     _word_length,
     breakdown_regression,
     run_search,
@@ -46,7 +44,9 @@ from oracle import (
     _mod_matmul,
     _specialize_matrix,
     dense_rank,
+    densify,
     from_laurent,
+    is_primitive_support,
     map_entries,
     minus_identity,
     pack_rows,
@@ -73,26 +73,22 @@ def check_candidate(word: BraidWord, cfg: SearchConfig) -> CandidateResult:
     return CandidateResult((), len(word), evaluate_exact(word).is_identity(), None)
 
 
-def candidate_vectors(cfg: SearchConfig, kernel_basis) -> list[tuple[int, ...]]:
-    """The primitive vectors run_search tests, in its order.
-
-    ``_combine`` gives each one's support; it is made dense here so that
-    the tests compare and evaluate whole vectors.
-    """
-    supports = [_support(v) for v in kernel_basis]
+def candidate_supports(cfg: SearchConfig, kernel_basis) -> list[tuple]:
+    """The primitive supports ((i, m_i), ...) run_search tests, in its order,
+    each made by ``_combine`` from the kernel basis supports."""
     return [
-        _dense(_combine(combination, supports), len(kernel_basis[0]))
+        _combine(combination, kernel_basis)
         for combination in _kernel_combinations(cfg, len(kernel_basis))
     ]
 
 
 def record_screen(monkeypatch):
     """Lists that record, during a search, each kernel column read and each
-    one packed as (k, d), and each candidate support made dense."""
+    one packed as (k, d), and each candidate vector ``_combine`` makes."""
     import gassner.search as search
 
-    reads, packed, dense = [], [], []
-    column, pack, densify = _LinearScreen._column, _LinearScreen._pack, search._dense
+    reads, packed, made = [], [], []
+    column, pack, combine = _LinearScreen._column, _LinearScreen._pack, search._combine
 
     def recording_column(self, k, d):
         reads.append((k, d))
@@ -102,14 +98,14 @@ def record_screen(monkeypatch):
         packed.append((k, d))
         return pack(self, k, d)
 
-    def recording_dense(support, length):
-        dense.append(support)
-        return densify(support, length)
+    def recording_combine(combination, kernel):
+        made.append(combine(combination, kernel))
+        return made[-1]
 
     monkeypatch.setattr(_LinearScreen, "_column", recording_column)
     monkeypatch.setattr(_LinearScreen, "_pack", recording_pack)
-    monkeypatch.setattr(search, "_dense", recording_dense)
-    return reads, packed, dense
+    monkeypatch.setattr(search, "_combine", recording_combine)
+    return reads, packed, made
 
 
 @pytest.fixture(scope="module")
@@ -129,31 +125,32 @@ def shared_screen(n: int, w: int):
 class TestEnumeration:
     def test_support_one_returns_basis(self, kernel5):
         cfg = SearchConfig(coeff_bound=1, support_bound=1, budget=100)
-        got = list(candidate_vectors(cfg, kernel5.kernel))
+        got = list(candidate_supports(cfg, kernel5.kernel))
         assert got == list(kernel5.kernel)
 
     def test_zero_vector_never_emitted(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=1000)
-        for vec in candidate_vectors(cfg, kernel5.kernel):
-            assert any(vec)
+        for vec in candidate_supports(cfg, kernel5.kernel):
+            assert vec and all(m for _, m in vec)
 
     def test_content_one_and_sign_canonical(self, kernel5):
         from math import gcd
 
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=1000)
         seen = set()
-        for vec in candidate_vectors(cfg, kernel5.kernel):
+        for vec in candidate_supports(cfg, kernel5.kernel):
             content = 0
-            for v in vec:
+            for _, v in vec:
                 content = gcd(content, v)
             assert content == 1
-            assert next(v for v in vec if v) > 0
+            assert vec[0][1] > 0
+            assert is_primitive_support(vec)
             assert vec not in seen
             seen.add(vec)
 
     def test_budget_respected(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=3, budget=7)
-        assert len(list(candidate_vectors(cfg, kernel5.kernel))) == 7
+        assert len(list(candidate_supports(cfg, kernel5.kernel))) == 7
 
     def test_coefficient_tuples_follow_product_order(self):
         # oracle: itertools.product over the listed ranges; of the one-entry
@@ -169,43 +166,56 @@ class TestEnumeration:
 
     def test_empty_kernel_yields_nothing(self):
         cfg = SearchConfig()
-        assert list(candidate_vectors(cfg, [])) == []
+        assert list(candidate_supports(cfg, [])) == []
 
     def test_deterministic(self, kernel5):
         cfg = SearchConfig(coeff_bound=2, support_bound=2, budget=200)
-        a = list(candidate_vectors(cfg, kernel5.kernel))
-        b = list(candidate_vectors(cfg, kernel5.kernel))
+        a = list(candidate_supports(cfg, kernel5.kernel))
+        b = list(candidate_supports(cfg, kernel5.kernel))
         assert a == b
 
     def test_known_relation_in_span_of_candidates(self, kernel5):
         # the direction pairing the two breakdown commutators +1/-1 lies in
         # the span of the emitted candidates
         cfg = SearchConfig(coeff_bound=1, support_bound=2, budget=1000)
-        emitted = list(candidate_vectors(cfg, kernel5.kernel))
+        emitted = list(candidate_supports(cfg, kernel5.kernel))
         labels = list(kernel5.row_labels)
         i1 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[0]))
         i2 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[1]))
-        target = [0] * 48
-        target[i1], target[i2] = 1, -1
-        base_rank = dense_rank([list(v) for v in emitted])
-        joined = dense_rank([list(v) for v in emitted] + [target])
+        target = ((i1, 1), (i2, -1))
+        base_rank = dense_rank([densify(v, 48) for v in emitted])
+        joined = dense_rank([densify(v, 48) for v in emitted + [target]])
         assert joined == base_rank
-        assert tuple(target) in emitted
+        assert target in emitted
+
+
+# the basis at (4,5) has 48 terms, indices 0..47
+MALFORMED_SUPPORTS = {
+    "dense-vector": (1, 0),
+    "dense-zero-vector": (0,) * 48,
+    "index-past-basis": ((48, 1),),
+    "negative-index": ((-1, 1),),
+    "zero-multiplicity": ((5, 0),),
+    "float-multiplicity": ((5, 1.0),),
+    "bool-multiplicity": ((5, True),),
+    "bool-index": ((True, 1),),
+    "text-index": (("5", 1),),
+    "decreasing-indices": ((7, 1), (5, 1)),
+    "repeated-index": ((5, 1), (5, 1)),
+    "triple": ((5, 1, 0),),
+    "list-entry": ([5, 1],),
+}
 
 
 class TestVectorToWord:
     def test_single_label(self, kernel5):
         basis = basic_commutators(3, 5)
-        vec = [0] * 48
-        vec[5] = 1
-        word = vector_to_word(tuple(vec), 4, 5)
+        word = vector_to_word(((5, 1),), 4, 5)
         assert word == commutator_to_word(basis[5], 4)
 
     def test_negative_multiplicity_reverses(self, kernel5):
         basis = basic_commutators(3, 5)
-        vec = [0] * 48
-        vec[5] = -1
-        word = vector_to_word(tuple(vec), 4, 5)
+        word = vector_to_word(((5, -1),), 4, 5)
         assert word == commutator_to_word(basis[5], 4).inverse()
 
     def test_breakdown_pair_gives_w1_w2_inverse(self):
@@ -213,18 +223,33 @@ class TestVectorToWord:
         i1 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[0]))
         i2 = labels.index(parse_commutator(BREAKDOWN_COMMUTATORS[1]))
         assert i1 < i2  # basis order puts the first word first
-        vec = [0] * 48
-        vec[i1], vec[i2] = 1, -1
-        word = vector_to_word(tuple(vec), 4, 5)
+        word = vector_to_word(((i1, 1), (i2, -1)), 4, 5)
         w1 = parse_word(BREAKDOWN_WORD_TEXTS[0], 4)
         w2 = parse_word(BREAKDOWN_WORD_TEXTS[1], 4)
         assert word == w1 * w2.inverse()
 
-    def test_length_mismatch_rejected(self):
-        from gassner.laurent import UsageError
+    @pytest.mark.parametrize(
+        "support", MALFORMED_SUPPORTS.values(), ids=MALFORMED_SUPPORTS.keys()
+    )
+    def test_malformed_support_rejected(self, support):
+        with pytest.raises(UsageError, match="a support is"):
+            vector_to_word(support, 4, 5)
 
-        with pytest.raises(UsageError):
-            vector_to_word((1, 0), 4, 5)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(0, 47), st.integers(-3, 3).filter(bool), max_size=4
+        )
+    )
+    def test_support_concatenates_powers_in_basis_order(self, entries):
+        # any support, empty, primitive or not, against the product of
+        # commutator_to_word(term) ** m over its entries in basis order
+        basis = basic_commutators(3, 5)
+        support = tuple(sorted(entries.items()))
+        expected = BraidWord.identity(4)
+        for i, m in support:
+            expected = expected * commutator_to_word(basis[i], 4) ** m
+        assert vector_to_word(support, 4, 5) == expected
 
 
 class TestCandidateTesting:
@@ -270,15 +295,13 @@ class TestDriverConsistency:
         )
         report = run_search(cfg)
         by_coeffs = {r.coefficients: r for r in report.candidates}
-        for vec in candidate_vectors(cfg, kernel5.kernel):
+        for vec in candidate_supports(cfg, kernel5.kernel):
             word = vector_to_word(vec, 4, 5)
             product = _candidate_matrix(vec, 4, 5, 6)
             assert product == minus_identity(evaluate_truncated(word, 6))
             verdict = check_candidate(word, SearchConfig(degree_probe=10))
             first = verdict.first_nonvanishing_degree
-            labeled = tuple(
-                (str(t), m) for t, m in zip(kernel5.row_labels, vec) if m
-            )
+            labeled = tuple((str(kernel5.row_labels[i]), m) for i, m in vec)
             assert by_coeffs[labeled].is_identity == verdict.is_identity
             assert by_coeffs[labeled].first_nonvanishing_degree == (
                 first if first is not None and first <= probe else None
@@ -307,12 +330,12 @@ class TestKernelScreen:
         cfg = SearchConfig(n=n, weight=w, budget=budget)
         combinations = list(_kernel_combinations(cfg, len(report.kernel)))
         assert len(combinations) == (152 if (n, w) == (4, 5) else budget)
-        vectors = candidate_vectors(cfg, report.kernel)
+        vectors = candidate_supports(cfg, report.kernel)
         for index, (combination, vector) in enumerate(zip(combinations, vectors)):
             first = screen.first_nonvanishing_degree(combination)
             assert first == w + 1
             assert first == per_commutator_first_degree(
-                vector, report.row_labels, n, w, depth
+                densify(vector, len(report.row_labels)), report.row_labels, n, w, depth
             )
             if index % product_stride == 0:
                 product = _candidate_matrix(vector, n, w, depth)
@@ -337,10 +360,9 @@ class TestKernelScreen:
             st.lists(coefficient, min_size=len(support), max_size=len(support))
         )
         combination = tuple(zip(sorted(support), coeffs))
-        vector = [
-            sum(c * report.kernel[k][i] for k, c in combination)
-            for i in range(len(report.row_labels))
-        ]
+        size = len(report.row_labels)
+        kernel = [densify(v, size) for v in report.kernel]
+        vector = [sum(c * kernel[k][i] for k, c in combination) for i in range(size)]
         first = screen.first_nonvanishing_degree(combination)
         assert first == per_commutator_first_degree(
             vector, report.row_labels, n, w, 2 * w - 1
@@ -408,11 +430,12 @@ class TestKernelScreen:
     def test_probe_at_weight_reads_no_kernel_column(self, monkeypatch):
         # with --degree-probe w the screen has no degree to read or pack,
         # and each of the 152 candidates goes up the specialization ladder
-        # as its support: no dense vector is built
-        reads, packed, dense = record_screen(monkeypatch)
+        # as its primitive support, the one vector format
+        reads, packed, made = record_screen(monkeypatch)
         report = run_search(SearchConfig(degree_probe=5))
-        assert len(report.candidates) == 152
-        assert reads == packed == dense == []
+        assert len(report.candidates) == len(made) == 152
+        assert reads == packed == []
+        assert all(is_primitive_support(v) for v in made)
         for result in report.candidates:
             assert result.first_nonvanishing_degree is None
             assert not result.is_identity
@@ -428,8 +451,8 @@ class TestKernelScreen:
         cfg = SearchConfig(coeff_bound=coeff_bound, budget=budget)
         labels = [str(t) for t in kernel5.row_labels]
         expected = [
-            tuple((labels[i], m) for i, m in enumerate(vector) if m)
-            for vector in candidate_vectors(cfg, kernel5.kernel)
+            tuple((labels[i], m) for i, m in vector)
+            for vector in candidate_supports(cfg, kernel5.kernel)
         ]
         got = [r.coefficients for r in run_search(cfg).candidates]
         assert len(got) == budget
@@ -474,17 +497,20 @@ class TestPackedScreen:
         self, monkeypatch
     ):
         # every default candidate is decided at degree 6 by the screen, so
-        # only the 4 kernel columns there are packed, and no candidate is
-        # made a dense vector.  The columns' peak entry is 6; the first
-        # candidates need at most 6 < 2^4, and the first with
-        # sum |c_k| = 3 needs 18, so the degree is widened once, to 10
-        # bits, and its 4 columns repacked: 2^10 covers every later need
-        _, packed, dense = record_screen(monkeypatch)
+        # only the 4 kernel columns there are packed, and every candidate
+        # is made as its primitive support, the one vector format (no
+        # dense one is left to make; see tests/test_layout.py).  The
+        # columns' peak entry is 6; the first candidates need at most
+        # 6 < 2^4, and the first with sum |c_k| = 3 needs 18, so the degree
+        # is widened once, to 10 bits, and its 4 columns repacked: 2^10
+        # covers every later need
+        _, packed, made = record_screen(monkeypatch)
         report = run_search(SearchConfig())
         assert len(report.candidates) == 152
         assert sorted(set(packed)) == [(k, 6) for k in range(4)]
         assert len(packed) == 8
-        assert dense == []
+        assert len(made) == 152
+        assert all(is_primitive_support(v) for v in made)
 
     @pytest.mark.parametrize("n, w", [(4, 5), (5, 5), (4, 6), (6, 5)])
     def test_word_length_matches_the_built_word(self, n, w):
@@ -538,7 +564,7 @@ class TestNoSeriesInverse:
         breakdown_regression()
         run_search(SearchConfig(budget=3, degree_probe=10))
         run_search(SearchConfig(budget=3, degree_probe=5))
-        vector = next(v for v in report.kernel if min(v) < 0)
+        vector = next(v for v in report.kernel if any(m < 0 for _, m in v))
         assert not _candidate_matrix(vector, 4, 5, 10).is_zero()
 
 
@@ -663,7 +689,7 @@ class TestSpecialization:
         assert _specialized_candidate_is_identity((), 4, 5, 20041101)
         report = kernel_report(4, 5)
         assert not _specialized_candidate_is_identity(
-            _support(report.kernel[0]), 4, 5, 20041101
+            report.kernel[0], 4, 5, 20041101
         )
 
 
@@ -676,14 +702,13 @@ class TestProbeRung:
     the same verdict.
     """
 
-    def _factors(self, vector, point_index):
+    def _factors(self, support, point_index):
         from gassner.search import _specialized_commutator
 
         basis = basic_commutators(3, 5)
         return [
-            _specialized_commutator(t, 4, point_index, 20041101, m)
-            for t, m in zip(basis, vector)
-            if m
+            _specialized_commutator(basis[i], 4, point_index, 20041101, m)
+            for i, m in support
         ]
 
     def test_probes_match_full_products_on_every_ladder_candidate(self):
@@ -699,18 +724,18 @@ class TestProbeRung:
 
         cfg = SearchConfig(degree_probe=5)
         kernel = kernel_report(4, 5).kernel
-        vectors = candidate_vectors(cfg, kernel)
-        assert len(vectors) == 152
+        supports = candidate_supports(cfg, kernel)
+        assert len(supports) == 152
         assert _SPECIALIZATION_COUNT == 3
-        for vector in vectors:
+        for support in supports:
+            vector = densify(support, 48)
             identities = [
                 product == _mod_identity(4)
                 for product in specialized_products(vector, 4, 5, cfg.seed)
             ]
             for point_index, identity in enumerate(identities):
-                factors = self._factors(vector, point_index)
+                factors = self._factors(support, point_index)
                 assert all(_fixes(u, factors) for u in _probes(4)) == identity
-            support = _support(vector)
             assert _specialized_candidate_is_identity(support, 4, 5, cfg.seed) == all(
                 identities
             )
@@ -852,7 +877,7 @@ class TestSearch:
         # class vanishes; checked through the flat word evaluation
         cfg = SearchConfig(coeff_bound=1, support_bound=2, budget=4)
         rng = random.Random(11)
-        vectors = list(candidate_vectors(cfg, kernel5.kernel))
+        vectors = list(candidate_supports(cfg, kernel5.kernel))
         for vec in rng.sample(vectors, 2):
             word = vector_to_word(vec, 4, 5)
             x = minus_identity(evaluate_truncated(word, 5))
@@ -892,6 +917,14 @@ class TestSearch:
             {"degree_probe": 0},
             {"degree_probe": 256},
             {"budget": -1},
+            # every field is an int, not a bool, float, text or None
+            {"n": "4"},
+            {"weight": 5.0},
+            {"coeff_bound": 1.5},
+            {"support_bound": True},
+            {"degree_probe": None},
+            {"budget": None},
+            {"seed": 1.5},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
